@@ -11,6 +11,7 @@ stdout output (benchmark wall-time columns excepted).  The default seed is
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -106,7 +107,8 @@ def _read_spd(path) -> linalg.SpdMatrix:
     return linalg.SpdMatrix(io.read_matrix(path))
 
 
-def _echo_gd_config(M_spd, cfg: GdConfig, seed: int) -> None:
+def _echo_gd_config(M_spd, cfg: GdConfig, seed: int) -> float:
+    """Echo the resolved gd settings and return the step size, for ``run``."""
     U0 = initial_iterate(M_spd, cfg)
     eta = cfg.eta if isinstance(cfg.eta, float) else step_size_policy(U0, M_spd, cfg)
     rate = analysis.rate_params(U0, M_spd)
@@ -114,7 +116,7 @@ def _echo_gd_config(M_spd, cfg: GdConfig, seed: int) -> None:
         [
             ("method", "gd"),
             ("seed", seed),
-            ("eta", float(eta)),
+            ("eta", eta),
             ("alpha", rate.alpha),
             ("beta", rate.beta),
             ("corridor-low", rate.corridor_low),
@@ -123,6 +125,7 @@ def _echo_gd_config(M_spd, cfg: GdConfig, seed: int) -> None:
             ("max-iters", cfg.max_iters),
         ]
     )
+    return eta
 
 
 def cmd_sqrt(args) -> int:
@@ -160,7 +163,7 @@ def cmd_sqrt(args) -> int:
         init_matrix=init_matrix,
         seed=seed,
     )
-    _echo_gd_config(M_spd, cfg, seed)
+    cfg = dataclasses.replace(cfg, eta=_echo_gd_config(M_spd, cfg, seed))
     try:
         U, trace = run(M_spd, cfg)
     except (DivergenceError, LostPositiveDefinitenessError) as exc:
@@ -191,7 +194,7 @@ def cmd_certify(args) -> int:
     cfg = GdConfig(max_iters=CERTIFY_MAX_ITERS, tol=args.tol, seed=seed)
     U0 = initial_iterate(M_spd, cfg)
     rate = analysis.rate_params(U0, M_spd)
-    _echo_gd_config(M_spd, cfg, seed)
+    cfg = dataclasses.replace(cfg, eta=_echo_gd_config(M_spd, cfg, seed))
     _echo([("samples", samples), ("smoothness-cap", cap), ("self-test", args.self_test)])
     reports = [
         analysis.smoothness_certificate(M_spd, cap, samples, seed, constant),

@@ -56,12 +56,12 @@ class LostPositiveDefinitenessError(GdError):
 class GdConfig:
     """Solver configuration.
 
-    ``eta`` is either a positive float or ``"auto"``, in which case
-    :func:`step_size_policy` picks the step size.  ``init`` selects the
-    starting iterate: ``"scaled-identity"`` uses sqrt(lambda) I with
-    ``init_lambda`` (estimated by power iteration when None),
-    ``"sqrt-opnorm-identity"`` uses sqrt(||M||_2) I, and ``"explicit"``
-    takes ``init_matrix`` as given.  ``c_step`` scales the automatic step
+    ``eta`` is either a positive number, stored as a float, or ``"auto"``,
+    in which case :func:`step_size_policy` picks the step size.  ``init``
+    selects the starting iterate: ``"scaled-identity"`` uses
+    sqrt(lambda) I with ``init_lambda`` (estimated by power iteration when
+    None), ``"sqrt-opnorm-identity"`` uses sqrt(||M||_2) I, and
+    ``"explicit"`` takes ``init_matrix`` as given.  ``c_step`` scales the automatic step
     size and ``c_rate`` is the contraction constant used by the residual
     decay certificates; the defaults are pinned by the acceptance tests.
     """
@@ -81,8 +81,11 @@ class GdConfig:
         if isinstance(self.eta, str):
             if self.eta != "auto":
                 raise ValueError(f"eta must be positive or 'auto', got {self.eta!r}")
-        elif not (self.eta > 0.0):
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        else:
+            # an int or numpy scalar step size must not fall through to "auto"
+            object.__setattr__(self, "eta", float(self.eta))
+            if not (self.eta > 0.0):
+                raise ValueError(f"eta must be positive, got {self.eta}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not (self.tol > 0.0):
@@ -113,8 +116,8 @@ class ErrorModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.delta < 0.0:
-            raise ValueError("delta must be non-negative")
+        if not (0.0 <= self.delta < math.inf):
+            raise ValueError(f"delta must be finite and non-negative, got {self.delta}")
         if self.schedule not in SCHEDULE_CHOICES:
             raise ValueError(
                 f"schedule must be one of {SCHEDULE_CHOICES}, got {self.schedule!r}"
@@ -225,31 +228,44 @@ class IterationTrace:
 
 
 class _TraceBuilder:
+    """Trace columns in preallocated numpy arrays that double when full.
+
+    A step costs 64 bytes of trace (eight 8-byte entries) once
+    :meth:`finish` has trimmed the columns to their length.
+    """
+
     def __init__(self):
+        self.k = 0
         self.columns = {
-            "t": [],
-            "residual_fro": [],
-            "objective": [],
-            "sigma_min": [],
-            "opnorm": [],
-            "eta": [],
-            "err_norm": [],
-            "err_fro": [],
+            name: np.empty(1024, dtype=int if name == "t" else float)
+            for name in TraceRecord._fields
         }
 
     def append(self, t, residual, smin, opnorm, eta, err_norm, err_fro):
+        k = self.k
         c = self.columns
-        c["t"].append(t)
-        c["residual_fro"].append(residual)
-        c["objective"].append(residual * residual)
-        c["sigma_min"].append(smin)
-        c["opnorm"].append(opnorm)
-        c["eta"].append(eta)
-        c["err_norm"].append(err_norm)
-        c["err_fro"].append(err_fro)
+        if k == len(c["t"]):
+            for name, col in c.items():
+                grown = np.empty(2 * k, dtype=col.dtype)
+                grown[:k] = col
+                c[name] = grown
+        c["t"][k] = t
+        c["residual_fro"][k] = residual
+        c["objective"][k] = residual * residual
+        c["sigma_min"][k] = smin
+        c["opnorm"][k] = opnorm
+        c["eta"][k] = eta
+        c["err_norm"][k] = err_norm
+        c["err_fro"][k] = err_fro
+        self.k = k + 1
 
     def finish(self, converged: bool, stop_reason: str) -> IterationTrace:
-        return IterationTrace(self.columns, converged, stop_reason)
+        # trim column by column, so each full-capacity array is released as
+        # soon as its copy is made
+        c = self.columns
+        for name in TraceRecord._fields:
+            c[name] = c[name][: self.k].copy()
+        return IterationTrace(c, converged, stop_reason)
 
 
 def objective(U, M) -> float:
@@ -274,20 +290,33 @@ def gradient(U, M) -> np.ndarray:
     return D @ U + U @ D
 
 
-def _update(U: np.ndarray, S: np.ndarray, M: np.ndarray, eta: float, resym: bool) -> np.ndarray:
-    # S is the cached product U @ U
-    D = S - M
-    U_next = U - eta * (D @ U) - eta * (U @ D)
+def _update(U: np.ndarray, D: np.ndarray, eta: float, resym: bool, G, H) -> None:
+    """Overwrite U with U - eta (D U) - eta (U D), resymmetrised if ``resym``.
+
+    D is U @ U - M; G and H are C-contiguous n x n scratch arrays.  The
+    operations and their order are those of ``U - eta * (D @ U) - eta * (U @
+    D)`` followed by ``(W + W.T) / 2.0``, so the result is bitwise the same.
+    ``np.dot`` makes the same BLAS call as ``@`` with less dispatch.
+    """
+    np.dot(D, U, out=G)
+    np.dot(U, D, out=H)
+    np.multiply(eta, G, out=G)
+    np.subtract(U, G, out=G)
+    np.multiply(eta, H, out=H)
     if resym:
-        U_next = (U_next + U_next.T) / 2.0
-    return U_next
+        np.subtract(G, H, out=H)
+        np.add(H, H.T, out=U)
+        np.divide(U, 2.0, out=U)
+    else:
+        np.subtract(G, H, out=U)
 
 
 def gd_step(U, M, eta: float, resymmetrize: bool = True) -> np.ndarray:
     """One update U - eta (U^2 - M) U - eta U (U^2 - M)."""
-    U = np.asarray(getattr(U, "values", U), dtype=float)
+    U = np.array(getattr(U, "values", U), dtype=float, order="C")
     M = np.asarray(getattr(M, "values", M), dtype=float)
-    return _update(U, U @ U, M, eta, resymmetrize)
+    _update(U, U @ U - M, eta, resymmetrize, np.empty_like(U), np.empty_like(U))
+    return U
 
 
 def step_size_policy(U0, M, cfg: GdConfig) -> float:
@@ -343,9 +372,10 @@ def run(M, cfg: GdConfig = GdConfig()) -> tuple[SpdMatrix, IterationTrace]:
     """Iterate gd_step until the residual reaches ``cfg.tol`` or the cap.
 
     Returns the final iterate and the full per-step trace.  Raises
-    :class:`DivergenceError` when the residual exceeds ten times its initial
-    value and :class:`LostPositiveDefinitenessError` when an iterate stops
-    being positive definite; both carry the partial trace and step index.
+    :class:`DivergenceError` when the residual is not finite or exceeds ten
+    times its initial value and :class:`LostPositiveDefinitenessError` when
+    an iterate stops being positive definite; both carry the partial trace
+    and step index.
     """
     return _run_loop(M, cfg, err=None)
 
@@ -381,10 +411,22 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                 stacklevel=3,
             )
 
+    # Four n x n buffers carry the whole loop: U, D = U^2 - M and the two
+    # products of the update.  -D is the residual matrix M - U^2; IEEE
+    # subtraction is antisymmetric, so sqrt(d . d) over the raveled D is
+    # bitwise np.linalg.norm(M - U @ U).
     builder = _TraceBuilder()
-    U = U0.values
-    S = U @ U
-    r = float(np.linalg.norm(M_arr - S))
+    U = U0.values.copy()
+    D = U @ U
+    np.subtract(D, M_arr, out=D)
+    d = D.reshape(-1)
+    G = np.empty_like(U)
+    H = np.empty_like(U)
+    draw = err is not None and err.delta != 0.0
+
+    r = math.sqrt(d.dot(d))
+    if not math.isfinite(r):
+        _raise_non_finite(r, 0, eta, builder, 0.0, 0.0)
     _, smin, opn = linalg.spectral_extremes(U)
     builder.append(0, r, smin, opn, eta, 0.0, 0.0)
     r0 = r
@@ -393,16 +435,19 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
 
     converged = False
     for t in range(1, cfg.max_iters + 1):
-        U = _update(U, S, M_arr, eta, cfg.resymmetrize)
+        _update(U, D, eta, cfg.resymmetrize, G, H)
         err_norm = 0.0
         err_fro = 0.0
-        if err is not None and err.active_at(t):
+        if draw and err.active_at(t):
             E = err.sample(rng, n)
-            U = U + E
+            np.add(U, E, out=U)
             err_norm = err.delta
             err_fro = float(np.linalg.norm(E))
-        S = U @ U
-        r = float(np.linalg.norm(M_arr - S))
+        np.dot(U, U, out=D)
+        np.subtract(D, M_arr, out=D)
+        r = math.sqrt(d.dot(d))
+        if not math.isfinite(r):
+            _raise_non_finite(r, t, eta, builder, err_norm, err_fro)
         lam_min, smin, opn = linalg.spectral_extremes(U)
         builder.append(t, r, smin, opn, eta, err_norm, err_fro)
         if lam_min <= 0.0:
@@ -424,3 +469,15 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
             )
     trace = builder.finish(converged, "converged" if converged else "max-iters")
     return SpdMatrix(U), trace
+
+
+def _raise_non_finite(r, t, eta, builder, err_norm, err_fro):
+    # A NaN residual fails both the tolerance and the growth test, so it is
+    # caught explicitly.  The iterate is not passed to the monitor; its
+    # spectrum is recorded as NaN.
+    builder.append(t, r, math.nan, math.nan, eta, err_norm, err_fro)
+    raise DivergenceError(
+        f"residual {r} at step {t} is not finite",
+        step=t,
+        trace=builder.finish(False, "diverged"),
+    )

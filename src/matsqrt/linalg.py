@@ -278,7 +278,10 @@ def spectral_extremes(A) -> tuple[float, float, float]:
     """
     A = np.asarray(getattr(A, "values", A), dtype=float)
     w = np.linalg.eigvalsh(A)
-    return float(w[0]), float(np.min(np.abs(w))), float(max(abs(w[0]), abs(w[-1])))
+    lo, hi = float(w[0]), float(w[-1])
+    # eigenvalues come back ascending, so a positive w[0] is min |w|
+    smin = lo if lo > 0.0 else float(np.min(np.abs(w)))
+    return lo, smin, max(abs(lo), abs(hi))
 
 
 def solve(A, B) -> np.ndarray:

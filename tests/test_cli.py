@@ -157,6 +157,37 @@ def test_exit_diverged_writes_partial_trace(capsys, tmp_path):
     assert len(lines) > 2  # partial records up to the divergence step
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_exit_diverged_on_non_finite_residual(capsys, tmp_path):
+    # the first step overflows U to diag(-inf, 1), whose square holds
+    # inf * 0 = NaN: caught at step 1, not carried to the iteration cap
+    one = tmp_path / "one.txt"
+    io.write_matrix(one, np.eye(2))
+    u0 = tmp_path / "u0.txt"
+    io.write_matrix(u0, np.diag([2.0, 1.0]))
+    trace_path = tmp_path / "trace.csv"
+    code, _, err = run_cli(
+        capsys,
+        "sqrt",
+        str(one),
+        "--eta",
+        "1e308",
+        "--init",
+        f"file:{u0}",
+        "--max-iters",
+        "1000",
+        "--trace",
+        str(trace_path),
+    )
+    assert code == 2
+    assert "residual nan at step 1 is not finite" in err
+    assert trace_path.read_text().splitlines()[1:] == [
+        "0,3,9,1,2,1e+308,0",
+        "1,nan,nan,nan,nan,1e+308,0",
+    ]
+
+
 def test_exit_iteration_cap(capsys, spd_file):
     code, out, err = run_cli(
         capsys, "sqrt", spd_file, "--eta", "1e-5", "--max-iters", "10"

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import matsqrt.gd as gd
 import matsqrt.linalg as linalg
 from matsqrt.baselines import evd_sqrt
 from matsqrt.experiments import SpdInstanceSpec, random_spd
@@ -11,7 +13,9 @@ from matsqrt.gd import (
     DivergenceError,
     ErrorModel,
     GdConfig,
+    GdError,
     LostPositiveDefinitenessError,
+    TraceRecord,
     gd_step,
     gradient,
     initial_iterate,
@@ -297,6 +301,18 @@ def test_run_perturbed_zero_delta_matches_run():
     assert np.array_equal(tr_plain.residual_fro, tr_zero.residual_fro)
 
 
+def test_run_perturbed_zero_delta_draws_no_error(monkeypatch):
+    def draw(self, rng, n):
+        raise AssertionError("an error was drawn with delta = 0")
+
+    monkeypatch.setattr(ErrorModel, "sample", draw)
+    M = random_spd(SpdInstanceSpec(n=5, kappa=4.0, seed=3))
+    cfg = GdConfig(c_step=1.0, max_iters=20, tol=1e-14)
+    for schedule in ("every-step", "first-step-only"):
+        _, tr = run_perturbed(M, cfg, ErrorModel(delta=0.0, schedule=schedule))
+        assert tr.steps == 20 and np.all(tr.err_fro == 0.0)
+
+
 def test_run_perturbed_records_error_norms():
     M = random_spd(SpdInstanceSpec(n=5, kappa=4.0, seed=3))
     cfg = GdConfig(c_step=1.0, max_iters=50, tol=1e-14)
@@ -343,3 +359,249 @@ def test_objective_is_squared_residual():
     U = 2.0 * np.eye(2)
     assert residual_fro(U, M) == 3.0
     assert objective(U, M) == 9.0
+
+
+# ------------------------------------------- reference loop (list trace)
+#
+# The descent loop as it was before it moved to preallocated buffers and an
+# array-backed trace, copied verbatim together with the trace builder and
+# the spectral monitor it called; only the stability warning of perturbed
+# runs, which touches no iterate or trace entry, is left out.  The current
+# loop must reproduce it bit for bit: the same operations in the same
+# order.
+
+
+class _RefTraceBuilder:
+    def __init__(self):
+        self.columns = {
+            "t": [],
+            "residual_fro": [],
+            "objective": [],
+            "sigma_min": [],
+            "opnorm": [],
+            "eta": [],
+            "err_norm": [],
+            "err_fro": [],
+        }
+
+    def append(self, t, residual, smin, opnorm, eta, err_norm, err_fro):
+        c = self.columns
+        c["t"].append(t)
+        c["residual_fro"].append(residual)
+        c["objective"].append(residual * residual)
+        c["sigma_min"].append(smin)
+        c["opnorm"].append(opnorm)
+        c["eta"].append(eta)
+        c["err_norm"].append(err_norm)
+        c["err_fro"].append(err_fro)
+
+    def finish(self, converged: bool, stop_reason: str):
+        return gd.IterationTrace(self.columns, converged, stop_reason)
+
+
+def _ref_spectral_extremes(A):
+    A = np.asarray(getattr(A, "values", A), dtype=float)
+    w = np.linalg.eigvalsh(A)
+    return float(w[0]), float(np.min(np.abs(w))), float(max(abs(w[0]), abs(w[-1])))
+
+
+def _ref_update(U, S, M, eta, resym):
+    # S is the cached product U @ U
+    D = S - M
+    U_next = U - eta * (D @ U) - eta * (U @ D)
+    if resym:
+        U_next = (U_next + U_next.T) / 2.0
+    return U_next
+
+
+def _ref_run_loop(M, cfg, err):
+    M_spd, U0, eta = gd._resolve(M, cfg)
+    M_arr = M_spd.values
+    n = M_spd.n
+
+    rng = None
+    if err is not None:
+        rng = np.random.default_rng(err.seed)
+
+    builder = _RefTraceBuilder()
+    U = U0.values
+    S = U @ U
+    r = float(np.linalg.norm(M_arr - S))
+    _, smin, opn = _ref_spectral_extremes(U)
+    builder.append(0, r, smin, opn, eta, 0.0, 0.0)
+    r0 = r
+    if r <= cfg.tol:
+        return linalg.SpdMatrix(U), builder.finish(True, "converged")
+
+    converged = False
+    for t in range(1, cfg.max_iters + 1):
+        U = _ref_update(U, S, M_arr, eta, cfg.resymmetrize)
+        err_norm = 0.0
+        err_fro = 0.0
+        if err is not None and err.active_at(t):
+            E = err.sample(rng, n)
+            U = U + E
+            err_norm = err.delta
+            err_fro = float(np.linalg.norm(E))
+        S = U @ U
+        r = float(np.linalg.norm(M_arr - S))
+        lam_min, smin, opn = _ref_spectral_extremes(U)
+        builder.append(t, r, smin, opn, eta, err_norm, err_fro)
+        if lam_min <= 0.0:
+            raise LostPositiveDefinitenessError(
+                f"iterate lost positive definiteness at step {t} "
+                f"(lambda_min={lam_min:.6e})",
+                step=t,
+                trace=builder.finish(False, "lost-positive-definiteness"),
+            )
+        if r <= cfg.tol:
+            converged = True
+            break
+        if r > gd.DIVERGENCE_FACTOR * r0:
+            raise DivergenceError(
+                f"residual {r:.6e} at step {t} exceeds {gd.DIVERGENCE_FACTOR:g}x "
+                f"its initial value {r0:.6e}",
+                step=t,
+                trace=builder.finish(False, "diverged"),
+            )
+    trace = builder.finish(converged, "converged" if converged else "max-iters")
+    return linalg.SpdMatrix(U), trace
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_traces_identical(got, ref):
+    for name in TraceRecord._fields:
+        assert _same_bits(getattr(got, name), getattr(ref, name)), name
+    assert got.converged == ref.converged
+    assert got.stop_reason == ref.stop_reason
+
+
+def _assert_matches_reference(M, cfg, err=None):
+    """Run both loops; compare the final iterate or the raised error."""
+    loop = run if err is None else (lambda M_, cfg_: run_perturbed(M_, cfg_, err))
+    try:
+        U_ref, tr_ref = _ref_run_loop(M, cfg, err)
+    except GdError as exc:
+        with pytest.raises(type(exc)) as got:
+            loop(M, cfg)
+        assert got.value.step == exc.step
+        assert str(got.value) == str(exc)
+        _assert_traces_identical(got.value.trace, exc.trace)
+        return exc.trace
+    U, tr = loop(M, cfg)
+    assert _same_bits(U.values, U_ref.values)
+    _assert_traces_identical(tr, tr_ref)
+    return tr
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 17, 33, 64])
+@pytest.mark.parametrize("resym", [True, False])
+@pytest.mark.parametrize("explicit_eta", [False, True])
+def test_run_bitwise_matches_reference_loop(n, resym, explicit_eta):
+    # U @ U is not exactly symmetric at n = 17 and 33 on OpenBLAS 0.3.31;
+    # n = 1 converges, the other sizes stop at the 300-step cap
+    M = random_spd(SpdInstanceSpec(n=n, kappa=4.0 if n > 1 else 1.0, seed=n))
+    auto = GdConfig(c_step=1.0, tol=1e-9, max_iters=300, resymmetrize=resym)
+    cfg = auto
+    if explicit_eta:
+        eta = 0.7 * step_size_policy(initial_iterate(M, auto), M, auto)
+        cfg = GdConfig(eta=eta, tol=1e-9, max_iters=300, resymmetrize=resym)
+    trace = _assert_matches_reference(M, cfg)
+    assert len(trace) > 1
+
+
+@pytest.mark.parametrize("delta", [1e-7, 0.0])
+@pytest.mark.parametrize("schedule", ["every-step", "first-step-only"])
+def test_run_perturbed_bitwise_matches_reference_loop(delta, schedule):
+    M = random_spd(SpdInstanceSpec(n=16, kappa=10.0, seed=5))
+    cfg = GdConfig(c_step=1.0, tol=1e-8, max_iters=1500)
+    trace = _assert_matches_reference(M, cfg, ErrorModel(delta, schedule, seed=3))
+    assert np.all(trace.err_norm[1:2] == delta)
+
+
+def test_divergence_and_cap_bitwise_match_reference_loop():
+    diverged = _assert_matches_reference(
+        np.array([[100.0]]),
+        GdConfig(eta=0.05, init="explicit", init_matrix=np.array([[0.5]])),
+    )
+    assert diverged.stop_reason == "diverged"
+    lost = _assert_matches_reference(
+        np.diag([4.0, 1.0]),
+        GdConfig(eta=0.1, init="explicit", init_matrix=np.diag([2.0, 3.0])),
+    )
+    assert lost.stop_reason == "lost-positive-definiteness"
+    capped = _assert_matches_reference(
+        random_spd(SpdInstanceSpec(n=6, kappa=10.0, seed=4)),
+        GdConfig(max_iters=500),
+    )
+    assert capped.stop_reason == "max-iters" and capped.steps == 500
+
+
+def test_gd_step_is_the_loop_update():
+    M = random_spd(SpdInstanceSpec(n=17, kappa=10.0, seed=7))
+    U = np.asarray(initial_iterate(M, GdConfig()))
+    for resym in (True, False):
+        got = gd_step(U, M, 1e-3, resym)
+        assert _same_bits(got, _ref_update(U, U @ U, np.asarray(M), 1e-3, resym))
+
+
+def test_trace_memory_per_step_bounded():
+    # the eight columns cost 64 bytes a step; doubling and the final trim
+    # bring the peak to under three times that (eight Python lists: 261)
+    steps = 20_000
+    M = random_spd(SpdInstanceSpec(n=4, kappa=10.0, seed=1))
+    cfg = GdConfig(max_iters=steps, tol=1e-300)
+    tracemalloc.start()
+    try:
+        _, trace = run(M, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.steps == steps
+    assert peak / steps <= 192.0
+
+
+# ------------------------------------------------------- input hygiene
+
+
+@pytest.mark.parametrize("eta", [1, np.float32(0.01), np.float64(0.02)])
+def test_config_user_eta_is_used_whatever_its_number_type(eta):
+    cfg = GdConfig(eta=eta)
+    assert type(cfg.eta) is float and cfg.eta == float(eta)
+    M = np.diag([0.04, 0.01])
+    _, trace = run(M, GdConfig(eta=eta, init_lambda=0.04, max_iters=3))
+    assert np.all(trace.eta == float(eta))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_run_non_finite_residual_raises_divergence():
+    cfg = GdConfig(init="explicit", init_matrix=1e200 * np.eye(2), eta=1e-3)
+    with pytest.raises(DivergenceError, match="not finite") as exc_info:
+        run(np.eye(2), cfg)
+    exc = exc_info.value
+    assert exc.step == 0 and exc.trace.steps == 0
+    assert exc.trace.stop_reason == "diverged"
+    assert math.isinf(exc.trace.residual_fro[0])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_run_non_finite_residual_caught_before_growth_guard():
+    # U_1 = diag(-1.2e301, 1) squares to inf at the first step
+    cfg = GdConfig(init="explicit", init_matrix=np.diag([2.0, 1.0]), eta=1e300)
+    with pytest.raises(DivergenceError, match="not finite") as exc_info:
+        run(np.eye(2), cfg)
+    exc = exc_info.value
+    assert exc.step == exc.trace.steps == 1
+    assert math.isnan(exc.trace.sigma_min[1])
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+def test_error_model_rejects_non_finite_delta(delta):
+    with pytest.raises(ValueError, match="finite"):
+        ErrorModel(delta=delta)
