@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .gd import IterationTrace, gradient, objective
+from .gd import IterationTrace, gradient, objective, rate_cube
 
 DEFAULT_C_RATE = 1.0 / 50.0
 # Smoothness constant: ||grad f(U1) - grad f(U2)||_F <= this * max(cap, ||M||_2)
@@ -60,7 +60,8 @@ def rate_params(U0, M) -> RateParams:
     u_smin = linalg.sigma_min(U0)
     m_op = linalg.spectral_norm(M)
     m_smin = linalg.sigma_min(M)
-    alpha = (max(u_op, math.sqrt(m_op)) / min(u_smin, math.sqrt(m_smin))) ** 3
+    ratio = max(u_op, math.sqrt(m_op)) / min(u_smin, math.sqrt(m_smin))
+    alpha = rate_cube(ratio, u_op, m_op)
     beta = min(u_smin, math.sqrt(m_smin))
     return RateParams(
         alpha=alpha,

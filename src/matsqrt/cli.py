@@ -107,8 +107,8 @@ def _read_spd(path) -> linalg.SpdMatrix:
     return linalg.SpdMatrix(io.read_matrix(path))
 
 
-def _echo_gd_config(M_spd, cfg: GdConfig, seed: int) -> float:
-    """Echo the resolved gd settings and return the step size, for ``run``."""
+def _echo_gd_config(M_spd, cfg: GdConfig, seed: int):
+    """Echo the resolved gd settings; return the step size and rate parameters."""
     U0 = initial_iterate(M_spd, cfg)
     eta = cfg.eta if isinstance(cfg.eta, float) else step_size_policy(U0, M_spd, cfg)
     rate = analysis.rate_params(U0, M_spd)
@@ -125,7 +125,7 @@ def _echo_gd_config(M_spd, cfg: GdConfig, seed: int) -> float:
             ("max-iters", cfg.max_iters),
         ]
     )
-    return eta
+    return eta, rate
 
 
 def cmd_sqrt(args) -> int:
@@ -163,7 +163,8 @@ def cmd_sqrt(args) -> int:
         init_matrix=init_matrix,
         seed=seed,
     )
-    cfg = dataclasses.replace(cfg, eta=_echo_gd_config(M_spd, cfg, seed))
+    eta, _ = _echo_gd_config(M_spd, cfg, seed)
+    cfg = dataclasses.replace(cfg, eta=eta)
     try:
         U, trace = run(M_spd, cfg)
     except (DivergenceError, LostPositiveDefinitenessError) as exc:
@@ -192,9 +193,8 @@ def cmd_certify(args) -> int:
     m_op = linalg.spectral_norm(M_spd)
     cap = 4.0 * m_op
     cfg = GdConfig(max_iters=CERTIFY_MAX_ITERS, tol=args.tol, seed=seed)
-    U0 = initial_iterate(M_spd, cfg)
-    rate = analysis.rate_params(U0, M_spd)
-    cfg = dataclasses.replace(cfg, eta=_echo_gd_config(M_spd, cfg, seed))
+    eta, rate = _echo_gd_config(M_spd, cfg, seed)
+    cfg = dataclasses.replace(cfg, eta=eta)
     _echo([("samples", samples), ("smoothness-cap", cap), ("self-test", args.self_test)])
     reports = [
         analysis.smoothness_certificate(M_spd, cap, samples, seed, constant),

@@ -33,6 +33,10 @@ DIVERGENCE_FACTOR = 10.0
 # Injected per-step errors should stay below eta * sigma_min(M) * beta
 # divided by this for the stability bound to be meaningful.
 STABILITY_SLACK = 300.0
+# The loop copies its iterates into a block of at most this many bytes and
+# runs the spectral monitor once per block: K = max(1, this // (8 n^2))
+# iterates, 512 at n = 4, 32 at n = 16, 2 at n = 64 and 1 from n = 65 up.
+MONITOR_BLOCK_BYTES = 64 * 1024
 
 
 class GdError(Exception):
@@ -231,7 +235,8 @@ class _TraceBuilder:
     """Trace columns in preallocated numpy arrays that double when full.
 
     A step costs 64 bytes of trace (eight 8-byte entries) once
-    :meth:`finish` has trimmed the columns to their length.
+    :meth:`finish` has trimmed the columns to their length.  ``append``
+    leaves ``sigma_min`` and ``opnorm`` unset; :func:`_monitor` fills them.
     """
 
     def __init__(self):
@@ -241,7 +246,7 @@ class _TraceBuilder:
             for name in TraceRecord._fields
         }
 
-    def append(self, t, residual, smin, opnorm, eta, err_norm, err_fro):
+    def append(self, t, residual, eta, err_norm, err_fro):
         k = self.k
         c = self.columns
         if k == len(c["t"]):
@@ -252,8 +257,6 @@ class _TraceBuilder:
         c["t"][k] = t
         c["residual_fro"][k] = residual
         c["objective"][k] = residual * residual
-        c["sigma_min"][k] = smin
-        c["opnorm"][k] = opnorm
         c["eta"][k] = eta
         c["err_norm"][k] = err_norm
         c["err_fro"][k] = err_fro
@@ -290,13 +293,14 @@ def gradient(U, M) -> np.ndarray:
     return D @ U + U @ D
 
 
-def _update(U: np.ndarray, D: np.ndarray, eta: float, resym: bool, G, H) -> None:
-    """Overwrite U with U - eta (D U) - eta (U D), resymmetrised if ``resym``.
+def _update(U: np.ndarray, D: np.ndarray, eta: float, resym: bool, G, H, out) -> None:
+    """Write U - eta (D U) - eta (U D), resymmetrised if ``resym``, to ``out``.
 
-    D is U @ U - M; G and H are C-contiguous n x n scratch arrays.  The
-    operations and their order are those of ``U - eta * (D @ U) - eta * (U @
-    D)`` followed by ``(W + W.T) / 2.0``, so the result is bitwise the same.
-    ``np.dot`` makes the same BLAS call as ``@`` with less dispatch.
+    D is U @ U - M; G and H are C-contiguous n x n scratch arrays, and
+    ``out`` may be U itself.  The operations and their order are those of
+    ``U - eta * (D @ U) - eta * (U @ D)`` followed by ``(W + W.T) / 2.0``,
+    so the result is bitwise the same.  ``np.dot`` makes the same BLAS call
+    as ``@`` with less dispatch.
     """
     np.dot(D, U, out=G)
     np.dot(U, D, out=H)
@@ -305,17 +309,17 @@ def _update(U: np.ndarray, D: np.ndarray, eta: float, resym: bool, G, H) -> None
     np.multiply(eta, H, out=H)
     if resym:
         np.subtract(G, H, out=H)
-        np.add(H, H.T, out=U)
-        np.divide(U, 2.0, out=U)
+        np.add(H, H.T, out=out)
+        np.divide(out, 2.0, out=out)
     else:
-        np.subtract(G, H, out=U)
+        np.subtract(G, H, out=out)
 
 
 def gd_step(U, M, eta: float, resymmetrize: bool = True) -> np.ndarray:
     """One update U - eta (U^2 - M) U - eta U (U^2 - M)."""
     U = np.array(getattr(U, "values", U), dtype=float, order="C")
     M = np.asarray(getattr(M, "values", M), dtype=float)
-    _update(U, U @ U - M, eta, resymmetrize, np.empty_like(U), np.empty_like(U))
+    _update(U, U @ U - M, eta, resymmetrize, np.empty_like(U), np.empty_like(U), U)
     return U
 
 
@@ -334,12 +338,29 @@ def step_size_policy(U0, M, cfg: GdConfig) -> float:
     u_smin = linalg.sigma_min(U0)
     m_op = linalg.spectral_norm(M)
     m_smin = linalg.sigma_min(M)
-    alpha = (max(u_op, math.sqrt(m_op)) / min(u_smin, math.sqrt(m_smin))) ** 3
+    ratio = max(u_op, math.sqrt(m_op)) / min(u_smin, math.sqrt(m_smin))
+    alpha = rate_cube(ratio, u_op, m_op)
     beta = min(u_smin, math.sqrt(m_smin))
     bound_opnorm = 1.0 / (10.0 * max(u_op * u_op, 3.0 * m_op))
-    bound_corridor = beta / max(u_op, math.sqrt(3.0 * m_op)) ** 3
+    bound_corridor = beta / rate_cube(max(u_op, math.sqrt(3.0 * m_op)), u_op, m_op)
     bound_rate = 1.0 / (alpha * beta * beta)
     return cfg.c_step * min(bound_opnorm, bound_corridor, bound_rate)
+
+
+def rate_cube(x: float, u_op: float, m_op: float) -> float:
+    """x ** 3 for a rate parameter; a :class:`GdError` if it overflows.
+
+    Python's float power raises ``OverflowError`` past the largest double,
+    as it does for a start like 1e200 I; the error names the start's and
+    the matrix's spectral norms instead.
+    """
+    try:
+        return x**3
+    except OverflowError:
+        raise GdError(
+            f"rate parameters overflow for a start of spectral norm {u_op:.6e} "
+            f"and a matrix of spectral norm {m_op:.6e}"
+        ) from None
 
 
 def initial_iterate(M, cfg: GdConfig) -> SpdMatrix:
@@ -411,71 +432,118 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                 stacklevel=3,
             )
 
-    # Four n x n buffers carry the whole loop: U, D = U^2 - M and the two
-    # products of the update.  -D is the residual matrix M - U^2; IEEE
-    # subtraction is antisymmetric, so sqrt(d . d) over the raveled D is
-    # bitwise np.linalg.norm(M - U @ U).
+    # The iterates live in ``block``: each update reads the iterate in slot
+    # j - 1 and writes the next one to slot j, and the monitor runs on the
+    # j pending iterates when the block is full and before the run stops,
+    # so a loss of definiteness still wins over any later stop.  After a
+    # flush j is 0 and slot -1, the last one, holds the iterate; with one
+    # slot the update is in place.  Three more n x n buffers carry the
+    # loop: D = U^2 - M and the two products of the update.  -D is the
+    # residual matrix M - U^2; IEEE subtraction is antisymmetric, so
+    # sqrt(d . d) over the raveled D is bitwise np.linalg.norm(M - U @ U).
+    # Overflow is not an error here: a non-finite residual is caught
+    # explicitly, and steps past a loss of definiteness in the same block
+    # are computed and discarded.
     builder = _TraceBuilder()
-    U = U0.values.copy()
-    D = U @ U
-    np.subtract(D, M_arr, out=D)
-    d = D.reshape(-1)
+    block = np.empty((max(1, MONITOR_BLOCK_BYTES // (8 * n * n)), n, n))
+    slots = list(block)
+    K = len(slots)
+    U = slots[0]
+    U[...] = U0.values
     G = np.empty_like(U)
     H = np.empty_like(U)
     draw = err is not None and err.delta != 0.0
 
-    r = math.sqrt(d.dot(d))
-    if not math.isfinite(r):
-        _raise_non_finite(r, 0, eta, builder, 0.0, 0.0)
-    _, smin, opn = linalg.spectral_extremes(U)
-    builder.append(0, r, smin, opn, eta, 0.0, 0.0)
-    r0 = r
-    if r <= cfg.tol:
-        return SpdMatrix(U), builder.finish(True, "converged")
-
-    converged = False
-    for t in range(1, cfg.max_iters + 1):
-        _update(U, D, eta, cfg.resymmetrize, G, H)
-        err_norm = 0.0
-        err_fro = 0.0
-        if draw and err.active_at(t):
-            E = err.sample(rng, n)
-            np.add(U, E, out=U)
-            err_norm = err.delta
-            err_fro = float(np.linalg.norm(E))
-        np.dot(U, U, out=D)
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = U @ U
         np.subtract(D, M_arr, out=D)
+        d = D.reshape(-1)
         r = math.sqrt(d.dot(d))
         if not math.isfinite(r):
-            _raise_non_finite(r, t, eta, builder, err_norm, err_fro)
-        lam_min, smin, opn = linalg.spectral_extremes(U)
-        builder.append(t, r, smin, opn, eta, err_norm, err_fro)
-        if lam_min <= 0.0:
-            raise LostPositiveDefinitenessError(
-                f"iterate lost positive definiteness at step {t} "
-                f"(lambda_min={lam_min:.6e})",
-                step=t,
-                trace=builder.finish(False, "lost-positive-definiteness"),
-            )
+            _raise_non_finite(r, 0, eta, builder, 0.0, 0.0)
+        builder.append(0, r, eta, 0.0, 0.0)
+        j = 1
+        r0 = r
+        if r <= cfg.tol or j == K:
+            _monitor(builder, block, j)
+            j = 0
         if r <= cfg.tol:
-            converged = True
-            break
-        if r > DIVERGENCE_FACTOR * r0:
-            raise DivergenceError(
-                f"residual {r:.6e} at step {t} exceeds {DIVERGENCE_FACTOR:g}x "
-                f"its initial value {r0:.6e}",
-                step=t,
-                trace=builder.finish(False, "diverged"),
-            )
+            return SpdMatrix(U), builder.finish(True, "converged")
+
+        converged = False
+        for t in range(1, cfg.max_iters + 1):
+            _update(U, D, eta, cfg.resymmetrize, G, H, slots[j])
+            U = slots[j]
+            err_norm = 0.0
+            err_fro = 0.0
+            if draw and err.active_at(t):
+                E = err.sample(rng, n)
+                np.add(U, E, out=U)
+                err_norm = err.delta
+                err_fro = float(np.linalg.norm(E))
+            np.dot(U, U, out=D)
+            np.subtract(D, M_arr, out=D)
+            r = math.sqrt(d.dot(d))
+            if not math.isfinite(r):
+                _monitor(builder, block, j)
+                _raise_non_finite(r, t, eta, builder, err_norm, err_fro)
+            builder.append(t, r, eta, err_norm, err_fro)
+            j += 1
+            done = r <= cfg.tol
+            diverged = r > DIVERGENCE_FACTOR * r0
+            if j == K or done or diverged:
+                _monitor(builder, block, j)
+                j = 0
+            if done:
+                converged = True
+                break
+            if diverged:
+                raise DivergenceError(
+                    f"residual {r:.6e} at step {t} exceeds {DIVERGENCE_FACTOR:g}x "
+                    f"its initial value {r0:.6e}",
+                    step=t,
+                    trace=builder.finish(False, "diverged"),
+                )
+        _monitor(builder, block, j)
     trace = builder.finish(converged, "converged" if converged else "max-iters")
     return SpdMatrix(U), trace
+
+
+def _monitor(builder, block, j):
+    """Monitor the last ``j`` trace rows, whose iterates are ``block[:j]``.
+
+    One stacked call writes their ``sigma_min`` and ``opnorm``.  The first
+    row whose iterate is not positive definite ends the trace and raises
+    :class:`LostPositiveDefinitenessError`.  That row is a step t >= 1:
+    U0 passed the same ``eigvalsh`` when its :class:`SpdMatrix` was built.
+    """
+    if j == 0:
+        return
+    lam, smin, opn = linalg.spectral_extremes(block[:j])
+    c = builder.columns
+    first = builder.k - j
+    c["sigma_min"][first : builder.k] = smin
+    c["opnorm"][first : builder.k] = opn
+    lost = np.flatnonzero(lam <= 0.0)
+    if lost.size:
+        i = int(lost[0])
+        t = int(c["t"][first + i])
+        builder.k = first + i + 1
+        raise LostPositiveDefinitenessError(
+            f"iterate lost positive definiteness at step {t} "
+            f"(lambda_min={float(lam[i]):.6e})",
+            step=t,
+            trace=builder.finish(False, "lost-positive-definiteness"),
+        )
 
 
 def _raise_non_finite(r, t, eta, builder, err_norm, err_fro):
     # A NaN residual fails both the tolerance and the growth test, so it is
     # caught explicitly.  The iterate is not passed to the monitor; its
     # spectrum is recorded as NaN.
-    builder.append(t, r, math.nan, math.nan, eta, err_norm, err_fro)
+    builder.append(t, r, eta, err_norm, err_fro)
+    builder.columns["sigma_min"][t] = math.nan
+    builder.columns["opnorm"][t] = math.nan
     raise DivergenceError(
         f"residual {r} at step {t} is not finite",
         step=t,

@@ -188,7 +188,13 @@ def sym_eig(A) -> EigenDecomposition:
     """
     A = symmetrize(A)
     n = A.shape[0]
-    scale = float(np.linalg.norm(A))
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(A))
+    if math.isinf(scale):
+        # the squares overflowed, which would make every rotation look
+        # converged; take the norm of A scaled by its largest entry
+        amax = float(np.max(np.abs(A)))
+        scale = amax * float(np.linalg.norm(A / amax))
     tol = JACOBI_RTOL * scale
     H = A.copy()
     V = np.eye(n)
@@ -268,20 +274,31 @@ def lambda_min(A) -> float:
     return float(w[-1])
 
 
-def spectral_extremes(A) -> tuple[float, float, float]:
+def spectral_extremes(A):
     """(lambda_min, sigma_min, opnorm) of a symmetric matrix via LAPACK.
 
     Fast path for per-iteration monitoring, where a full Jacobi
     decomposition per step would dominate the runtime.  Agreement with the
     ``sym_eig``-derived norms is covered by tests; use :func:`spectral_norm`
     and friends whenever a certified value is wanted.
+
+    A single matrix gives three floats.  A (k, n, n) stack gives three
+    length-k arrays from one ``eigvalsh`` call, which runs the same LAPACK
+    routine on each matrix, so entry i is bitwise what ``A[i]`` alone gives.
     """
     A = np.asarray(getattr(A, "values", A), dtype=float)
     w = np.linalg.eigvalsh(A)
-    lo, hi = float(w[0]), float(w[-1])
-    # eigenvalues come back ascending, so a positive w[0] is min |w|
-    smin = lo if lo > 0.0 else float(np.min(np.abs(w)))
-    return lo, smin, max(abs(lo), abs(hi))
+    lo, hi = w[..., 0], w[..., -1]
+    if lo.min() > 0.0:
+        # eigenvalues come back ascending, so a positive lo is min |w| and
+        # hi is max |w|; only an indefinite matrix pays for the general form
+        smin, opnorm = lo, hi
+    else:
+        smin = np.where(lo > 0.0, lo, np.min(np.abs(w), axis=-1))
+        opnorm = np.maximum(np.abs(lo), np.abs(hi))
+    if w.ndim == 1:
+        return float(lo), float(smin), float(opnorm)
+    return lo, smin, opnorm
 
 
 def solve(A, B) -> np.ndarray:

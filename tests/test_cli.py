@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from matsqrt import cli, io
+from matsqrt import cli, io, linalg
 from matsqrt.baselines import evd_sqrt
 
 
@@ -157,8 +157,6 @@ def test_exit_diverged_writes_partial_trace(capsys, tmp_path):
     assert len(lines) > 2  # partial records up to the divergence step
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_exit_diverged_on_non_finite_residual(capsys, tmp_path):
     # the first step overflows U to diag(-inf, 1), whose square holds
     # inf * 0 = NaN: caught at step 1, not carried to the iteration cap
@@ -181,11 +179,42 @@ def test_exit_diverged_on_non_finite_residual(capsys, tmp_path):
         str(trace_path),
     )
     assert code == 2
-    assert "residual nan at step 1 is not finite" in err
+    assert err == "error: residual nan at step 1 is not finite\n"
     assert trace_path.read_text().splitlines()[1:] == [
         "0,3,9,1,2,1e+308,0",
         "1,nan,nan,nan,nan,1e+308,0",
     ]
+
+
+def test_diverging_run_writes_only_the_error_line(tmp_path):
+    # in a child process numpy's floating-point warnings would reach stderr
+    one = tmp_path / "one.txt"
+    io.write_matrix(one, np.eye(2))
+    u0 = tmp_path / "u0.txt"
+    io.write_matrix(u0, np.diag([2.0, 1.0]))
+    argv = ["sqrt", str(one), "--eta", "1e308", "--init", f"file:{u0}"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "matsqrt.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: residual nan at step 1 is not finite\n"
+
+
+@pytest.mark.parametrize("eta", ["1e-3", "auto"])
+def test_exit_diverged_on_a_start_whose_norms_overflow(capsys, tmp_path, eta):
+    # alpha = (||U0|| / sigma_min(M)^(1/2))^3 overflows for U0 = 1e200 I;
+    # the echo computes it before the first step, by either step size
+    one = tmp_path / "one.txt"
+    io.write_matrix(one, np.eye(2))
+    u0 = tmp_path / "u0.txt"
+    io.write_matrix(u0, 1e200 * np.eye(2))
+    code, out, err = run_cli(capsys, "sqrt", str(one), "--eta", eta, "--init", f"file:{u0}")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: rate parameters overflow for a start of spectral norm "
+        "1.000000e+200 and a matrix of spectral norm 1.000000e+00\n"
+    )
 
 
 def test_exit_iteration_cap(capsys, spd_file):
@@ -228,6 +257,29 @@ def test_certify_passes(capsys, spd_file):
         "saddle-location",
         "eigenvalue-corridor",
     }
+
+
+def test_certify_eigendecomposes_as_often_as_sqrt_plus_its_certificates(
+    capsys, tmp_path, monkeypatch
+):
+    # sqrt: four Jacobi decompositions in the step size and four in the
+    # echoed rate parameters.  certify reuses the echo's, and adds one of M
+    # for the smoothness cap and one in each of its three certificates.
+    path = tmp_path / "m6.txt"
+    io.write_matrix(path, np.diag([6.0, 5.0, 4.0, 3.0, 2.0, 1.0]) + 0.1)
+    calls = []
+    sym_eig = linalg.sym_eig
+
+    def counted(A):
+        calls.append(1)
+        return sym_eig(A)
+
+    monkeypatch.setattr(linalg, "sym_eig", counted)
+    assert run_cli(capsys, "sqrt", str(path))[0] == 0
+    assert len(calls) == 8
+    calls.clear()
+    assert run_cli(capsys, "certify", str(path), "--samples", "10")[0] == 0
+    assert len(calls) == 8 + 4
 
 
 def test_certify_env_seed_and_flag_priority(capsys, spd_file, monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import matsqrt.gd as gd
 import matsqrt.linalg as linalg
+from matsqrt.analysis import rate_params
 from matsqrt.baselines import evd_sqrt
 from matsqrt.experiments import SpdInstanceSpec, random_spd
 from matsqrt.gd import (
@@ -565,6 +566,98 @@ def test_trace_memory_per_step_bounded():
     assert peak / steps <= 192.0
 
 
+# ------------------------------------------------------- block monitor
+#
+# The loop monitors its iterates once per block of up to 64 KiB of copies:
+# 512 iterates at n = 4, 32 at n = 16, 2 at n = 64, one from n = 65 up.
+
+
+@pytest.mark.parametrize(
+    "n, steps, calls",
+    [(4, 1000, 2), (16, 100, 4), (64, 10, 6), (100, 50, 51)],
+)
+def test_monitor_runs_once_per_block(monkeypatch, n, steps, calls):
+    # rows 0..steps, in full blocks and a last partial one flushed at the cap
+    seen = []
+    spectral_extremes = linalg.spectral_extremes
+
+    def counted(A):
+        seen.append(np.shape(A))
+        return spectral_extremes(A)
+
+    M = random_spd(SpdInstanceSpec(n=n, kappa=4.0, seed=n))
+    cfg = GdConfig(eta=0.01, tol=1e-300, max_iters=steps)
+    monkeypatch.setattr(linalg, "spectral_extremes", counted)
+    _, trace = run(M, cfg)
+    assert trace.steps == steps
+    assert len(seen) == calls
+    assert sum(shape[0] for shape in seen) == steps + 1
+
+
+@pytest.mark.parametrize("n", [65, 100])
+def test_run_bitwise_matches_reference_loop_one_iterate_per_block(n):
+    # from n = 65 up the t = 0 row fills a block by itself
+    M = random_spd(SpdInstanceSpec(n=n, kappa=4.0, seed=n))
+    trace = _assert_matches_reference(M, GdConfig(eta=0.01, tol=1e-9, max_iters=50))
+    assert trace.stop_reason == "max-iters" and trace.steps == 50
+
+
+@pytest.mark.parametrize("n", [2, 16])
+@pytest.mark.parametrize("max_iters", [100, 3000])
+def test_loss_of_definiteness_inside_a_block_matches_reference_loop(n, max_iters):
+    # The second coordinate grows from 1e-6 by a factor of 3 a step and
+    # overshoots past zero at step 21, then stays bounded: 4 eta m = 4 is
+    # the edge of stability.  Step 21 is neither the first nor the last row
+    # of its block (2048 iterates at n = 2, 32 at n = 16).  The block is
+    # flushed when full or at the cap, so the loop computes and discards
+    # the steps between the loss and the flush.
+    m = np.ones(n)
+    m[1] = 100.0
+    u0 = np.ones(n)
+    u0[1] = 1e-6
+    cfg = GdConfig(
+        eta=0.01, init="explicit", init_matrix=np.diag(u0), max_iters=max_iters
+    )
+    lost = _assert_matches_reference(np.diag(m), cfg)
+    assert lost.stop_reason == "lost-positive-definiteness"
+    assert lost.steps == 21
+
+
+def test_non_finite_residual_after_loss_of_definiteness_in_a_block():
+    # 1x1 with 2 eta m = 2.001: the iterate turns negative at step 25 and
+    # its square overflows at step 28.  The problem is scaled by 2^502, so
+    # ten times the initial residual exceeds every finite residual and the
+    # growth guard cannot stop the run in between: the loop computes steps
+    # 26-28 past the loss and must still report the loss at step 25.
+    scale = 2.0**502
+    M = np.array([[100.0 * scale]])
+    U0 = np.array([[1e-6 * 2.0**251]])
+    eta = 0.010005 / scale
+    U, lost_at, non_finite_at = U0, None, None
+    with np.errstate(over="ignore"):
+        for t in range(1, 40):
+            U = _ref_update(U, U @ U, M, eta, True)
+            if lost_at is None and U[0, 0] <= 0.0:
+                lost_at = t
+            if not math.isfinite(float(np.linalg.norm(M - U @ U))):
+                non_finite_at = t
+                break
+    assert (lost_at, non_finite_at) == (25, 28)
+    lost = _assert_matches_reference(
+        M, GdConfig(eta=eta, init="explicit", init_matrix=U0)
+    )
+    assert lost.stop_reason == "lost-positive-definiteness"
+    assert lost.steps == 25
+
+
+def test_run_perturbed_every_step_across_blocks_matches_reference_loop():
+    # 101 rows at n = 16: three full blocks of 32 and a partial one
+    M = random_spd(SpdInstanceSpec(n=16, kappa=10.0, seed=8))
+    cfg = GdConfig(c_step=1.0, tol=1e-8, max_iters=100)
+    trace = _assert_matches_reference(M, cfg, ErrorModel(1e-7, "every-step", seed=4))
+    assert len(trace) == 101 and np.all(trace.err_norm[1:] == 1e-7)
+
+
 # ------------------------------------------------------- input hygiene
 
 
@@ -577,8 +670,6 @@ def test_config_user_eta_is_used_whatever_its_number_type(eta):
     assert np.all(trace.eta == float(eta))
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_run_non_finite_residual_raises_divergence():
     cfg = GdConfig(init="explicit", init_matrix=1e200 * np.eye(2), eta=1e-3)
     with pytest.raises(DivergenceError, match="not finite") as exc_info:
@@ -589,8 +680,6 @@ def test_run_non_finite_residual_raises_divergence():
     assert math.isinf(exc.trace.residual_fro[0])
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_run_non_finite_residual_caught_before_growth_guard():
     # U_1 = diag(-1.2e301, 1) squares to inf at the first step
     cfg = GdConfig(init="explicit", init_matrix=np.diag([2.0, 1.0]), eta=1e300)
@@ -599,6 +688,16 @@ def test_run_non_finite_residual_caught_before_growth_guard():
     exc = exc_info.value
     assert exc.step == exc.trace.steps == 1
     assert math.isnan(exc.trace.sigma_min[1])
+
+
+def test_rate_parameters_of_an_overflowing_start_raise_gd_error():
+    # (1e200)^3 overflows; alpha and the corridor bound name the norms
+    U0, M = 1e200 * np.eye(2), np.eye(2)
+    for compute in (lambda: step_size_policy(U0, M, GdConfig()), lambda: rate_params(U0, M)):
+        with pytest.raises(GdError, match="start of spectral norm 1.000000e\\+200"):
+            compute()
+    # a finite cube keeps its bits
+    assert rate_params(2.0 * np.eye(2), M).alpha == 8.0
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf])

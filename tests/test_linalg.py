@@ -50,6 +50,14 @@ def test_sym_eig_identity():
     assert dec.eigenvalues == pytest.approx([1, 1, 1])
 
 
+def test_sym_eig_huge_entries_still_rotate():
+    # ||A||_F^2 overflows; the convergence scale must not become inf, which
+    # would return the diagonal 1e200 (1, 1) as the eigenvalues
+    A = 1e200 * np.array([[1.0, 0.5], [0.5, 1.0]])
+    w = sym_eig(A).eigenvalues
+    assert w == pytest.approx([1.5e200, 0.5e200], rel=1e-14)
+
+
 def test_sym_eig_1x1():
     dec = sym_eig(np.array([[-5.0]]))
     assert dec.eigenvalues[0] == -5.0
@@ -85,6 +93,30 @@ def test_spectral_extremes_agrees_with_jacobi():
         assert lam_min == pytest.approx(lambda_min(A), abs=1e-11)
         assert smin == pytest.approx(sigma_min(A), abs=1e-11)
         assert opnorm == pytest.approx(spectral_norm(A), abs=1e-11)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 17, 64])
+def test_spectral_extremes_of_a_stack_are_the_single_calls_bitwise(n):
+    # members 0 and 2 are positive definite, member 1 is indefinite (the
+    # min |w| branch of sigma_min), and member 3 is negative definite
+    rng = np.random.default_rng(n)
+    G = rng.standard_normal((4, n, n))
+    A = (G + G.transpose(0, 2, 1)) / 2.0
+    A[0] = A[0] @ A[0] + np.eye(n)
+    Q = np.linalg.qr(G[1])[0]
+    A[1] = (Q * (np.linspace(-1.0, 2.0, n) + 0.05)) @ Q.T if n > 1 else -np.eye(1)
+    A[2] = G[2] @ G[2].T + 0.5 * np.eye(n)
+    A[3] = -A[0]
+    lam, smin, opnorm = linalg.spectral_extremes(A)
+    assert lam.shape == smin.shape == opnorm.shape == (4,)
+    for i in range(4):
+        single = linalg.spectral_extremes(A[i])
+        assert all(type(v) is float for v in single)
+        stacked = (lam[i], smin[i], opnorm[i])
+        assert np.array(stacked).tobytes() == np.array(single).tobytes()
+    assert lam[0] > 0.0 and lam[3] < 0.0 and smin[3] > 0.0
+    if n > 2:
+        assert lam[1] < 0.0 < smin[1] < -lam[1]
 
 
 def test_norms_on_diagonal():
