@@ -19,9 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .gd import IterationTrace, gradient, objective, rate_cube
+from .gd import (
+    DEFAULT_C_RATE,
+    IterationTrace,
+    gradient,
+    objective,
+    rate_spectra,
+    stability_tolerance,
+)
 
-DEFAULT_C_RATE = 1.0 / 50.0
 # Smoothness constant: ||grad f(U1) - grad f(U2)||_F <= this * max(cap, ||M||_2)
 # * ||U1 - U2||_F over the ball ||U||_2^2 <= cap.
 SMOOTHNESS_CONSTANT = 8.0
@@ -53,16 +59,10 @@ def rate_params(U0, M) -> RateParams:
     """Evaluate the rate parameters for a start U0 and target M.
 
     alpha = (max(||U0||, sqrt(||M||)) / min(sigma_min(U0), sqrt(sigma_min(M))))^3,
-    beta = min(sigma_min(U0), sqrt(sigma_min(M))).  Norms come from the
-    Jacobi eigensolver.
+    beta = min(sigma_min(U0), sqrt(sigma_min(M))), as computed by
+    :func:`matsqrt.gd.rate_spectra`.
     """
-    u_op = linalg.spectral_norm(U0)
-    u_smin = linalg.sigma_min(U0)
-    m_op = linalg.spectral_norm(M)
-    m_smin = linalg.sigma_min(M)
-    ratio = max(u_op, math.sqrt(m_op)) / min(u_smin, math.sqrt(m_smin))
-    alpha = rate_cube(ratio, u_op, m_op)
-    beta = min(u_smin, math.sqrt(m_smin))
+    u_op, u_smin, m_op, m_smin, alpha, beta = rate_spectra(U0, M)
     return RateParams(
         alpha=alpha,
         beta=beta,
@@ -159,11 +159,6 @@ def first_error_attenuation_bound(
     return decay + prefactor * math.exp(-x * (t - 1)) * e0_fro
 
 
-def stability_tolerance(eta: float, beta: float, m_sigma_min: float) -> float:
-    """Largest per-step error spectral norm the stability bound tolerates."""
-    return eta * m_sigma_min * beta / 300.0
-
-
 @dataclass(frozen=True)
 class CertificateReport:
     """Outcome of one certificate: worst margin over all samples.
@@ -238,7 +233,7 @@ def smoothness_certificate(
     """
     M_arr = np.asarray(getattr(M, "values", M), dtype=float)
     n = M_arr.shape[0]
-    m_op = linalg.spectral_norm(M_arr)
+    m_op = linalg.spectral_norm(M)
     slope = constant * max(cap, m_op)
     radius = math.sqrt(cap)
     worst = math.inf
@@ -282,7 +277,7 @@ def gradient_dominance_certificate(
     """
     M_arr = np.asarray(getattr(M, "values", M), dtype=float)
     n = M_arr.shape[0]
-    m_op = linalg.spectral_norm(M_arr)
+    m_op = linalg.spectral_norm(M)
     lo = math.sqrt(floor)
     hi = max(math.sqrt(3.0 * m_op), 2.0 * lo)
     scale = linalg.frobenius_norm(M_arr) ** 4
@@ -324,7 +319,7 @@ def saddle_location_check(
     """
     M_arr = np.asarray(getattr(M, "values", M), dtype=float)
     n = M_arr.shape[0]
-    dec = linalg.sym_eig(M_arr)
+    dec = linalg.eigendecomposition(M)
     if dec.eigenvalues[-1] <= 0.0:
         raise linalg.NotPositiveDefiniteError("saddle check requires PD M")
     sqrt_m = (dec.eigenvectors * np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.T

@@ -78,7 +78,7 @@ def newton_sqrt(M, cfg: NewtonConfig = NewtonConfig()):
 def evd_sqrt(M) -> linalg.SpdMatrix:
     """Square root through the eigendecomposition of M."""
     M_spd = M if isinstance(M, linalg.SpdMatrix) else linalg.SpdMatrix(M)
-    dec = linalg.sym_eig(M_spd.values)
+    dec = M_spd.eig
     if dec.eigenvalues[-1] <= 0.0:
         raise linalg.NotPositiveDefiniteError(
             "eigendecomposition root requires positive eigenvalues"

@@ -472,16 +472,19 @@ def convergence_benchmark(specs, methods=("gd", "newton", "evd"), cfg: GdConfig 
     for spec in specs:
         M = random_spd(spec)
         for method in methods:
+            # a fresh matrix per method, so no method reads a spectrum
+            # another one decomposed and paid for
+            M_method = linalg.SpdMatrix(M.sym)
             start = time.perf_counter()
             iters, predicted, resid, status = None, None, None, ""
             try:
                 if method == "gd":
-                    iters, predicted, resid, status = _bench_gd(M, cfg)
+                    iters, predicted, resid, status = _bench_gd(M_method, cfg)
                 elif method == "newton":
-                    X, iters = baselines.newton_sqrt(M)
+                    X, iters = baselines.newton_sqrt(M_method)
                     resid, status = residual_fro(X, M), "converged"
                 elif method == "evd":
-                    X = baselines.evd_sqrt(M)
+                    X = baselines.evd_sqrt(M_method)
                     iters, resid, status = 0, residual_fro(X, M), "converged"
                 else:
                     raise ValueError(f"unknown method {method!r}")

@@ -33,6 +33,8 @@ DIVERGENCE_FACTOR = 10.0
 # Injected per-step errors should stay below eta * sigma_min(M) * beta
 # divided by this for the stability bound to be meaningful.
 STABILITY_SLACK = 300.0
+# Contraction constant of the residual decay certificates.
+DEFAULT_C_RATE = 1.0 / 50.0
 # The loop copies its iterates into a block of at most this many bytes and
 # runs the spectral monitor once per block: K = max(1, this // (8 n^2))
 # iterates, 512 at n = 4, 32 at n = 16, 2 at n = 64 and 1 from n = 65 up.
@@ -77,7 +79,7 @@ class GdConfig:
     init_lambda: float | None = None
     init_matrix: object | None = None
     c_step: float = 0.01
-    c_rate: float = 1.0 / 50.0
+    c_rate: float = DEFAULT_C_RATE
     resymmetrize: bool = True
     seed: int = 0
 
@@ -334,6 +336,21 @@ def step_size_policy(U0, M, cfg: GdConfig) -> float:
 
     The value scales like 1 / ||M|| under (M, U0) -> (s^2 M, s U0).
     """
+    u_op, _, m_op, _, alpha, beta = rate_spectra(U0, M)
+    bound_opnorm = 1.0 / (10.0 * max(u_op * u_op, 3.0 * m_op))
+    bound_corridor = beta / rate_cube(max(u_op, math.sqrt(3.0 * m_op)), u_op, m_op)
+    bound_rate = 1.0 / (alpha * beta * beta)
+    return cfg.c_step * min(bound_opnorm, bound_corridor, bound_rate)
+
+
+def rate_spectra(U0, M) -> tuple:
+    """(||U0||, sigma_min(U0), ||M||, sigma_min(M), alpha, beta) for a start and target.
+
+    alpha = (max(||U0||, sqrt(||M||)) / min(sigma_min(U0), sqrt(sigma_min(M))))^3
+    and beta = min(sigma_min(U0), sqrt(sigma_min(M))).  Norms come from the
+    Jacobi eigensolver, through the cached decomposition of an
+    :class:`SpdMatrix`.
+    """
     u_op = linalg.spectral_norm(U0)
     u_smin = linalg.sigma_min(U0)
     m_op = linalg.spectral_norm(M)
@@ -341,10 +358,12 @@ def step_size_policy(U0, M, cfg: GdConfig) -> float:
     ratio = max(u_op, math.sqrt(m_op)) / min(u_smin, math.sqrt(m_smin))
     alpha = rate_cube(ratio, u_op, m_op)
     beta = min(u_smin, math.sqrt(m_smin))
-    bound_opnorm = 1.0 / (10.0 * max(u_op * u_op, 3.0 * m_op))
-    bound_corridor = beta / rate_cube(max(u_op, math.sqrt(3.0 * m_op)), u_op, m_op)
-    bound_rate = 1.0 / (alpha * beta * beta)
-    return cfg.c_step * min(bound_opnorm, bound_corridor, bound_rate)
+    return u_op, u_smin, m_op, m_smin, alpha, beta
+
+
+def stability_tolerance(eta: float, beta: float, m_sigma_min: float) -> float:
+    """Largest per-step error spectral norm the stability bound tolerates."""
+    return eta * m_sigma_min * beta / STABILITY_SLACK
 
 
 def rate_cube(x: float, u_op: float, m_op: float) -> float:
@@ -373,7 +392,7 @@ def initial_iterate(M, cfg: GdConfig) -> SpdMatrix:
             lam = linalg.estimate_opnorm_bound(M_arr, seed=cfg.seed)
         return SpdMatrix(math.sqrt(lam) * np.eye(n))
     if cfg.init == "sqrt-opnorm-identity":
-        return SpdMatrix(math.sqrt(linalg.spectral_norm(M_arr)) * np.eye(n))
+        return SpdMatrix(math.sqrt(linalg.spectral_norm(M)) * np.eye(n))
     U0 = cfg.init_matrix
     return U0 if isinstance(U0, SpdMatrix) else SpdMatrix(U0)
 
@@ -423,7 +442,7 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
         lam_min_m, m_smin, _ = linalg.spectral_extremes(M_arr)
         _, u_smin, _ = linalg.spectral_extremes(U0.values)
         beta = min(u_smin, math.sqrt(m_smin))
-        tolerance = eta * m_smin * beta / STABILITY_SLACK
+        tolerance = stability_tolerance(eta, beta, m_smin)
         if err.delta >= tolerance and err.schedule != "none" and err.delta > 0.0:
             warnings.warn(
                 f"error level delta={err.delta:.3e} is at or above the "

@@ -1,10 +1,11 @@
 """Dense symmetric linear algebra primitives.
 
 Everything in this module operates on plain float64 numpy arrays wrapped in
-thin validated types.  The eigensolver is a cyclic Jacobi iteration, the
-linear solver is Gaussian elimination with partial pivoting, and the operator
-norm estimator is a power iteration; each carries explicit convergence
-contracts and fails loudly instead of returning silently degraded results.
+thin validated types.  The eigensolver is a round-robin Jacobi iteration,
+the linear solver is Gaussian elimination with partial pivoting, and the
+operator norm estimator is a power iteration; each carries explicit
+convergence contracts and fails loudly instead of returning silently
+degraded results.
 
 All functions are pure: inputs are never mutated, wrapped arrays are frozen
 at construction, and every random choice takes an explicit seed.
@@ -114,9 +115,13 @@ class SpdMatrix:
     eigendecomposition: the smallest eigenvalue must exceed
     ``SPD_RTOL`` times the largest.  Construction is the only gate;
     downstream code may rely on the invariant without rechecking.
+
+    The Jacobi eigendecomposition behind the certified norms is computed
+    on first use of :attr:`eig` and kept, so every consumer of one matrix
+    shares one decomposition.
     """
 
-    __slots__ = ("sym",)
+    __slots__ = ("sym", "_eig")
 
     def __init__(self, values):
         sym = values if isinstance(values, SymmetricMatrix) else SymmetricMatrix(values)
@@ -140,6 +145,16 @@ class SpdMatrix:
     def n(self) -> int:
         return self.sym.n
 
+    @property
+    def eig(self) -> EigenDecomposition:
+        """``sym_eig`` of the matrix, computed once; its arrays are read-only."""
+        try:
+            return self._eig
+        except AttributeError:
+            dec = sym_eig(self.values)
+            object.__setattr__(self, "_eig", dec)
+            return dec
+
     def __array__(self, dtype=None, copy=None):
         if dtype is not None:
             return self.values.astype(dtype)
@@ -161,30 +176,43 @@ class EigenDecomposition:
         return (V * self.eigenvalues) @ V.T
 
 
-def matmul(A, B) -> np.ndarray:
-    """Product of two conformable square matrices."""
-    A = _as_square_array(A, "left factor")
-    B = _as_square_array(B, "right factor")
-    if A.shape[1] != B.shape[0]:
-        raise DimensionMismatchError(
-            f"cannot multiply {A.shape} by {B.shape}"
-        )
-    return A @ B
-
-
 def frobenius_norm(A) -> float:
     A = np.asarray(getattr(A, "values", A), dtype=float)
     return float(np.linalg.norm(A))
 
 
-def sym_eig(A) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+def _round_robin(n: int) -> list:
+    """Index pairs (P, Q), with P < Q, of each round of a round-robin sweep.
 
-    Rotations are applied in cyclic (p, q) order until the largest
-    off-diagonal magnitude is at most ``JACOBI_RTOL * ||A||_F`` or
-    ``JACOBI_MAX_SWEEPS`` sweeps have run; hitting the sweep cap raises
-    instead of returning an unconverged decomposition.  Eigenvalues come
-    back sorted descending.
+    The circle method: index 0 stays put while the others rotate one place
+    per round, so the n - 1 rounds (n padded to even) together meet every
+    pair exactly once.  The pad index of an odd n sits out its round.
+    """
+    m = n + n % 2
+    ring = list(range(1, m))
+    rounds = []
+    for _ in range(m - 1):
+        order = [0] + ring
+        pairs = [
+            sorted(ab) for ab in zip(order[: m // 2], reversed(order[m // 2 :])) if max(ab) < n
+        ]
+        rounds.append(tuple(np.array(pairs, dtype=int).reshape(-1, 2).T))
+        ring = ring[-1:] + ring[:-1]
+    return rounds
+
+
+def sym_eig(A) -> EigenDecomposition:
+    """Full eigendecomposition of a symmetric matrix by round-robin Jacobi sweeps.
+
+    A sweep has n - 1 rounds of n // 2 disjoint rotations (Brent and Luk
+    1985; Golub and Van Loan, section 8.5).  A round rotates the columns of
+    the iterate and of the eigenvector matrix, then the rows of the
+    iterate, all its rotations at once, so a sweep makes O(n) numpy calls.
+    Each rotation is the classical one that zeroes its (p, q) entry.
+    Sweeps run until the largest off-diagonal magnitude is at most
+    ``JACOBI_RTOL * ||A||_F`` or ``JACOBI_MAX_SWEEPS`` sweeps have run;
+    hitting the sweep cap raises instead of returning an unconverged
+    decomposition.  Eigenvalues come back sorted descending.
     """
     A = symmetrize(A)
     n = A.shape[0]
@@ -196,71 +224,92 @@ def sym_eig(A) -> EigenDecomposition:
         amax = float(np.max(np.abs(A)))
         scale = amax * float(np.linalg.norm(A / amax))
     tol = JACOBI_RTOL * scale
-    H = A.copy()
-    V = np.eye(n)
+    # H above V in one Fortran-ordered array: a round gathers and scatters
+    # the columns of both in one call each, along contiguous memory
+    W = np.empty((2 * n, n), order="F")
+    H, V = W[:n], W[n:]
+    H[...] = A
+    V[...] = np.eye(n)
+    diag = H.diagonal()
 
     def max_offdiag() -> float:
         if n == 1:
             return 0.0
-        off = np.abs(H - np.diag(np.diag(H)))
+        off = np.abs(H - np.diag(diag))
         return float(off.max())
 
     converged = max_offdiag() <= tol
+    rounds = [] if converged else _round_robin(n)
     for _ in range(JACOBI_MAX_SWEEPS):
         if converged:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = H[p, q]
-                if apq == 0.0:
+        for P, Q in rounds:
+            apq = H[P, Q]
+            rotate = apq != 0.0
+            if not rotate.all():
+                P, Q, apq = P[rotate], Q[rotate], apq[rotate]
+                if P.size == 0:
                     continue
-                theta = (H[q, q] - H[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e10:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                hp = H[:, p].copy()
-                hq = H[:, q].copy()
-                H[:, p] = c * hp - s * hq
-                H[:, q] = s * hp + c * hq
-                hp = H[p, :].copy()
-                hq = H[q, :].copy()
-                H[p, :] = c * hp - s * hq
-                H[q, :] = s * hp + c * hq
-                H[p, q] = 0.0
-                H[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
+            theta = (diag[Q] - diag[P]) / (2.0 * apq)
+            abs_theta = np.abs(theta)
+            # capping |theta| only keeps theta * theta finite where the
+            # next branch replaces t anyway
+            a = np.minimum(abs_theta, 1e10)
+            t = np.copysign(1.0, theta) / (a + np.sqrt(a * a + 1.0))
+            big = abs_theta > 1e10
+            if big.any():
+                t[big] = 1.0 / (2.0 * theta[big])
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            # new [p | q] = c [p | q] + [-s | s] [q | p], entry by entry
+            # c * p - s * q and s * p + c * q
+            PQ = np.concatenate((P, Q))
+            QP = np.concatenate((Q, P))
+            cc = np.concatenate((c, c))
+            ss = np.concatenate((-s, s))
+            X = W[:, PQ]
+            Y = W[:, QP]
+            X *= cc
+            Y *= ss
+            X += Y
+            W[:, PQ] = X
+            X = H[PQ]
+            Y = H[QP]
+            X *= cc[:, None]
+            Y *= ss[:, None]
+            X += Y
+            H[PQ] = X
+            H[P, Q] = 0.0
+            H[Q, P] = 0.0
         converged = max_offdiag() <= tol
     if not converged:
         raise JacobiConvergenceError(
             f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps "
             f"(max off-diagonal {max_offdiag():.3e}, tolerance {tol:.3e})"
         )
-    w = np.diag(H).copy()
+    w = diag.copy()
     order = np.argsort(-w, kind="stable")
     w = w[order]
-    V = V[:, order]
+    V = np.ascontiguousarray(V[:, order])
     w.setflags(write=False)
     V.setflags(write=False)
     return EigenDecomposition(eigenvalues=w, eigenvectors=V)
 
 
+def eigendecomposition(A) -> EigenDecomposition:
+    """``sym_eig`` of A, read from the cache when A is an :class:`SpdMatrix`."""
+    return A.eig if isinstance(A, SpdMatrix) else sym_eig(A)
+
+
 def spectral_norm(A) -> float:
     """Largest singular value of a symmetric matrix, via ``sym_eig``."""
-    w = sym_eig(A).eigenvalues
+    w = eigendecomposition(A).eigenvalues
     return float(np.max(np.abs(w)))
 
 
 def sigma_min(A) -> float:
     """Smallest singular value of a symmetric matrix, via ``sym_eig``."""
-    w = sym_eig(A).eigenvalues
+    w = eigendecomposition(A).eigenvalues
     return float(np.min(np.abs(w)))
 
 
@@ -270,7 +319,7 @@ def lambda_min(A) -> float:
     Reported separately from :func:`sigma_min`; for indefinite matrices the
     two genuinely differ and callers must pick the one they mean.
     """
-    w = sym_eig(A).eigenvalues
+    w = eigendecomposition(A).eigenvalues
     return float(w[-1])
 
 

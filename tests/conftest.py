@@ -24,3 +24,19 @@ def matrix_file(tmp_path):
         return str(path)
 
     return write
+
+
+@pytest.fixture
+def sym_eig_calls(monkeypatch):
+    """A list that grows by one entry on every call of ``linalg.sym_eig``."""
+    from matsqrt import linalg
+
+    calls = []
+    real = linalg.sym_eig
+
+    def counted(A):
+        calls.append(1)
+        return real(A)
+
+    monkeypatch.setattr(linalg, "sym_eig", counted)
+    return calls

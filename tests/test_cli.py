@@ -259,27 +259,17 @@ def test_certify_passes(capsys, spd_file):
     }
 
 
-def test_certify_eigendecomposes_as_often_as_sqrt_plus_its_certificates(
-    capsys, tmp_path, monkeypatch
-):
-    # sqrt: four Jacobi decompositions in the step size and four in the
-    # echoed rate parameters.  certify reuses the echo's, and adds one of M
-    # for the smoothness cap and one in each of its three certificates.
+def test_certify_eigendecomposes_as_often_as_sqrt(capsys, tmp_path, sym_eig_calls):
+    # sqrt: one Jacobi decomposition of M and one of U0, shared by the step
+    # size and the echoed rate parameters.  certify's smoothness cap and
+    # three certificates read M's cached decomposition.
     path = tmp_path / "m6.txt"
     io.write_matrix(path, np.diag([6.0, 5.0, 4.0, 3.0, 2.0, 1.0]) + 0.1)
-    calls = []
-    sym_eig = linalg.sym_eig
-
-    def counted(A):
-        calls.append(1)
-        return sym_eig(A)
-
-    monkeypatch.setattr(linalg, "sym_eig", counted)
     assert run_cli(capsys, "sqrt", str(path))[0] == 0
-    assert len(calls) == 8
-    calls.clear()
+    assert len(sym_eig_calls) == 2
+    sym_eig_calls.clear()
     assert run_cli(capsys, "certify", str(path), "--samples", "10")[0] == 0
-    assert len(calls) == 8 + 4
+    assert len(sym_eig_calls) == 2
 
 
 def test_certify_env_seed_and_flag_priority(capsys, spd_file, monkeypatch):

@@ -290,6 +290,36 @@ def test_convergence_benchmark_records_per_row_failure():
     assert rows[1].status == "converged"  # the failure does not sink the table
 
 
+def test_convergence_benchmark_times_each_method_on_its_own_decomposition(
+    sym_eig_calls, monkeypatch
+):
+    # every method pays for its own Jacobi decomposition of M, whatever
+    # ran before it on the same instance
+    from matsqrt import baselines, experiments
+
+    per_method = []
+
+    def counted(name, real):
+        def wrapper(*args):
+            before = len(sym_eig_calls)
+            out = real(*args)
+            per_method.append((name, len(sym_eig_calls) - before))
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(experiments, "_bench_gd", counted("gd", experiments._bench_gd))
+    monkeypatch.setattr(baselines, "evd_sqrt", counted("evd", baselines.evd_sqrt))
+    specs = [SpdInstanceSpec(n=4, kappa=4.0, seed=5)]
+    cfg = GdConfig(c_step=1.0, tol=1e-8, max_iters=200_000)
+    convergence_benchmark(specs, methods=("gd", "evd"), cfg=cfg)
+    gd_first = dict(per_method)
+    per_method.clear()
+    convergence_benchmark(specs, methods=("evd", "gd"), cfg=cfg)
+    assert dict(per_method) == gd_first
+    assert gd_first["evd"] == 1
+
+
 def test_convergence_benchmark_unknown_method():
     with pytest.raises(ValueError):
         convergence_benchmark([SpdInstanceSpec(n=2, kappa=2.0)], methods=("qr",))

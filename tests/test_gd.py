@@ -142,6 +142,29 @@ def test_step_size_c_step_is_linear():
     assert b == pytest.approx(100.0 * a, rel=1e-14)
 
 
+@pytest.mark.parametrize("init", ["scaled-identity", "sqrt-opnorm-identity"])
+def test_run_on_a_raw_array_eigendecomposes_m_and_u0_once_each(sym_eig_calls, init):
+    M = random_spd(SpdInstanceSpec(n=6, kappa=4.0, seed=3))
+    run(np.array(M.values), GdConfig(init=init, max_iters=5))
+    assert len(sym_eig_calls) == 2
+
+
+def test_step_size_and_rate_params_share_the_cached_spectra(sym_eig_calls):
+    M_arr = np.array([[4.0, 1.0], [1.0, 2.0]])
+    U_arr = np.array([[2.0, 0.5], [0.5, 1.5]])
+    eta_raw = step_size_policy(U_arr, M_arr, GdConfig())
+    rate_raw = rate_params(U_arr, M_arr)
+    assert len(sym_eig_calls) == 8  # raw arrays are decomposed on every call
+    sym_eig_calls.clear()
+    M, U0 = linalg.SpdMatrix(M_arr), linalg.SpdMatrix(U_arr)
+    assert step_size_policy(U0, M, GdConfig()) == eta_raw
+    assert len(sym_eig_calls) == 2
+    assert rate_params(U0, M) == rate_raw
+    assert step_size_policy(U0, M, GdConfig()) == eta_raw
+    assert rate_params(U0, M) == rate_raw
+    assert len(sym_eig_calls) == 2
+
+
 # ---------------------------------------------------------------- init
 
 

@@ -86,6 +86,150 @@ def test_sym_eig_matches_reference_eigvalsh(seed, n):
     assert np.max(np.abs(w - ref)) <= 1e-10 * scale
 
 
+def cyclic_sym_eig(A) -> linalg.EigenDecomposition:
+    """Reference: the cyclic-order Jacobi solver that round-robin replaced.
+
+    Same rotation formulas, tolerance and stopping rule; one rotation per
+    (p, q) in row-by-row order.
+    """
+    A = symmetrize(A)
+    n = A.shape[0]
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(A))
+    if math.isinf(scale):
+        # the squares overflowed, which would make every rotation look
+        # converged; take the norm of A scaled by its largest entry
+        amax = float(np.max(np.abs(A)))
+        scale = amax * float(np.linalg.norm(A / amax))
+    tol = linalg.JACOBI_RTOL * scale
+    H = A.copy()
+    V = np.eye(n)
+
+    def max_offdiag() -> float:
+        if n == 1:
+            return 0.0
+        off = np.abs(H - np.diag(np.diag(H)))
+        return float(off.max())
+
+    converged = max_offdiag() <= tol
+    for _ in range(linalg.JACOBI_MAX_SWEEPS):
+        if converged:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = H[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (H[q, q] - H[p, p]) / (2.0 * apq)
+                if abs(theta) > 1e10:
+                    t = 1.0 / (2.0 * theta)
+                else:
+                    t = math.copysign(1.0, theta) / (
+                        abs(theta) + math.sqrt(theta * theta + 1.0)
+                    )
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                hp = H[:, p].copy()
+                hq = H[:, q].copy()
+                H[:, p] = c * hp - s * hq
+                H[:, q] = s * hp + c * hq
+                hp = H[p, :].copy()
+                hq = H[q, :].copy()
+                H[p, :] = c * hp - s * hq
+                H[q, :] = s * hp + c * hq
+                H[p, q] = 0.0
+                H[q, p] = 0.0
+                vp = V[:, p].copy()
+                vq = V[:, q].copy()
+                V[:, p] = c * vp - s * vq
+                V[:, q] = s * vp + c * vq
+        converged = max_offdiag() <= tol
+    if not converged:
+        raise linalg.JacobiConvergenceError(
+            f"Jacobi did not converge in {linalg.JACOBI_MAX_SWEEPS} sweeps "
+            f"(max off-diagonal {max_offdiag():.3e}, tolerance {tol:.3e})"
+        )
+    w = np.diag(H).copy()
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
+    V = V[:, order]
+    w.setflags(write=False)
+    V.setflags(write=False)
+    return linalg.EigenDecomposition(eigenvalues=w, eigenvectors=V)
+
+
+def spd_with_spectrum(w, seed):
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((len(w), len(w))))
+    return symmetrize((Q * np.asarray(w, dtype=float)) @ Q.T)
+
+
+ORACLE_SIZES = [1, 2, 3, 5, 16, 17, 33, 64]
+
+
+def assert_matches_oracles(A):
+    n = A.shape[0]
+    dec = sym_eig(A)
+    ref = np.linalg.eigvalsh(A)[::-1]
+    bound = 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(dec.eigenvalues - ref)) <= bound
+    assert np.max(np.abs(dec.eigenvalues - cyclic_sym_eig(A).eigenvalues)) <= bound
+    V = dec.eigenvectors
+    assert frobenius_norm(V.T @ V - np.eye(n)) <= 1e-12 * n
+    assert np.all(np.diff(dec.eigenvalues) <= 0)
+    assert not dec.eigenvalues.flags.writeable and not dec.eigenvectors.flags.writeable
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_round_robin_matches_cyclic_and_lapack_on_random_symmetric(n):
+    # odd n leaves one index out of every round
+    assert_matches_oracles(random_symmetric(n, 1000 + n))
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_round_robin_matches_cyclic_and_lapack_on_kappa_2_spd(n):
+    assert_matches_oracles(spd_with_spectrum(np.geomspace(1.0, 0.5, n), n))
+
+
+@pytest.mark.parametrize("n", [3, 16, 17])
+def test_round_robin_on_repeated_and_clustered_spectra(n):
+    # kappa = 1 (a rotated identity), two repeated values, and a cluster
+    # whose spread is at round-off level
+    assert_matches_oracles(spd_with_spectrum(np.ones(n), n))
+    assert_matches_oracles(spd_with_spectrum(np.where(np.arange(n) < n // 2, 2.0, 1.0), n))
+    assert_matches_oracles(spd_with_spectrum(1.0 + 1e-14 * np.arange(n), n))
+
+
+def test_round_robin_on_sparse_inputs():
+    # exact zeros leave some pairs of a round unrotated; in the 2 + 2 block
+    # diagonal matrix every pair of some rounds is zero, so the round is empty
+    assert_matches_oracles(
+        np.array([[2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, 1.0], [0.0, 0.0, 1.0, 3.0]])
+    )
+    n = 17
+    assert_matches_oracles(2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+    blocks = np.zeros((n, n))
+    blocks[:8, :8] = random_symmetric(8, 3)
+    blocks[8:, 8:] = random_symmetric(9, 4)
+    assert_matches_oracles(blocks)
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_diagonal_input_takes_zero_sweeps(n, monkeypatch):
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
+    d = np.random.default_rng(n).standard_normal(n)
+    dec = sym_eig(np.diag(d))
+    order = np.argsort(-d, kind="stable")
+    assert np.array_equal(dec.eigenvalues, d[order])
+    assert np.array_equal(dec.eigenvectors, np.eye(n)[:, order])
+
+
+def test_sweep_cap_raises(monkeypatch):
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(linalg.JacobiConvergenceError, match="did not converge in 1 sweeps"):
+        sym_eig(random_symmetric(16, 7))
+
+
 def test_spectral_extremes_agrees_with_jacobi():
     for seed in range(20):
         A = random_symmetric(6, seed)
@@ -196,6 +340,25 @@ def test_spd_accepts_pd():
 def test_spd_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
         SpdMatrix(np.diag([1.0, -1.0]))
+
+
+def test_spd_caches_one_read_only_decomposition(sym_eig_calls):
+    A = random_pd(5, 4)
+    M = SpdMatrix(A)
+    assert sym_eig_calls == []
+    dec = M.eig
+    assert M.eig is dec and len(sym_eig_calls) == 1
+    assert spectral_norm(M) == float(dec.eigenvalues[0])
+    assert sigma_min(M) == lambda_min(M) == float(dec.eigenvalues[-1])
+    assert len(sym_eig_calls) == 1
+    assert np.array_equal(dec.eigenvalues, linalg.sym_eig(A).eigenvalues)
+    for arr in (dec.eigenvalues, dec.eigenvectors, M.values):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    for name in ("sym", "_eig", "eig", "other"):
+        with pytest.raises(AttributeError):
+            setattr(M, name, None)
+    assert M.eig is dec
 
 
 def test_spd_rejects_singular():
