@@ -231,7 +231,7 @@ def smoothness_certificate(
     round-off.  ``constant`` exists for fault-injection self-tests; the
     certified value is 8.
     """
-    M_arr = np.asarray(getattr(M, "values", M), dtype=float)
+    M_arr = np.asarray(M, dtype=float)
     n = M_arr.shape[0]
     m_op = linalg.spectral_norm(M)
     slope = constant * max(cap, m_op)
@@ -275,7 +275,7 @@ def gradient_dominance_certificate(
     sqrt(floor) I, where the inequality is tight up to the gap between
     floor and ||M||; margins are compared against -1e-9 ||M||_F^4.
     """
-    M_arr = np.asarray(getattr(M, "values", M), dtype=float)
+    M_arr = np.asarray(M, dtype=float)
     n = M_arr.shape[0]
     m_op = linalg.spectral_norm(M)
     lo = math.sqrt(floor)
@@ -317,7 +317,7 @@ def saddle_location_check(
     the global minimum.  Sample 0 is the exact square root of M; sample 1
     pins the smallest eigenvalue at the floor.
     """
-    M_arr = np.asarray(getattr(M, "values", M), dtype=float)
+    M_arr = np.asarray(M, dtype=float)
     n = M_arr.shape[0]
     dec = linalg.eigendecomposition(M)
     if dec.eigenvalues[-1] <= 0.0:

@@ -7,7 +7,6 @@ Both produce SPD results or raise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

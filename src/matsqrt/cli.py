@@ -12,20 +12,17 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 from contextlib import contextmanager
 
-from . import analysis, baselines, experiments, io, linalg
+from . import analysis, baselines, experiments, gd, io, linalg
 from .gd import (
     DivergenceError,
     GdConfig,
     GdError,
     LostPositiveDefinitenessError,
-    initial_iterate,
     run,
-    step_size_policy,
 )
 
 EXIT_OK = 0
@@ -108,9 +105,8 @@ def _read_spd(path) -> linalg.SpdMatrix:
 
 
 def _echo_gd_config(M_spd, cfg: GdConfig, seed: int):
-    """Echo the resolved gd settings; return the step size and rate parameters."""
-    U0 = initial_iterate(M_spd, cfg)
-    eta = cfg.eta if isinstance(cfg.eta, float) else step_size_policy(U0, M_spd, cfg)
+    """Echo the resolved gd settings; return the resolved config and the rate parameters."""
+    _, U0, eta = gd.resolve(M_spd, cfg)
     rate = analysis.rate_params(U0, M_spd)
     _echo(
         [
@@ -125,7 +121,7 @@ def _echo_gd_config(M_spd, cfg: GdConfig, seed: int):
             ("max-iters", cfg.max_iters),
         ]
     )
-    return eta, rate
+    return dataclasses.replace(cfg, eta=eta, init="explicit", init_matrix=U0), rate
 
 
 def cmd_sqrt(args) -> int:
@@ -163,8 +159,7 @@ def cmd_sqrt(args) -> int:
         init_matrix=init_matrix,
         seed=seed,
     )
-    eta, _ = _echo_gd_config(M_spd, cfg, seed)
-    cfg = dataclasses.replace(cfg, eta=eta)
+    cfg, _ = _echo_gd_config(M_spd, cfg, seed)
     try:
         U, trace = run(M_spd, cfg)
     except (DivergenceError, LostPositiveDefinitenessError) as exc:
@@ -193,8 +188,7 @@ def cmd_certify(args) -> int:
     m_op = linalg.spectral_norm(M_spd)
     cap = 4.0 * m_op
     cfg = GdConfig(max_iters=CERTIFY_MAX_ITERS, tol=args.tol, seed=seed)
-    eta, rate = _echo_gd_config(M_spd, cfg, seed)
-    cfg = dataclasses.replace(cfg, eta=eta)
+    cfg, rate = _echo_gd_config(M_spd, cfg, seed)
     _echo([("samples", samples), ("smoothness-cap", cap), ("self-test", args.self_test)])
     reports = [
         analysis.smoothness_certificate(M_spd, cap, samples, seed, constant),
@@ -277,7 +271,7 @@ def cmd_robustness(args) -> int:
     cfg = GdConfig(
         max_iters=args.max_iters, tol=args.tol, c_step=args.c_step, seed=seed
     )
-    _echo_gd_config(M_spd, cfg, seed)
+    cfg, _ = _echo_gd_config(M_spd, cfg, seed)
     rows = experiments.robustness_sweep(M_spd, args.deltas, cfg, seed)
     with _output(args.output) as f:
         io.write_table_csv(f, experiments.ROBUSTNESS_HEADER, (r.as_row() for r in rows))
@@ -363,35 +357,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of an error is that of the first row its class matches, so
+# subclasses come before their bases: NotPositiveDefiniteError,
+# DimensionMismatchError and NewtonConvergenceError are LinalgErrors, and a
+# MatrixFormatError is a ValueError.  Other exceptions propagate.
+EXIT_CODES = (
+    (CliUsageError, EXIT_USAGE),
+    (linalg.NotPositiveDefiniteError, EXIT_USAGE),
+    (linalg.DimensionMismatchError, EXIT_USAGE),
+    (baselines.NewtonConvergenceError, EXIT_ITER_CAP),
+    (experiments.LowerBoundError, EXIT_CERT_FAILED),
+    (GdError, EXIT_DIVERGED),
+    (linalg.LinalgError, EXIT_DIVERGED),
+    (ValueError, EXIT_USAGE),
+    (OSError, EXIT_USAGE),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliUsageError as exc:
+    except tuple(cls for cls, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except io.MatrixFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except linalg.NotPositiveDefiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except baselines.NewtonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ITER_CAP
-    except experiments.LowerBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERT_FAILED
-    except GdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except linalg.LinalgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 def entry() -> None:

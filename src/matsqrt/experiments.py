@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +26,7 @@ from .gd import (
     ErrorModel,
     GdError,
     gd_step,
-    initial_iterate,
+    resolve,
     residual_fro,
     run,
     run_perturbed,
@@ -387,8 +387,8 @@ def robustness_sweep(M, deltas, cfg: GdConfig, seed: int = 0) -> list:
         raise ValueError("deltas must be nonincreasing")
     if any(d < 0.0 for d in deltas):
         raise ValueError("deltas must be nonnegative")
-    M_spd = M if isinstance(M, linalg.SpdMatrix) else linalg.SpdMatrix(M)
-    U0 = initial_iterate(M_spd, cfg)
+    M_spd, U0, eta = resolve(M, cfg)
+    cfg = replace(cfg, eta=eta, init="explicit", init_matrix=U0)
     rate = analysis.rate_params(U0, M_spd)
     u0_op = linalg.spectral_norm(U0)
     m_op = linalg.spectral_norm(M_spd)
@@ -444,12 +444,12 @@ class BenchmarkRow:
 
 
 def _bench_gd(M, cfg):
-    U0 = initial_iterate(M, cfg)
+    M, U0, eta = resolve(M, cfg)
     rate = analysis.rate_params(U0, M)
     r0 = residual_fro(U0, M)
     predicted = rate.alpha * math.log(max(r0 / cfg.tol, 1.0))
     try:
-        _, trace = run(M, cfg)
+        _, trace = run(M, replace(cfg, eta=eta, init="explicit", init_matrix=U0))
         status = "converged" if trace.converged else "max-iters"
         return trace.steps, predicted, trace.final_residual, status
     except GdError as exc:

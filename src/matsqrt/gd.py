@@ -23,10 +23,10 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import SpdMatrix, SymmetricMatrix
+from .linalg import SpdMatrix
 
 INIT_CHOICES = ("scaled-identity", "sqrt-opnorm-identity", "explicit")
-SCHEDULE_CHOICES = ("every-step", "first-step-only", "none")
+SCHEDULE_CHOICES = ("every-step", "first-step-only")
 
 # Residual growth beyond this factor over its initial value aborts the run.
 DIVERGENCE_FACTOR = 10.0
@@ -113,8 +113,8 @@ class ErrorModel:
     """Per-step additive perturbations of exact spectral norm ``delta``.
 
     Each scheduled step draws a symmetric Gaussian matrix from the seeded
-    generator and rescales it to ``||E_t||_2 = delta``.  ``schedule`` is one
-    of ``"every-step"``, ``"first-step-only"``, or ``"none"``.
+    generator and rescales it to ``||E_t||_2 = delta``.  ``schedule`` is
+    ``"every-step"`` or ``"first-step-only"``; ``delta = 0`` injects nothing.
     """
 
     delta: float = 0.0
@@ -130,11 +130,7 @@ class ErrorModel:
             )
 
     def active_at(self, t: int) -> bool:
-        if self.schedule == "none":
-            return False
-        if self.schedule == "first-step-only":
-            return t == 1
-        return True
+        return self.schedule == "every-step" or t == 1
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         G = rng.standard_normal((n, n))
@@ -275,22 +271,20 @@ class _TraceBuilder:
 
 def objective(U, M) -> float:
     """f(U) = ||M - U^2||_F^2."""
-    U = np.asarray(getattr(U, "values", U), dtype=float)
-    M = np.asarray(getattr(M, "values", M), dtype=float)
     return residual_fro(U, M) ** 2
 
 
 def residual_fro(U, M) -> float:
     """||M - U^2||_F."""
-    U = np.asarray(getattr(U, "values", U), dtype=float)
-    M = np.asarray(getattr(M, "values", M), dtype=float)
+    U = np.asarray(U, dtype=float)
+    M = np.asarray(M, dtype=float)
     return float(np.linalg.norm(M - U @ U))
 
 
 def gradient(U, M) -> np.ndarray:
     """(U^2 - M) U + U (U^2 - M); half the Euclidean gradient of f."""
-    U = np.asarray(getattr(U, "values", U), dtype=float)
-    M = np.asarray(getattr(M, "values", M), dtype=float)
+    U = np.asarray(U, dtype=float)
+    M = np.asarray(M, dtype=float)
     D = U @ U - M
     return D @ U + U @ D
 
@@ -319,8 +313,8 @@ def _update(U: np.ndarray, D: np.ndarray, eta: float, resym: bool, G, H, out) ->
 
 def gd_step(U, M, eta: float, resymmetrize: bool = True) -> np.ndarray:
     """One update U - eta (U^2 - M) U - eta U (U^2 - M)."""
-    U = np.array(getattr(U, "values", U), dtype=float, order="C")
-    M = np.asarray(getattr(M, "values", M), dtype=float)
+    U = np.array(U, dtype=float, order="C")
+    M = np.asarray(M, dtype=float)
     _update(U, U @ U - M, eta, resymmetrize, np.empty_like(U), np.empty_like(U), U)
     return U
 
@@ -384,7 +378,7 @@ def rate_cube(x: float, u_op: float, m_op: float) -> float:
 
 def initial_iterate(M, cfg: GdConfig) -> SpdMatrix:
     """Resolve the starting iterate prescribed by ``cfg``."""
-    M_arr = np.asarray(getattr(M, "values", M), dtype=float)
+    M_arr = np.asarray(M, dtype=float)
     n = M_arr.shape[0]
     if cfg.init == "scaled-identity":
         lam = cfg.init_lambda
@@ -397,7 +391,12 @@ def initial_iterate(M, cfg: GdConfig) -> SpdMatrix:
     return U0 if isinstance(U0, SpdMatrix) else SpdMatrix(U0)
 
 
-def _resolve(M, cfg: GdConfig):
+def resolve(M, cfg: GdConfig) -> tuple[SpdMatrix, SpdMatrix, float]:
+    """(M, U0, eta) of a run: M validated, the start and the step size resolved.
+
+    A run on ``dataclasses.replace(cfg, eta=eta, init="explicit",
+    init_matrix=U0)`` resolves to the same objects without recomputing them.
+    """
     M_spd = M if isinstance(M, SpdMatrix) else SpdMatrix(M)
     U0 = initial_iterate(M_spd, cfg)
     if U0.n != M_spd.n:
@@ -432,18 +431,17 @@ def run_perturbed(M, cfg: GdConfig, err: ErrorModel) -> tuple[SpdMatrix, Iterati
 
 
 def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
-    M_spd, U0, eta = _resolve(M, cfg)
+    M_spd, U0, eta = resolve(M, cfg)
     M_arr = M_spd.values
     n = M_spd.n
 
     rng = None
-    if err is not None:
+    draw = err is not None and err.delta != 0.0
+    if draw:
         rng = np.random.default_rng(err.seed)
-        lam_min_m, m_smin, _ = linalg.spectral_extremes(M_arr)
-        _, u_smin, _ = linalg.spectral_extremes(U0.values)
-        beta = min(u_smin, math.sqrt(m_smin))
+        _, _, _, m_smin, _, beta = rate_spectra(U0, M_spd)
         tolerance = stability_tolerance(eta, beta, m_smin)
-        if err.delta >= tolerance and err.schedule != "none" and err.delta > 0.0:
+        if err.delta >= tolerance:
             warnings.warn(
                 f"error level delta={err.delta:.3e} is at or above the "
                 f"stability tolerance {tolerance:.3e}; the residual floor "
@@ -471,7 +469,6 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     U[...] = U0.values
     G = np.empty_like(U)
     H = np.empty_like(U)
-    draw = err is not None and err.delta != 0.0
 
     with np.errstate(over="ignore", invalid="ignore"):
         D = U @ U

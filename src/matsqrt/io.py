@@ -7,7 +7,7 @@ round-trip exactly and repeated runs produce byte-identical files.
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -76,7 +76,7 @@ def read_matrix(path_or_file) -> np.ndarray:
 
 
 def write_matrix(path_or_file, A) -> None:
-    A = np.asarray(getattr(A, "values", A), dtype=float)
+    A = np.asarray(A, dtype=float)
     f, should_close = _open_for(path_or_file, "w")
     try:
         f.write(f"{A.shape[0]}\n")

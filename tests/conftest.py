@@ -26,17 +26,27 @@ def matrix_file(tmp_path):
     return write
 
 
-@pytest.fixture
-def sym_eig_calls(monkeypatch):
-    """A list that grows by one entry on every call of ``linalg.sym_eig``."""
+def _count_calls(monkeypatch, name):
     from matsqrt import linalg
 
     calls = []
-    real = linalg.sym_eig
+    real = getattr(linalg, name)
 
-    def counted(A):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return real(A)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "sym_eig", counted)
+    monkeypatch.setattr(linalg, name, counted)
     return calls
+
+
+@pytest.fixture
+def sym_eig_calls(monkeypatch):
+    """A list that grows by one entry on every call of ``linalg.sym_eig``."""
+    return _count_calls(monkeypatch, "sym_eig")
+
+
+@pytest.fixture
+def opnorm_bound_calls(monkeypatch):
+    """A list that grows by one entry on every ``linalg.estimate_opnorm_bound`` call."""
+    return _count_calls(monkeypatch, "estimate_opnorm_bound")

@@ -1,14 +1,18 @@
 import io as std_io
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from matsqrt import cli, io, linalg
-from matsqrt.baselines import evd_sqrt
+from matsqrt.baselines import NewtonConvergenceError, evd_sqrt
+from matsqrt.experiments import LowerBoundError
+from matsqrt.gd import DivergenceError
 
 
 @pytest.fixture(autouse=True)
@@ -131,6 +135,55 @@ def test_exit_usage_bad_env_seed(capsys, spd_file, monkeypatch):
 def test_exit_usage_bad_eta_argument(capsys, spd_file):
     code, _, _ = run_cli(capsys, "sqrt", spd_file, "--eta", "fast")
     assert code == 1
+
+
+def test_exit_usage_start_of_the_wrong_order(capsys, spd_file, matrix_file):
+    # the start is resolved before the echo, so nothing reaches stdout
+    start = matrix_file(np.eye(3), "i3.txt")
+    code, out, err = run_cli(capsys, "sqrt", spd_file, "--init", f"file:{start}")
+    assert (code, out) == (1, "")
+    assert err == "error: initial iterate has order 3, matrix has order 2\n"
+
+
+EXIT_CASES = [
+    (linalg.NotPositiveDefiniteError, 1),
+    (linalg.DimensionMismatchError, 1),
+    (io.MatrixFormatError, 1),
+    (NewtonConvergenceError, 3),
+    (linalg.JacobiConvergenceError, 2),
+    (linalg.SingularMatrixError, 2),
+    (DivergenceError, 2),
+    (LowerBoundError, 4),
+    (cli.CliUsageError, 1),
+    (ValueError, 1),
+    (FileNotFoundError, 1),
+]
+
+
+@pytest.mark.parametrize("cls, code", EXIT_CASES, ids=[c.__name__ for c, _ in EXIT_CASES])
+def test_exit_code_table(capsys, monkeypatch, cls, code):
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_landscape", fail)
+    assert run_cli(capsys, "landscape") == (code, "", "error: boom\n")
+
+
+def test_exit_code_cases_reach_every_row():
+    rows = {
+        next(i for i, (c, _) in enumerate(cli.EXIT_CODES) if issubclass(cls, c))
+        for cls, _ in EXIT_CASES
+    }
+    assert rows == set(range(len(cli.EXIT_CODES)))
+
+
+def test_error_outside_the_table_propagates(monkeypatch):
+    def fail(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_landscape", fail)
+    with pytest.raises(RuntimeError, match="boom"):
+        cli.main(["landscape"])
 
 
 def test_exit_diverged_writes_partial_trace(capsys, tmp_path):
@@ -272,6 +325,21 @@ def test_certify_eigendecomposes_as_often_as_sqrt(capsys, tmp_path, sym_eig_call
     assert len(sym_eig_calls) == 2
 
 
+def test_sqrt_and_robustness_resolve_their_start_once(
+    capsys, matrix_file, sym_eig_calls, opnorm_bound_calls
+):
+    # one power iteration for the auto-lambda start, one Jacobi
+    # decomposition each of M and U0, however many runs follow
+    path = matrix_file(np.diag([6.0, 5.0, 4.0, 3.0, 2.0, 1.0]) + 0.1)
+    assert run_cli(capsys, "sqrt", path)[0] == 0
+    assert (len(opnorm_bound_calls), len(sym_eig_calls)) == (1, 2)
+    opnorm_bound_calls.clear()
+    sym_eig_calls.clear()
+    argv = ("robustness", path, "--deltas", "1e-6,1e-7,0", "--max-iters", "200")
+    assert run_cli(capsys, *argv)[0] == 0
+    assert (len(opnorm_bound_calls), len(sym_eig_calls)) == (1, 2)
+
+
 def test_certify_env_seed_and_flag_priority(capsys, spd_file, monkeypatch):
     monkeypatch.setenv("MATSQRT_SEED", "5")
     _, out, _ = run_cli(capsys, "certify", spd_file, "--samples", "10")
@@ -382,6 +450,27 @@ def test_landscape_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == ",".join(cli.experiments.LANDSCAPE_HEADER)
     assert len(lines) == 1 + 25 + 3
+
+
+def test_readme_batch_runs(capsys, monkeypatch, tmp_path):
+    # the README's replacements for the batch scripts, run verbatim
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Batch runs\n", 1)[1].split("\n## ", 1)[0]
+    headers = {
+        "lowerbound": cli.experiments.LOWER_BOUND_HEADER,
+        "landscape": cli.experiments.LANDSCAPE_HEADER,
+    }
+    lines = [
+        shlex.split(line)
+        for line in section.splitlines()
+        if line.startswith(("matsqrt lowerbound", "matsqrt landscape"))
+    ]
+    assert [argv[1] for argv in lines] == ["lowerbound", "lowerbound", "landscape"]
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert run_cli(capsys, *argv[1:])[0] == 0
+        out = tmp_path / argv[argv.index("-o") + 1]
+        assert out.read_text().splitlines()[0] == ",".join(headers[argv[1]])
 
 
 # ----------------------------------------------------------- determinism

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import matsqrt.gd as gd
 import matsqrt.linalg as linalg
-from matsqrt.analysis import rate_params
+from matsqrt.analysis import rate_params, stability_tolerance
 from matsqrt.baselines import evd_sqrt
 from matsqrt.experiments import SpdInstanceSpec, random_spd
 from matsqrt.gd import (
@@ -294,10 +295,8 @@ def test_error_model_validation():
 def test_error_model_schedules():
     every = ErrorModel(delta=1.0, schedule="every-step")
     first = ErrorModel(delta=1.0, schedule="first-step-only")
-    none = ErrorModel(delta=1.0, schedule="none")
     assert [every.active_at(t) for t in (1, 2, 9)] == [True, True, True]
     assert [first.active_at(t) for t in (1, 2, 9)] == [True, False, False]
-    assert [none.active_at(t) for t in (1, 2, 9)] == [False, False, False]
 
 
 def test_error_sample_norm_and_symmetry():
@@ -364,6 +363,22 @@ def test_run_perturbed_warns_above_tolerance():
     # well above eta sigma_min beta / 300 but far too small to destabilize
     with pytest.warns(UserWarning, match="stability tolerance"):
         run_perturbed(M, cfg, ErrorModel(delta=1e-3, schedule="every-step"))
+
+
+@pytest.mark.parametrize("factor", [1.001, 0.999])
+def test_run_perturbed_warns_from_the_stability_tolerance(factor):
+    M = random_spd(SpdInstanceSpec(n=4, kappa=4.0, seed=1))
+    cfg = GdConfig(c_step=1.0, max_iters=10, tol=1e-14)
+    U0 = initial_iterate(M, cfg)
+    eta = step_size_policy(U0, M, cfg)
+    tolerance = stability_tolerance(eta, rate_params(U0, M).beta, linalg.sigma_min(M))
+    err = ErrorModel(delta=factor * tolerance, schedule="every-step")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_perturbed(M, cfg, err)
+    assert len(caught) == (1 if factor > 1.0 else 0)
+    if caught:
+        assert "stability tolerance" in str(caught[0].message)
 
 
 def test_run_perturbed_deterministic_in_seed():
@@ -439,7 +454,7 @@ def _ref_update(U, S, M, eta, resym):
 
 
 def _ref_run_loop(M, cfg, err):
-    M_spd, U0, eta = gd._resolve(M, cfg)
+    M_spd, U0, eta = gd.resolve(M, cfg)
     M_arr = M_spd.values
     n = M_spd.n
 

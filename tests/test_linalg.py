@@ -361,6 +361,35 @@ def test_spd_caches_one_read_only_decomposition(sym_eig_calls):
     assert M.eig is dec
 
 
+@pytest.mark.parametrize("cls", [SymmetricMatrix, SpdMatrix])
+def test_array_protocol_copies_exactly_when_asked(cls):
+    A = cls(np.array([[2.0, 1.0], [1.0, 3.0]]))
+    # np.array asks for a copy: a new, writable array
+    copied = np.array(A)
+    assert not np.shares_memory(copied, A.values)
+    assert copied.flags.writeable
+    assert np.array_equal(copied, A.values)
+    # no copy asked for and the dtype already matches: the frozen values
+    for view in (np.asarray(A), np.asarray(A, dtype=float)):
+        assert np.shares_memory(view, A.values)
+        assert not view.flags.writeable
+    # another dtype needs a copy, which copy=False forbids
+    assert np.asarray(A, dtype=np.float32).flags.writeable
+    with pytest.raises(ValueError):
+        np.array(A, dtype=np.float32, copy=False)
+
+
+def test_gd_step_on_wrapped_matrices():
+    # gd_step updates a copy of U in place, so that copy must be writable
+    from matsqrt.gd import gd_step
+
+    U = SpdMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    M = SpdMatrix(np.array([[4.0, 1.0], [1.0, 2.0]]))
+    out = gd_step(U, M, 0.01)
+    assert np.array_equal(out, gd_step(np.array(U.values), np.array(M.values), 0.01))
+    assert not np.shares_memory(out, U.values)
+
+
 def test_spd_rejects_singular():
     with pytest.raises(NotPositiveDefiniteError):
         SpdMatrix(np.diag([1.0, 0.0]))
@@ -377,7 +406,7 @@ def test_frobenius_matches_reference():
 def test_opnorm_bound_brackets_norm():
     for seed in range(10):
         M = random_pd(6, seed)
-        est = estimate_opnorm_bound(M, seed=seed, validate=True)
+        est = estimate_opnorm_bound(M, seed=seed)
         op = spectral_norm(M)
         assert op <= est <= 2.0 * op
 
