@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .gd import (
-    DEFAULT_C_RATE,
+    C_RATE,
     IterationTrace,
     gradient,
     objective,
@@ -73,10 +73,10 @@ def rate_params(U0, M) -> RateParams:
 
 
 def theoretical_residual_bound(
-    t: int, eta: float, rate: RateParams, r0: float, c_rate: float = DEFAULT_C_RATE
+    t: int, eta: float, rate: RateParams, r0: float
 ) -> float:
-    """Certified residual decay: exp(-c_rate eta beta^2 t) * r0."""
-    return math.exp(-c_rate * eta * rate.beta**2 * t) * r0
+    """Certified residual decay: exp(-C_RATE eta beta^2 t) * r0."""
+    return math.exp(-C_RATE * eta * rate.beta**2 * t) * r0
 
 
 def stability_bound(
@@ -87,7 +87,6 @@ def stability_bound(
     err_fro,
     u0_opnorm: float,
     m_opnorm: float,
-    c_rate: float = DEFAULT_C_RATE,
 ) -> float:
     """Residual bound under per-step additive errors.
 
@@ -95,10 +94,10 @@ def stability_bound(
     at least ``t`` entries must be present.  With all errors zero this
     equals :func:`theoretical_residual_bound` bitwise.
     """
-    decay = theoretical_residual_bound(t, eta, rate, r0, c_rate)
+    decay = theoretical_residual_bound(t, eta, rate, r0)
     prefactor = 4.0 * max(u0_opnorm, math.sqrt(3.0 * m_opnorm))
     acc = 0.0
-    x = c_rate * eta * rate.beta**2
+    x = C_RATE * eta * rate.beta**2
     for s in range(t):
         acc += math.exp(-x * (t - s - 1)) * float(err_fro[s])
     return decay + prefactor * acc
@@ -111,17 +110,16 @@ def stability_bound_series(
     err_fro,
     u0_opnorm: float,
     m_opnorm: float,
-    c_rate: float = DEFAULT_C_RATE,
 ) -> np.ndarray:
     """Vector of :func:`stability_bound` values for t = 0 .. len(err_fro).
 
     Evaluates the error sum by the recurrence S_t = g S_{t-1} + e_{t-1}
-    with g = exp(-c_rate eta beta^2), which agrees with the direct sum up
+    with g = exp(-C_RATE eta beta^2), which agrees with the direct sum up
     to round-off and costs O(T) instead of O(T^2) for a whole trace.
     """
     err_fro = np.asarray(err_fro, dtype=float)
     T = len(err_fro)
-    x = c_rate * eta * rate.beta**2
+    x = C_RATE * eta * rate.beta**2
     g = math.exp(-x)
     prefactor = 4.0 * max(u0_opnorm, math.sqrt(3.0 * m_opnorm))
     out = np.empty(T + 1)
@@ -143,7 +141,6 @@ def first_error_attenuation_bound(
     e0_fro: float,
     u0_opnorm: float,
     m_opnorm: float,
-    c_rate: float = DEFAULT_C_RATE,
 ) -> float:
     """Residual bound when only the first step is perturbed.
 
@@ -153,9 +150,9 @@ def first_error_attenuation_bound(
     """
     if t == 0:
         return r0
-    decay = theoretical_residual_bound(t, eta, rate, r0, c_rate)
+    decay = theoretical_residual_bound(t, eta, rate, r0)
     prefactor = 6.0 * max(u0_opnorm * u0_opnorm, m_opnorm)
-    x = c_rate * eta * rate.beta**2
+    x = C_RATE * eta * rate.beta**2
     return decay + prefactor * math.exp(-x * (t - 1)) * e0_fro
 
 

@@ -182,7 +182,8 @@ def scalar_gd_trace(u0: float, m: float, eta: float, steps: int) -> np.ndarray:
     out[0] = u
     for t in range(1, steps + 1):
         d = u * u - m
-        u = u - eta * (d * u) - eta * (u * d)
+        g = d * u
+        u = u - eta * (g + g)
         out[t] = u
     return out
 
@@ -404,7 +405,6 @@ def robustness_sweep(M, deltas, cfg: GdConfig, seed: int = 0) -> list:
             trace.err_fro[1:],
             u0_op,
             m_op,
-            cfg.c_rate,
         )
         ratio = float(np.max(trace.residual_fro / bounds))
         rows.append(

@@ -5,12 +5,15 @@ fixed-step update
 
     U_{t+1} = U_t - eta (U_t^2 - M) U_t - eta U_t (U_t^2 - M).
 
-The gradient convention matches the update: ``gradient`` returns
-(U^2 - M) U + U (U^2 - M), which is half the Euclidean gradient of f; the
-factor is absorbed into the step size.  The automatic step size is the
-smallest of three safeguards, each keeping the iterates inside the region
-where the certified eigenvalue corridor, smoothness, and gradient dominance
-bounds of :mod:`matsqrt.analysis` apply.
+For symmetric U and D = U^2 - M the second product is the transpose of the
+first, U D = (D U)^T, so the update is computed as U - eta (G + G^T) with
+the one product G = D U; G + G^T is exactly symmetric, so every iterate of
+a symmetric start is too.  ``gradient`` returns the same G + G^T, which is
+half the Euclidean gradient of f; the factor is absorbed into the step
+size.  The automatic step size is the smallest of three safeguards, each
+keeping the iterates inside the region where the certified eigenvalue
+corridor, smoothness, and gradient dominance bounds of
+:mod:`matsqrt.analysis` apply.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ DIVERGENCE_FACTOR = 10.0
 # divided by this for the stability bound to be meaningful.
 STABILITY_SLACK = 300.0
 # Contraction constant of the residual decay certificates.
-DEFAULT_C_RATE = 1.0 / 50.0
+C_RATE = 1.0 / 50.0
 # The loop copies its iterates into a block of at most this many bytes and
 # runs the spectral monitor once per block: K = max(1, this // (8 n^2))
 # iterates, 512 at n = 4, 32 at n = 16, 2 at n = 64 and 1 from n = 65 up.
@@ -67,9 +70,8 @@ class GdConfig:
     selects the starting iterate: ``"scaled-identity"`` uses
     sqrt(lambda) I with ``init_lambda`` (estimated by power iteration when
     None), ``"sqrt-opnorm-identity"`` uses sqrt(||M||_2) I, and
-    ``"explicit"`` takes ``init_matrix`` as given.  ``c_step`` scales the automatic step
-    size and ``c_rate`` is the contraction constant used by the residual
-    decay certificates; the defaults are pinned by the acceptance tests.
+    ``"explicit"`` takes ``init_matrix`` as given.  ``c_step`` scales the
+    automatic step size; the defaults are pinned by the acceptance tests.
     """
 
     eta: float | str = "auto"
@@ -79,8 +81,6 @@ class GdConfig:
     init_lambda: float | None = None
     init_matrix: object | None = None
     c_step: float = 0.01
-    c_rate: float = DEFAULT_C_RATE
-    resymmetrize: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -104,8 +104,6 @@ class GdConfig:
             raise ValueError("init_lambda must be positive")
         if not (self.c_step > 0.0):
             raise ValueError("c_step must be positive")
-        if not (self.c_rate > 0.0):
-            raise ValueError("c_rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -282,40 +280,34 @@ def residual_fro(U, M) -> float:
 
 
 def gradient(U, M) -> np.ndarray:
-    """(U^2 - M) U + U (U^2 - M); half the Euclidean gradient of f."""
+    """G + G^T, G = (U^2 - M) U; half the Euclidean gradient of f at symmetric U."""
     U = np.asarray(U, dtype=float)
     M = np.asarray(M, dtype=float)
-    D = U @ U - M
-    return D @ U + U @ D
+    G = (U @ U - M) @ U
+    return G + G.T
 
 
-def _update(U: np.ndarray, D: np.ndarray, eta: float, resym: bool, G, H, out) -> None:
-    """Write U - eta (D U) - eta (U D), resymmetrised if ``resym``, to ``out``.
+def _update(U: np.ndarray, D: np.ndarray, eta: float, G, H, out) -> None:
+    """Write U - eta (G + G^T), G = D U, to ``out``.
 
     D is U @ U - M; G and H are C-contiguous n x n scratch arrays, and
     ``out`` may be U itself.  The operations and their order are those of
-    ``U - eta * (D @ U) - eta * (U @ D)`` followed by ``(W + W.T) / 2.0``,
-    so the result is bitwise the same.  ``np.dot`` makes the same BLAS call
-    as ``@`` with less dispatch.
+    ``U - eta * gradient(U, M)``, so the result is bitwise the same.  The
+    sum goes to H, not back into G: G and G.T overlap, and numpy would copy
+    one of them on every step.  ``np.dot`` makes the same BLAS call as
+    ``@`` with less dispatch.
     """
     np.dot(D, U, out=G)
-    np.dot(U, D, out=H)
-    np.multiply(eta, G, out=G)
-    np.subtract(U, G, out=G)
+    np.add(G, G.T, out=H)
     np.multiply(eta, H, out=H)
-    if resym:
-        np.subtract(G, H, out=H)
-        np.add(H, H.T, out=out)
-        np.divide(out, 2.0, out=out)
-    else:
-        np.subtract(G, H, out=out)
+    np.subtract(U, H, out=out)
 
 
-def gd_step(U, M, eta: float, resymmetrize: bool = True) -> np.ndarray:
-    """One update U - eta (U^2 - M) U - eta U (U^2 - M)."""
+def gd_step(U, M, eta: float) -> np.ndarray:
+    """One update U - eta (U^2 - M) U - eta U (U^2 - M): U - eta gradient(U, M)."""
     U = np.array(U, dtype=float, order="C")
     M = np.asarray(M, dtype=float)
-    _update(U, U @ U - M, eta, resymmetrize, np.empty_like(U), np.empty_like(U), U)
+    _update(U, U @ U - M, eta, np.empty_like(U), np.empty_like(U), U)
     return U
 
 
@@ -455,8 +447,8 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     # so a loss of definiteness still wins over any later stop.  After a
     # flush j is 0 and slot -1, the last one, holds the iterate; with one
     # slot the update is in place.  Three more n x n buffers carry the
-    # loop: D = U^2 - M and the two products of the update.  -D is the
-    # residual matrix M - U^2; IEEE subtraction is antisymmetric, so
+    # loop: D = U^2 - M, the product G = D U and the step G + G^T.  -D is
+    # the residual matrix M - U^2; IEEE subtraction is antisymmetric, so
     # sqrt(d . d) over the raveled D is bitwise np.linalg.norm(M - U @ U).
     # Overflow is not an error here: a non-finite residual is caught
     # explicitly, and steps past a loss of definiteness in the same block
@@ -467,42 +459,43 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     K = len(slots)
     U = slots[0]
     U[...] = U0.values
+    D = np.empty_like(U)
+    d = D.reshape(-1)
     G = np.empty_like(U)
     H = np.empty_like(U)
+    j = 0
+    converged = False
 
     with np.errstate(over="ignore", invalid="ignore"):
-        D = U @ U
-        np.subtract(D, M_arr, out=D)
-        d = D.reshape(-1)
-        r = math.sqrt(d.dot(d))
-        if not math.isfinite(r):
-            _raise_non_finite(r, 0, eta, builder, 0.0, 0.0)
-        builder.append(0, r, eta, 0.0, 0.0)
-        j = 1
-        r0 = r
-        if r <= cfg.tol or j == K:
-            _monitor(builder, block, j)
-            j = 0
-        if r <= cfg.tol:
-            return SpdMatrix(U), builder.finish(True, "converged")
-
-        converged = False
-        for t in range(1, cfg.max_iters + 1):
-            _update(U, D, eta, cfg.resymmetrize, G, H, slots[j])
-            U = slots[j]
+        for t in range(cfg.max_iters + 1):
             err_norm = 0.0
             err_fro = 0.0
-            if draw and err.active_at(t):
-                E = err.sample(rng, n)
-                np.add(U, E, out=U)
-                err_norm = err.delta
-                err_fro = float(np.linalg.norm(E))
+            if t:
+                _update(U, D, eta, G, H, slots[j])
+                U = slots[j]
+                if draw and err.active_at(t):
+                    E = err.sample(rng, n)
+                    np.add(U, E, out=U)
+                    err_norm = err.delta
+                    err_fro = float(np.linalg.norm(E))
             np.dot(U, U, out=D)
             np.subtract(D, M_arr, out=D)
             r = math.sqrt(d.dot(d))
+            if not t:
+                r0 = r
             if not math.isfinite(r):
+                # A NaN residual fails both the tolerance and the growth
+                # test, so it is caught explicitly.  The iterate is not
+                # passed to the monitor; its spectrum is recorded as NaN.
                 _monitor(builder, block, j)
-                _raise_non_finite(r, t, eta, builder, err_norm, err_fro)
+                builder.append(t, r, eta, err_norm, err_fro)
+                builder.columns["sigma_min"][t] = math.nan
+                builder.columns["opnorm"][t] = math.nan
+                raise DivergenceError(
+                    f"residual {r} at step {t} is not finite",
+                    step=t,
+                    trace=builder.finish(False, "diverged"),
+                )
             builder.append(t, r, eta, err_norm, err_fro)
             j += 1
             done = r <= cfg.tol
@@ -551,17 +544,3 @@ def _monitor(builder, block, j):
             step=t,
             trace=builder.finish(False, "lost-positive-definiteness"),
         )
-
-
-def _raise_non_finite(r, t, eta, builder, err_norm, err_fro):
-    # A NaN residual fails both the tolerance and the growth test, so it is
-    # caught explicitly.  The iterate is not passed to the monitor; its
-    # spectrum is recorded as NaN.
-    builder.append(t, r, eta, err_norm, err_fro)
-    builder.columns["sigma_min"][t] = math.nan
-    builder.columns["opnorm"][t] = math.nan
-    raise DivergenceError(
-        f"residual {r} at step {t} is not finite",
-        step=t,
-        trace=builder.finish(False, "diverged"),
-    )

@@ -10,7 +10,7 @@ import matsqrt.gd as gd
 import matsqrt.linalg as linalg
 from matsqrt.analysis import rate_params, stability_tolerance
 from matsqrt.baselines import evd_sqrt
-from matsqrt.experiments import SpdInstanceSpec, random_spd
+from matsqrt.experiments import SpdInstanceSpec, random_spd, scalar_gd_trace
 from matsqrt.gd import (
     DivergenceError,
     ErrorModel,
@@ -38,8 +38,7 @@ def test_config_defaults_pinned():
     assert cfg.tol == 1e-8
     assert cfg.init == "scaled-identity"
     assert cfg.c_step == 0.01
-    assert cfg.c_rate == 1.0 / 50.0
-    assert cfg.resymmetrize is True
+    assert gd.C_RATE == 1.0 / 50.0
     assert cfg.seed == 0
 
 
@@ -55,7 +54,6 @@ def test_config_defaults_pinned():
         dict(init="explicit"),
         dict(init_lambda=-1.0),
         dict(c_step=0.0),
-        dict(c_rate=-1.0),
     ],
 )
 def test_config_rejects_invalid(kwargs):
@@ -78,7 +76,7 @@ def test_gradient_is_symmetric():
     U = (U + U.T) / 2.0
     M = random_spd(SpdInstanceSpec(n=5, kappa=3.0, seed=1))
     g = gradient(U, M)
-    assert np.allclose(g, g.T, atol=1e-14)
+    assert np.array_equal(g, g.T)
 
 
 def test_gradient_zero_at_root():
@@ -116,6 +114,23 @@ def test_gd_step_output_symmetric():
     U = np.asarray(initial_iterate(M, GdConfig()))
     U1 = gd_step(U, M, 0.001)
     assert np.array_equal(U1, U1.T)
+    # from a start that does not commute with M, at sizes where U @ U is not
+    # exactly symmetric on OpenBLAS 0.3.31: the symmetry comes from G + G^T
+    for n in (17, 33):
+        M = random_spd(SpdInstanceSpec(n=n, kappa=4.0, seed=6))
+        U = random_spd(SpdInstanceSpec(n=n, kappa=3.0, seed=60)).values
+        U1 = gd_step(U, M, 0.001)
+        assert np.array_equal(U1, U1.T)
+
+
+@pytest.mark.parametrize("n", [5, 17, 33])
+def test_gd_step_is_a_gradient_step(n):
+    # the loop's update is bitwise U - eta * gradient(U, M), the gradient
+    # that check 06 verifies by finite differences
+    M = random_spd(SpdInstanceSpec(n=n, kappa=10.0, seed=n))
+    U = random_spd(SpdInstanceSpec(n=n, kappa=3.0, seed=100 + n)).values
+    eta = 1e-3
+    assert _same_bits(gd_step(U, M, eta), U - eta * gradient(U, M))
 
 
 # ------------------------------------------------------------- step size
@@ -444,13 +459,11 @@ def _ref_spectral_extremes(A):
     return float(w[0]), float(np.min(np.abs(w))), float(max(abs(w[0]), abs(w[-1])))
 
 
-def _ref_update(U, S, M, eta, resym):
+def _ref_update(U, S, M, eta):
     # S is the cached product U @ U
     D = S - M
-    U_next = U - eta * (D @ U) - eta * (U @ D)
-    if resym:
-        U_next = (U_next + U_next.T) / 2.0
-    return U_next
+    G = D @ U
+    return U - eta * (G + G.T)
 
 
 def _ref_run_loop(M, cfg, err):
@@ -474,7 +487,7 @@ def _ref_run_loop(M, cfg, err):
 
     converged = False
     for t in range(1, cfg.max_iters + 1):
-        U = _ref_update(U, S, M_arr, eta, cfg.resymmetrize)
+        U = _ref_update(U, S, M_arr, eta)
         err_norm = 0.0
         err_fro = 0.0
         if err is not None and err.active_at(t):
@@ -538,17 +551,22 @@ def _assert_matches_reference(M, cfg, err=None):
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 16, 17, 33, 64])
-@pytest.mark.parametrize("resym", [True, False])
+@pytest.mark.parametrize("non_commuting", [True, False])
 @pytest.mark.parametrize("explicit_eta", [False, True])
-def test_run_bitwise_matches_reference_loop(n, resym, explicit_eta):
+def test_run_bitwise_matches_reference_loop(n, non_commuting, explicit_eta):
     # U @ U is not exactly symmetric at n = 17 and 33 on OpenBLAS 0.3.31;
-    # n = 1 converges, the other sizes stop at the 300-step cap
+    # n = 1 converges, the other sizes stop at the 300-step cap.  A start
+    # that does not commute with M makes D U unsymmetric, so G and G^T differ.
     M = random_spd(SpdInstanceSpec(n=n, kappa=4.0 if n > 1 else 1.0, seed=n))
-    auto = GdConfig(c_step=1.0, tol=1e-9, max_iters=300, resymmetrize=resym)
+    start = {}
+    if non_commuting:
+        spec = SpdInstanceSpec(n=n, kappa=2.0 if n > 1 else 1.0, opnorm=1.5, seed=50 + n)
+        start = dict(init="explicit", init_matrix=random_spd(spec))
+    auto = GdConfig(c_step=1.0, tol=1e-9, max_iters=300, **start)
     cfg = auto
     if explicit_eta:
         eta = 0.7 * step_size_policy(initial_iterate(M, auto), M, auto)
-        cfg = GdConfig(eta=eta, tol=1e-9, max_iters=300, resymmetrize=resym)
+        cfg = GdConfig(eta=eta, tol=1e-9, max_iters=300, **start)
     trace = _assert_matches_reference(M, cfg)
     assert len(trace) > 1
 
@@ -583,9 +601,26 @@ def test_divergence_and_cap_bitwise_match_reference_loop():
 def test_gd_step_is_the_loop_update():
     M = random_spd(SpdInstanceSpec(n=17, kappa=10.0, seed=7))
     U = np.asarray(initial_iterate(M, GdConfig()))
-    for resym in (True, False):
-        got = gd_step(U, M, 1e-3, resym)
-        assert _same_bits(got, _ref_update(U, U @ U, np.asarray(M), 1e-3, resym))
+    got = gd_step(U, M, 1e-3)
+    assert _same_bits(got, _ref_update(U, U @ U, np.asarray(M), 1e-3))
+
+
+@pytest.mark.parametrize("n", [4, 16, 17, 33, 64])
+def test_run_from_scaled_identity_follows_the_scalar_recurrences(n):
+    # U0 = c I commutes with M = Q diag(lam) Q^T, so in exact arithmetic
+    # every iterate is Q diag(u_t(lam_i)) Q^T with u_t the scalar descent
+    # of scalar_gd_trace: an oracle that shares no code with the update
+    M = random_spd(SpdInstanceSpec(n=n, kappa=10.0, seed=n))
+    lam, Q = np.linalg.eigh(M.values)
+    for T in (10, 300, 3000):
+        cfg = GdConfig(init="sqrt-opnorm-identity", c_step=1.0, tol=1e-300, max_iters=T)
+        c = float(np.asarray(initial_iterate(M, cfg))[0, 0])
+        U, trace = run(M, cfg)
+        eta = float(trace.eta[0])
+        u = [scalar_gd_trace(c, float(m), eta, T)[-1] for m in lam]
+        expect = (Q * u) @ Q.T
+        assert trace.steps == T
+        assert np.linalg.norm(U.values - expect) <= 1e-13 * np.linalg.norm(expect)
 
 
 def test_trace_memory_per_step_bounded():
@@ -674,7 +709,7 @@ def test_non_finite_residual_after_loss_of_definiteness_in_a_block():
     U, lost_at, non_finite_at = U0, None, None
     with np.errstate(over="ignore"):
         for t in range(1, 40):
-            U = _ref_update(U, U @ U, M, eta, True)
+            U = _ref_update(U, U @ U, M, eta)
             if lost_at is None and U[0, 0] <= 0.0:
                 lost_at = t
             if not math.isfinite(float(np.linalg.norm(M - U @ U))):
