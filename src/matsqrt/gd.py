@@ -13,7 +13,9 @@ half the Euclidean gradient of f; the factor is absorbed into the step
 size.  The automatic step size is the smallest of three safeguards, each
 keeping the iterates inside the region where the certified eigenvalue
 corridor, smoothness, and gradient dominance bounds of
-:mod:`matsqrt.analysis` apply.
+:mod:`matsqrt.analysis` apply.  The trace's ``sigma_min`` and ``opnorm``
+are certified Weyl bounds, exact at t = 0, at each refresh of the loop's
+spectrum and at the stop.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ DIVERGENCE_FACTOR = 10.0
 STABILITY_SLACK = 300.0
 # Contraction constant of the residual decay certificates.
 C_RATE = 1.0 / 50.0
-# The loop copies its iterates into a block of at most this many bytes and
-# runs the spectral monitor once per block: K = max(1, this // (8 n^2))
-# iterates, 512 at n = 4, 32 at n = 16, 2 at n = 64 and 1 from n = 65 up.
-MONITOR_BLOCK_BYTES = 64 * 1024
+# The loop recomputes the spectrum of its iterate exactly once the Weyl
+# slack accumulated since the last exact value exceeds this fraction of
+# lambda_min there.
+BRACKET_RTOL = 1.0 / 16.0
 
 
 class GdError(Exception):
@@ -163,6 +165,10 @@ class TraceRecord(NamedTuple):
 class IterationTrace:
     """Column-oriented per-step records, including the t = 0 record.
 
+    ``sigma_min`` and ``opnorm`` are a certified lower bound on the
+    smallest and an upper bound on the largest singular value of the
+    iterate; they are the exact ``eigvalsh`` values at t = 0, at each row
+    where the loop refreshed its spectral bracket, and at the last row.
     ``err_norm`` is the spectral norm of the injected error at each step
     (zero for unperturbed runs); ``err_fro`` additionally stores its
     Frobenius norm, which the stability bound consumes.  Only the seven
@@ -231,8 +237,8 @@ class _TraceBuilder:
     """Trace columns in preallocated numpy arrays that double when full.
 
     A step costs 64 bytes of trace (eight 8-byte entries) once
-    :meth:`finish` has trimmed the columns to their length.  ``append``
-    leaves ``sigma_min`` and ``opnorm`` unset; :func:`_monitor` fills them.
+    :meth:`finish` has trimmed the columns to their length.  ``sigma_min``
+    and ``opnorm`` are a refresh's exact values or the bracket's bounds.
     """
 
     def __init__(self):
@@ -242,7 +248,7 @@ class _TraceBuilder:
             for name in TraceRecord._fields
         }
 
-    def append(self, t, residual, eta, err_norm, err_fro):
+    def append(self, t, residual, smin, opnorm, eta, err_norm, err_fro):
         k = self.k
         c = self.columns
         if k == len(c["t"]):
@@ -253,6 +259,8 @@ class _TraceBuilder:
         c["t"][k] = t
         c["residual_fro"][k] = residual
         c["objective"][k] = residual * residual
+        c["sigma_min"][k] = smin
+        c["opnorm"][k] = opnorm
         c["eta"][k] = eta
         c["err_norm"][k] = err_norm
         c["err_fro"][k] = err_fro
@@ -287,27 +295,26 @@ def gradient(U, M) -> np.ndarray:
     return G + G.T
 
 
-def _update(U: np.ndarray, D: np.ndarray, eta: float, G, H, out) -> None:
-    """Write U - eta (G + G^T), G = D U, to ``out``.
+def _update(U: np.ndarray, D: np.ndarray, eta: float, G, H) -> None:
+    """Replace U by U - eta (G + G^T), G = D U, leaving the step in H.
 
-    D is U @ U - M; G and H are C-contiguous n x n scratch arrays, and
-    ``out`` may be U itself.  The operations and their order are those of
-    ``U - eta * gradient(U, M)``, so the result is bitwise the same.  The
-    sum goes to H, not back into G: G and G.T overlap, and numpy would copy
-    one of them on every step.  ``np.dot`` makes the same BLAS call as
-    ``@`` with less dispatch.
+    D is U @ U - M; G and H are C-contiguous n x n scratch arrays.  The
+    operations and their order are those of ``U - eta * gradient(U, M)``,
+    so the result is bitwise the same.  The sum goes to H, not back into
+    G: G and G.T overlap, and numpy would copy one of them on every step.
+    ``np.dot`` makes the same BLAS call as ``@`` with less dispatch.
     """
     np.dot(D, U, out=G)
     np.add(G, G.T, out=H)
     np.multiply(eta, H, out=H)
-    np.subtract(U, H, out=out)
+    np.subtract(U, H, out=U)
 
 
 def gd_step(U, M, eta: float) -> np.ndarray:
     """One update U - eta (U^2 - M) U - eta U (U^2 - M): U - eta gradient(U, M)."""
     U = np.array(U, dtype=float, order="C")
     M = np.asarray(M, dtype=float)
-    _update(U, U @ U - M, eta, np.empty_like(U), np.empty_like(U), U)
+    _update(U, U @ U - M, eta, np.empty_like(U), np.empty_like(U))
     return U
 
 
@@ -441,29 +448,43 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                 stacklevel=3,
             )
 
-    # The iterates live in ``block``: each update reads the iterate in slot
-    # j - 1 and writes the next one to slot j, and the monitor runs on the
-    # j pending iterates when the block is full and before the run stops,
-    # so a loss of definiteness still wins over any later stop.  After a
-    # flush j is 0 and slot -1, the last one, holds the iterate; with one
-    # slot the update is in place.  Three more n x n buffers carry the
-    # loop: D = U^2 - M, the product G = D U and the step G + G^T.  -D is
-    # the residual matrix M - U^2; IEEE subtraction is antisymmetric, so
-    # sqrt(d . d) over the raveled D is bitwise np.linalg.norm(M - U @ U).
+    # One iterate U is updated in place; three more n x n buffers carry the
+    # loop: D = U^2 - M, the product G = D U and the step H = eta (G + G^T).
+    # -D is the residual matrix M - U^2; IEEE subtraction is antisymmetric,
+    # so sqrt(d . d) over the raveled D is bitwise np.linalg.norm(M - U @ U).
     # Overflow is not an error here: a non-finite residual is caught
-    # explicitly, and steps past a loss of definiteness in the same block
-    # are computed and discarded.
+    # explicitly.
+    #
+    # The spectrum is bracketed, not recomputed every step.  A refresh takes
+    # lambda_min and lambda_max of U from one eigvalsh, records them as they
+    # are, and widens them by 2 n eps ||U||_2, twice LAPACK's error bound,
+    # into [lo, hi].  By Weyl's inequality an eigenvalue then moves by at
+    # most ||U_{t+1} - U_t||_2 <= ||H||_F + ||E_t||_2 + ||R||_F a step, R the
+    # rounding of U - H and of + E_t: at most ||H||_F + ||E_t||_F, since
+    # rounding to nearest moves an entry by at most the operand added to
+    # it, and at most eps sqrt(n) (||U_t||_2 + ||H||_F + ||E_t||_2).
+    # ``grow`` and ``tiny`` cover the ddot's error gamma_{n^2}, the
+    # underflow of its squares and the eigvalsh error in ||E_t||_2 <= delta;
+    # each constant is at least twice its bound, which covers the roundings
+    # of the sums.  ``slack`` sums the steps since the refresh, rounded up,
+    # and a row records lo - slack and hi + slack, rounded outward.
+    # The loop refreshes at t = 0, at every stop, and when the slack exceeds
+    # BRACKET_RTOL lo or is not finite, so lo - slack >= (15/16) lo > 0
+    # certifies definiteness in between and a loss is found at its own step.
     builder = _TraceBuilder()
-    block = np.empty((max(1, MONITOR_BLOCK_BYTES // (8 * n * n)), n, n))
-    slots = list(block)
-    K = len(slots)
-    U = slots[0]
-    U[...] = U0.values
+    U = np.array(U0.values, order="C")
     D = np.empty_like(U)
     d = D.reshape(-1)
     G = np.empty_like(U)
     H = np.empty_like(U)
-    j = 0
+    h = H.reshape(-1)
+    eps = np.finfo(float).eps
+    grow = 1.0 + (n * n + 4) * eps
+    tiny = n * 2.0**-537
+    root_n = math.sqrt(n)
+    rounding = 2.0 * eps * root_n
+    down, up = 1.0 - eps, 1.0 + 2.0 * eps
+    lo, hi, limit, slack = 0.0, 0.0, 0.0, math.inf
     converged = False
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -471,13 +492,16 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
             err_norm = 0.0
             err_fro = 0.0
             if t:
-                _update(U, D, eta, G, H, slots[j])
-                U = slots[j]
+                _update(U, D, eta, G, H)
                 if draw and err.active_at(t):
                     E = err.sample(rng, n)
                     np.add(U, E, out=U)
                     err_norm = err.delta
                     err_fro = float(np.linalg.norm(E))
+                a = math.sqrt(h.dot(h)) * grow + tiny
+                e = err_norm * grow
+                rnd = min(a + root_n * e, rounding * (hi + slack + a + e))
+                slack = (slack + a + e + rnd) * up
             np.dot(U, U, out=D)
             np.subtract(D, M_arr, out=D)
             r = math.sqrt(d.dot(d))
@@ -485,24 +509,33 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                 r0 = r
             if not math.isfinite(r):
                 # A NaN residual fails both the tolerance and the growth
-                # test, so it is caught explicitly.  The iterate is not
-                # passed to the monitor; its spectrum is recorded as NaN.
-                _monitor(builder, block, j)
-                builder.append(t, r, eta, err_norm, err_fro)
-                builder.columns["sigma_min"][t] = math.nan
-                builder.columns["opnorm"][t] = math.nan
+                # test, so it is caught explicitly; its row records NaN for
+                # the spectrum.
+                builder.append(t, r, math.nan, math.nan, eta, err_norm, err_fro)
                 raise DivergenceError(
                     f"residual {r} at step {t} is not finite",
                     step=t,
                     trace=builder.finish(False, "diverged"),
                 )
-            builder.append(t, r, eta, err_norm, err_fro)
-            j += 1
             done = r <= cfg.tol
             diverged = r > DIVERGENCE_FACTOR * r0
-            if j == K or done or diverged:
-                _monitor(builder, block, j)
-                j = 0
+            if done or diverged or t == cfg.max_iters or not (slack <= limit):
+                lam, smin, opn = linalg.spectral_extremes(U)
+                builder.append(t, r, smin, opn, eta, err_norm, err_fro)
+                if lam <= 0.0:
+                    raise LostPositiveDefinitenessError(
+                        f"iterate lost positive definiteness at step {t} "
+                        f"(lambda_min={lam:.6e})",
+                        step=t,
+                        trace=builder.finish(False, "lost-positive-definiteness"),
+                    )
+                pad = 2.0 * n * eps * opn
+                lo, hi, slack = lam - pad, opn + pad, 0.0
+                limit = BRACKET_RTOL * lo
+            else:
+                builder.append(
+                    t, r, (lo - slack) * down, (hi + slack) * up, eta, err_norm, err_fro
+                )
             if done:
                 converged = True
                 break
@@ -513,34 +546,5 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                     step=t,
                     trace=builder.finish(False, "diverged"),
                 )
-        _monitor(builder, block, j)
     trace = builder.finish(converged, "converged" if converged else "max-iters")
     return SpdMatrix(U), trace
-
-
-def _monitor(builder, block, j):
-    """Monitor the last ``j`` trace rows, whose iterates are ``block[:j]``.
-
-    One stacked call writes their ``sigma_min`` and ``opnorm``.  The first
-    row whose iterate is not positive definite ends the trace and raises
-    :class:`LostPositiveDefinitenessError`.  That row is a step t >= 1:
-    U0 passed the same ``eigvalsh`` when its :class:`SpdMatrix` was built.
-    """
-    if j == 0:
-        return
-    lam, smin, opn = linalg.spectral_extremes(block[:j])
-    c = builder.columns
-    first = builder.k - j
-    c["sigma_min"][first : builder.k] = smin
-    c["opnorm"][first : builder.k] = opn
-    lost = np.flatnonzero(lam <= 0.0)
-    if lost.size:
-        i = int(lost[0])
-        t = int(c["t"][first + i])
-        builder.k = first + i + 1
-        raise LostPositiveDefinitenessError(
-            f"iterate lost positive definiteness at step {t} "
-            f"(lambda_min={float(lam[i]):.6e})",
-            step=t,
-            trace=builder.finish(False, "lost-positive-definiteness"),
-        )

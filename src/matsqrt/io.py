@@ -92,7 +92,11 @@ TRACE_HEADER = "t,residual_fro,objective,sigma_min,opnorm,eta,err_norm"
 
 
 def write_trace_csv(path_or_file, trace) -> None:
-    """Write an iteration trace with the fixed seven-column header."""
+    """Write an iteration trace with the fixed seven-column header.
+
+    ``sigma_min`` and ``opnorm`` are certified bounds, exact at t = 0, at
+    each spectrum refresh of the loop and at the last row.
+    """
     f, should_close = _open_for(path_or_file, "w")
     try:
         f.write(TRACE_HEADER + "\n")

@@ -330,28 +330,18 @@ def lambda_min(A) -> float:
 def spectral_extremes(A):
     """(lambda_min, sigma_min, opnorm) of a symmetric matrix via LAPACK.
 
-    Fast path for per-iteration monitoring, where a full Jacobi
-    decomposition per step would dominate the runtime.  Agreement with the
+    Fast path for the descent loop's exact spectrum refreshes, where a full
+    Jacobi decomposition would dominate the runtime.  Agreement with the
     ``sym_eig``-derived norms is covered by tests; use :func:`spectral_norm`
     and friends whenever a certified value is wanted.
-
-    A single matrix gives three floats.  A (k, n, n) stack gives three
-    length-k arrays from one ``eigvalsh`` call, which runs the same LAPACK
-    routine on each matrix, so entry i is bitwise what ``A[i]`` alone gives.
     """
-    A = np.asarray(A, dtype=float)
-    w = np.linalg.eigvalsh(A)
-    lo, hi = w[..., 0], w[..., -1]
-    if lo.min() > 0.0:
+    w = np.linalg.eigvalsh(np.asarray(A, dtype=float))
+    lo, hi = float(w[0]), float(w[-1])
+    if lo > 0.0:
         # eigenvalues come back ascending, so a positive lo is min |w| and
         # hi is max |w|; only an indefinite matrix pays for the general form
-        smin, opnorm = lo, hi
-    else:
-        smin = np.where(lo > 0.0, lo, np.min(np.abs(w), axis=-1))
-        opnorm = np.maximum(np.abs(lo), np.abs(hi))
-    if w.ndim == 1:
-        return float(lo), float(smin), float(opnorm)
-    return lo, smin, opnorm
+        return lo, lo, hi
+    return lo, float(np.min(np.abs(w))), max(abs(lo), abs(hi))
 
 
 def solve(A, B) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -421,8 +422,10 @@ def test_objective_is_squared_residual():
 # array-backed trace, copied verbatim together with the trace builder and
 # the spectral monitor it called; only the stability warning of perturbed
 # runs, which touches no iterate or trace entry, is left out.  The current
-# loop must reproduce it bit for bit: the same operations in the same
-# order.
+# loop must reproduce it bit for bit, the same operations in the same
+# order, except in the monitored sigma_min and opnorm columns: there it
+# records bounds that bracket the reference's exact values, and the exact
+# values themselves at every spectrum refresh.
 
 
 class _RefTraceBuilder:
@@ -525,28 +528,63 @@ def _same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _assert_traces_identical(got, ref):
+MONITORED = ("sigma_min", "opnorm")
+
+
+def _assert_traces_identical(got, ref, refreshed):
+    """Every column bitwise, except the monitored pair, which must bracket.
+
+    ``sigma_min`` and ``opnorm`` bound the reference loop's exact values
+    from below and above on every row, and equal them bitwise at t = 0, at
+    the last row and at the rows ``refreshed`` where the loop recomputed
+    the spectrum.
+    """
     for name in TraceRecord._fields:
-        assert _same_bits(getattr(got, name), getattr(ref, name)), name
+        if name not in MONITORED:
+            assert _same_bits(getattr(got, name), getattr(ref, name)), name
+    exact = sorted({0, len(ref) - 1, *refreshed})
+    for name in MONITORED:
+        assert _same_bits(getattr(got, name)[exact], getattr(ref, name)[exact]), name
+    assert np.all(got.sigma_min <= ref.sigma_min)
+    assert np.all(got.opnorm >= ref.opnorm)
     assert got.converged == ref.converged
     assert got.stop_reason == ref.stop_reason
+
+
+def _refresh_steps(monkeypatch) -> list:
+    """Steps at which the loop calls ``linalg.spectral_extremes``."""
+    steps = []
+    spectral_extremes = linalg.spectral_extremes
+
+    def recorded(A):
+        steps.append(sys._getframe(1).f_locals["t"])
+        return spectral_extremes(A)
+
+    monkeypatch.setattr(linalg, "spectral_extremes", recorded)
+    return steps
 
 
 def _assert_matches_reference(M, cfg, err=None):
     """Run both loops; compare the final iterate or the raised error."""
     loop = run if err is None else (lambda M_, cfg_: run_perturbed(M_, cfg_, err))
+    with pytest.MonkeyPatch.context() as mp:
+        refreshed = _refresh_steps(mp)
+        try:
+            U, tr = loop(M, cfg)
+            raised = None
+        except GdError as exc:
+            raised = exc
     try:
         U_ref, tr_ref = _ref_run_loop(M, cfg, err)
     except GdError as exc:
-        with pytest.raises(type(exc)) as got:
-            loop(M, cfg)
-        assert got.value.step == exc.step
-        assert str(got.value) == str(exc)
-        _assert_traces_identical(got.value.trace, exc.trace)
+        assert type(raised) is type(exc)
+        assert raised.step == exc.step
+        assert str(raised) == str(exc)
+        _assert_traces_identical(raised.trace, exc.trace, refreshed)
         return exc.trace
-    U, tr = loop(M, cfg)
+    assert raised is None
     assert _same_bits(U.values, U_ref.values)
-    _assert_traces_identical(tr, tr_ref)
+    _assert_traces_identical(tr, tr_ref, refreshed)
     return tr
 
 
@@ -639,37 +677,54 @@ def test_trace_memory_per_step_bounded():
     assert peak / steps <= 192.0
 
 
-# ------------------------------------------------------- block monitor
+# ------------------------------------------------------ spectral brackets
 #
-# The loop monitors its iterates once per block of up to 64 KiB of copies:
-# 512 iterates at n = 4, 32 at n = 16, 2 at n = 64, one from n = 65 up.
+# The loop recomputes the spectrum exactly at t = 0, at every stop and when
+# the Weyl slack since the last refresh exceeds BRACKET_RTOL lambda_min
+# there; the rows in between record certified bounds.
 
 
-@pytest.mark.parametrize(
-    "n, steps, calls",
-    [(4, 1000, 2), (16, 100, 4), (64, 10, 6), (100, 50, 51)],
-)
-def test_monitor_runs_once_per_block(monkeypatch, n, steps, calls):
-    # rows 0..steps, in full blocks and a last partial one flushed at the cap
-    seen = []
-    spectral_extremes = linalg.spectral_extremes
-
-    def counted(A):
-        seen.append(np.shape(A))
-        return spectral_extremes(A)
-
-    M = random_spd(SpdInstanceSpec(n=n, kappa=4.0, seed=n))
-    cfg = GdConfig(eta=0.01, tol=1e-300, max_iters=steps)
-    monkeypatch.setattr(linalg, "spectral_extremes", counted)
-    _, trace = run(M, cfg)
+def test_refresh_count_is_bounded(monkeypatch):
+    # the early, large steps refresh every few steps, the later ones rarely
+    steps = 2000
+    M = random_spd(SpdInstanceSpec(n=64, kappa=2.0, seed=64))
+    refreshed = _refresh_steps(monkeypatch)
+    _, trace = run(M, GdConfig(tol=1e-300, max_iters=steps))
     assert trace.steps == steps
-    assert len(seen) == calls
-    assert sum(shape[0] for shape in seen) == steps + 1
+    assert refreshed[0] == 0 and refreshed[-1] == steps
+    assert len(refreshed) <= steps // 20 + 1
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_brackets_hold_at_the_rounding_floor(monkeypatch, seed):
+    # From the exact root every step moves U by a few ulps, so the slack
+    # grows by less than eps a step and stays within eigvalsh's own error
+    # for the first steps after a refresh; only the widening of the
+    # refreshed values by LAPACK's error bound keeps the reference inside.
+    # With the default fraction the loop would refresh only at t = 0 and at
+    # the stop; a fraction of 1e-14 makes it refresh every few dozen steps.
+    M = random_spd(SpdInstanceSpec(n=16, kappa=10.0, seed=seed))
+    cfg = GdConfig(
+        eta=1e-3, tol=1e-300, max_iters=3000, init="explicit", init_matrix=evd_sqrt(M)
+    )
+    monkeypatch.setattr(gd, "BRACKET_RTOL", 1e-14)
+    trace = _assert_matches_reference(M, cfg)
+    assert trace.steps == 3000 and trace.residual_fro.max() < 1e-13
+
+
+@pytest.mark.parametrize("schedule", ["every-step", "first-step-only"])
+def test_brackets_hold_under_injected_errors(schedule):
+    # Near the root the update moves U by about 1e-7 a step and each error
+    # by up to delta = 2e-6, so the bracket must count delta
+    M = random_spd(SpdInstanceSpec(n=16, kappa=4.0, seed=2))
+    U0 = np.asarray(evd_sqrt(M)) * (1.0 + 1e-6)
+    cfg = GdConfig(eta=0.01, tol=1e-300, max_iters=200, init="explicit", init_matrix=U0)
+    trace = _assert_matches_reference(M, cfg, ErrorModel(2e-6, schedule, seed=2))
+    assert trace.stop_reason == "max-iters" and trace.steps == 200
 
 
 @pytest.mark.parametrize("n", [65, 100])
 def test_run_bitwise_matches_reference_loop_one_iterate_per_block(n):
-    # from n = 65 up the t = 0 row fills a block by itself
     M = random_spd(SpdInstanceSpec(n=n, kappa=4.0, seed=n))
     trace = _assert_matches_reference(M, GdConfig(eta=0.01, tol=1e-9, max_iters=50))
     assert trace.stop_reason == "max-iters" and trace.steps == 50
@@ -680,10 +735,9 @@ def test_run_bitwise_matches_reference_loop_one_iterate_per_block(n):
 def test_loss_of_definiteness_inside_a_block_matches_reference_loop(n, max_iters):
     # The second coordinate grows from 1e-6 by a factor of 3 a step and
     # overshoots past zero at step 21, then stays bounded: 4 eta m = 4 is
-    # the edge of stability.  Step 21 is neither the first nor the last row
-    # of its block (2048 iterates at n = 2, 32 at n = 16).  The block is
-    # flushed when full or at the cap, so the loop computes and discards
-    # the steps between the loss and the flush.
+    # the edge of stability.  Each step moves lambda_min by more than a
+    # sixteenth of itself, so each refreshes, and the loss is reported at
+    # its own step whatever the cap.
     m = np.ones(n)
     m[1] = 100.0
     u0 = np.ones(n)
@@ -696,12 +750,12 @@ def test_loss_of_definiteness_inside_a_block_matches_reference_loop(n, max_iters
     assert lost.steps == 21
 
 
-def test_non_finite_residual_after_loss_of_definiteness_in_a_block():
+def test_non_finite_residual_after_loss_of_definiteness_in_a_block(monkeypatch):
     # 1x1 with 2 eta m = 2.001: the iterate turns negative at step 25 and
     # its square overflows at step 28.  The problem is scaled by 2^502, so
     # ten times the initial residual exceeds every finite residual and the
-    # growth guard cannot stop the run in between: the loop computes steps
-    # 26-28 past the loss and must still report the loss at step 25.
+    # growth guard cannot stop the run in between: the loop must refresh at
+    # every step, step 25 included, and report the loss there.
     scale = 2.0**502
     M = np.array([[100.0 * scale]])
     U0 = np.array([[1e-6 * 2.0**251]])
@@ -716,15 +770,17 @@ def test_non_finite_residual_after_loss_of_definiteness_in_a_block():
                 non_finite_at = t
                 break
     assert (lost_at, non_finite_at) == (25, 28)
-    lost = _assert_matches_reference(
-        M, GdConfig(eta=eta, init="explicit", init_matrix=U0)
-    )
+    cfg = GdConfig(eta=eta, init="explicit", init_matrix=U0)
+    lost = _assert_matches_reference(M, cfg)
     assert lost.stop_reason == "lost-positive-definiteness"
     assert lost.steps == 25
+    refreshed = _refresh_steps(monkeypatch)
+    with pytest.raises(LostPositiveDefinitenessError):
+        run(M, cfg)
+    assert refreshed == list(range(26))
 
 
 def test_run_perturbed_every_step_across_blocks_matches_reference_loop():
-    # 101 rows at n = 16: three full blocks of 32 and a partial one
     M = random_spd(SpdInstanceSpec(n=16, kappa=10.0, seed=8))
     cfg = GdConfig(c_step=1.0, tol=1e-8, max_iters=100)
     trace = _assert_matches_reference(M, cfg, ErrorModel(1e-7, "every-step", seed=4))

@@ -239,30 +239,6 @@ def test_spectral_extremes_agrees_with_jacobi():
         assert opnorm == pytest.approx(spectral_norm(A), abs=1e-11)
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 16, 17, 64])
-def test_spectral_extremes_of_a_stack_are_the_single_calls_bitwise(n):
-    # members 0 and 2 are positive definite, member 1 is indefinite (the
-    # min |w| branch of sigma_min), and member 3 is negative definite
-    rng = np.random.default_rng(n)
-    G = rng.standard_normal((4, n, n))
-    A = (G + G.transpose(0, 2, 1)) / 2.0
-    A[0] = A[0] @ A[0] + np.eye(n)
-    Q = np.linalg.qr(G[1])[0]
-    A[1] = (Q * (np.linspace(-1.0, 2.0, n) + 0.05)) @ Q.T if n > 1 else -np.eye(1)
-    A[2] = G[2] @ G[2].T + 0.5 * np.eye(n)
-    A[3] = -A[0]
-    lam, smin, opnorm = linalg.spectral_extremes(A)
-    assert lam.shape == smin.shape == opnorm.shape == (4,)
-    for i in range(4):
-        single = linalg.spectral_extremes(A[i])
-        assert all(type(v) is float for v in single)
-        stacked = (lam[i], smin[i], opnorm[i])
-        assert np.array(stacked).tobytes() == np.array(single).tobytes()
-    assert lam[0] > 0.0 and lam[3] < 0.0 and smin[3] > 0.0
-    if n > 2:
-        assert lam[1] < 0.0 < smin[1] < -lam[1]
-
-
 def test_norms_on_diagonal():
     A = np.diag([3.0, -4.0, 0.5])
     assert spectral_norm(A) == pytest.approx(4.0)
