@@ -174,11 +174,6 @@ class CertificateReport:
     def __post_init__(self):
         object.__setattr__(self, "witnesses", tuple(self.witnesses)[:5])
 
-    def json_line(self) -> str:
-        from . import io
-
-        return io.report_json_line(self)
-
 
 def _rng_for(seed: int, index: int) -> np.random.Generator:
     # independent substream per sample: reproducible and order-independent

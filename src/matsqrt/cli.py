@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from contextlib import contextmanager
 
 from . import analysis, baselines, experiments, gd, io, linalg
 from .gd import (
@@ -71,13 +70,9 @@ def _int_list(value: str):
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {value!r}")
 
 
-@contextmanager
 def _output(path):
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w") as f:
-            yield f
+    """Where an ``-o`` flag points: stdout by default or for "-", else the path."""
+    return sys.stdout if path is None or path == "-" else path
 
 
 def _resolve_seed(args) -> int:
@@ -130,16 +125,14 @@ def cmd_sqrt(args) -> int:
     if args.method == "evd":
         _echo([("method", "evd"), ("seed", seed)])
         U = baselines.evd_sqrt(M_spd)
-        with _output(args.output) as f:
-            io.write_matrix(f, U)
+        io.write_matrix(_output(args.output), U)
         return EXIT_OK
     if args.method == "newton":
         rel = args.tol / linalg.frobenius_norm(M_spd.values)
         ncfg = baselines.NewtonConfig(tol=rel)
         _echo([("method", "newton"), ("seed", seed), ("tol-rel", rel)])
         U, _ = baselines.newton_sqrt(M_spd, ncfg)
-        with _output(args.output) as f:
-            io.write_matrix(f, U)
+        io.write_matrix(_output(args.output), U)
         return EXIT_OK
 
     init, init_matrix = "scaled-identity", None
@@ -164,13 +157,12 @@ def cmd_sqrt(args) -> int:
         U, trace = run(M_spd, cfg)
     except (DivergenceError, LostPositiveDefinitenessError) as exc:
         if args.trace and exc.trace is not None:
-            exc.trace.write_csv(args.trace)
+            io.write_trace_csv(args.trace, exc.trace)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     if args.trace:
-        trace.write_csv(args.trace)
-    with _output(args.output) as f:
-        io.write_matrix(f, U)
+        io.write_trace_csv(args.trace, trace)
+    io.write_matrix(_output(args.output), U)
     if not trace.converged:
         print(
             f"error: tolerance {cfg.tol:g} not reached within {cfg.max_iters} iterations",
@@ -204,8 +196,7 @@ def cmd_certify(args) -> int:
             raise
         trace = exc.trace
     reports.append(analysis.corridor_check(trace, rate))
-    with _output(args.output) as f:
-        io.write_reports_json(f, reports)
+    io.write_reports_json(_output(args.output), reports)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CERT_FAILED
 
 
@@ -240,9 +231,8 @@ def cmd_bench(args) -> int:
             ("max-iters", cfg.max_iters),
         ]
     )
-    rows = experiments.convergence_benchmark(specs, methods, cfg)
-    with _output(args.output) as f:
-        io.write_table_csv(f, experiments.BENCHMARK_HEADER, (r.as_row() for r in rows))
+    rows = map(dataclasses.astuple, experiments.convergence_benchmark(specs, methods, cfg))
+    io.write_table_csv(_output(args.output), experiments.BENCHMARK_HEADER, rows)
     return EXIT_OK
 
 
@@ -260,8 +250,7 @@ def cmd_lowerbound(args) -> int:
             ("certified", "true" if report.certified else "false"),
         ]
     )
-    with _output(args.output) as f:
-        io.write_table_csv(f, experiments.LOWER_BOUND_HEADER, report.rows())
+    io.write_table_csv(_output(args.output), experiments.LOWER_BOUND_HEADER, report.rows())
     return EXIT_OK
 
 
@@ -272,16 +261,14 @@ def cmd_robustness(args) -> int:
         max_iters=args.max_iters, tol=args.tol, c_step=args.c_step, seed=seed
     )
     cfg, _ = _echo_gd_config(M_spd, cfg, seed)
-    rows = experiments.robustness_sweep(M_spd, args.deltas, cfg, seed)
-    with _output(args.output) as f:
-        io.write_table_csv(f, experiments.ROBUSTNESS_HEADER, (r.as_row() for r in rows))
+    rows = map(dataclasses.astuple, experiments.robustness_sweep(M_spd, args.deltas, cfg, seed))
+    io.write_table_csv(_output(args.output), experiments.ROBUSTNESS_HEADER, rows)
     return EXIT_OK
 
 
 def cmd_landscape(args) -> int:
     rows = experiments.landscape_grid(args.grid_min, args.grid_max, args.steps)
-    with _output(args.output) as f:
-        io.write_table_csv(f, experiments.LANDSCAPE_HEADER, rows)
+    io.write_table_csv(_output(args.output), experiments.LANDSCAPE_HEADER, rows)
     return EXIT_OK
 
 

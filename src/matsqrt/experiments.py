@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -34,23 +34,6 @@ from .gd import (
 
 SPECTRUM_CHOICES = ("geometric", "linear", "two-point")
 
-ROBUSTNESS_HEADER = (
-    "delta",
-    "plateau_step",
-    "floor_residual",
-    "max_bound_ratio",
-    "bound_satisfied",
-)
-BENCHMARK_HEADER = (
-    "n",
-    "kappa",
-    "method",
-    "iterations",
-    "predicted_iterations",
-    "wall_time_s",
-    "final_residual",
-    "status",
-)
 LANDSCAPE_HEADER = ("x", "y", "f", "neggrad_x", "neggrad_y")
 
 # Residual floor detection: the run has plateaued once the residual changes
@@ -346,14 +329,8 @@ class RobustnessRow:
     max_bound_ratio: float
     bound_satisfied: bool
 
-    def as_row(self) -> tuple:
-        return (
-            self.delta,
-            self.plateau_step,
-            self.floor_residual,
-            self.max_bound_ratio,
-            self.bound_satisfied,
-        )
+
+ROBUSTNESS_HEADER = tuple(f.name for f in fields(RobustnessRow))
 
 
 def residual_floor(trace, tol: float):
@@ -430,17 +407,8 @@ class BenchmarkRow:
     final_residual: float | None
     status: str
 
-    def as_row(self) -> tuple:
-        return (
-            self.n,
-            self.kappa,
-            self.method,
-            self.iterations,
-            self.predicted_iterations,
-            self.wall_time_s,
-            self.final_residual,
-            self.status,
-        )
+
+BENCHMARK_HEADER = tuple(f.name for f in fields(BenchmarkRow))
 
 
 def _bench_gd(M, cfg):

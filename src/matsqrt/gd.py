@@ -172,34 +172,15 @@ class IterationTrace:
     ``err_norm`` is the spectral norm of the injected error at each step
     (zero for unperturbed runs); ``err_fro`` additionally stores its
     Frobenius norm, which the stability bound consumes.  Only the seven
-    contract columns appear in CSV output.
+    columns of ``io.TRACE_HEADER`` appear in CSV output.
     """
 
-    __slots__ = (
-        "t",
-        "residual_fro",
-        "objective",
-        "sigma_min",
-        "opnorm",
-        "eta",
-        "err_norm",
-        "err_fro",
-        "converged",
-        "stop_reason",
-    )
+    __slots__ = TraceRecord._fields + ("converged", "stop_reason")
 
     def __init__(self, columns: dict, converged: bool, stop_reason: str):
-        self.t = np.asarray(columns["t"], dtype=int)
-        for name in (
-            "residual_fro",
-            "objective",
-            "sigma_min",
-            "opnorm",
-            "eta",
-            "err_norm",
-            "err_fro",
-        ):
-            setattr(self, name, np.asarray(columns[name], dtype=float))
+        for name in TraceRecord._fields:
+            dtype = int if name == "t" else float
+            setattr(self, name, np.asarray(columns[name], dtype=dtype))
         self.converged = converged
         self.stop_reason = stop_reason
 
@@ -215,22 +196,10 @@ class IterationTrace:
         return float(self.residual_fro[-1])
 
     def records(self) -> Iterator[TraceRecord]:
-        for i in range(len(self.t)):
-            yield TraceRecord(
-                int(self.t[i]),
-                float(self.residual_fro[i]),
-                float(self.objective[i]),
-                float(self.sigma_min[i]),
-                float(self.opnorm[i]),
-                float(self.eta[i]),
-                float(self.err_norm[i]),
-                float(self.err_fro[i]),
-            )
-
-    def write_csv(self, path_or_file) -> None:
-        from . import io
-
-        io.write_trace_csv(path_or_file, self)
+        """Rows of Python ``int``/``float``, one at a time."""
+        columns = [getattr(self, name) for name in TraceRecord._fields]
+        for row in zip(*columns):
+            yield TraceRecord._make(x.item() for x in row)
 
 
 class _TraceBuilder:

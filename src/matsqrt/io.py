@@ -7,6 +7,7 @@ round-trip exactly and repeated runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,10 +23,14 @@ def format_float(x: float) -> str:
     return FLOAT_FMT % float(x)
 
 
-def _open_for(path_or_file, mode: str):
+@contextmanager
+def _opened(path_or_file, mode: str):
+    """An open file as given, or the path opened in ``mode`` and closed after."""
     if hasattr(path_or_file, "write") or hasattr(path_or_file, "read"):
-        return path_or_file, False
-    return open(path_or_file, mode), True
+        yield path_or_file
+    else:
+        with open(path_or_file, mode) as f:
+            yield f
 
 
 def read_matrix(path_or_file) -> np.ndarray:
@@ -35,17 +40,13 @@ def read_matrix(path_or_file) -> np.ndarray:
     holds n whitespace-separated floats.  Lines whose first non-blank
     character is '#' are comments.
     """
-    f, should_close = _open_for(path_or_file, "r")
-    try:
+    with _opened(path_or_file, "r") as f:
         lines = []
         for raw in f:
             stripped = raw.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             lines.append(stripped)
-    finally:
-        if should_close:
-            f.close()
     if not lines:
         raise MatrixFormatError("empty matrix file")
     try:
@@ -77,45 +78,24 @@ def read_matrix(path_or_file) -> np.ndarray:
 
 def write_matrix(path_or_file, A) -> None:
     A = np.asarray(A, dtype=float)
-    f, should_close = _open_for(path_or_file, "w")
-    try:
+    with _opened(path_or_file, "w") as f:
         f.write(f"{A.shape[0]}\n")
         for row in A:
             f.write(" ".join(format_float(x) for x in row))
             f.write("\n")
-    finally:
-        if should_close:
-            f.close()
 
 
-TRACE_HEADER = "t,residual_fro,objective,sigma_min,opnorm,eta,err_norm"
+TRACE_HEADER = ("t", "residual_fro", "objective", "sigma_min", "opnorm", "eta", "err_norm")
 
 
 def write_trace_csv(path_or_file, trace) -> None:
-    """Write an iteration trace with the fixed seven-column header.
+    """Write the ``TRACE_HEADER`` columns of an iteration trace, row by row.
 
     ``sigma_min`` and ``opnorm`` are certified bounds, exact at t = 0, at
     each spectrum refresh of the loop and at the last row.
     """
-    f, should_close = _open_for(path_or_file, "w")
-    try:
-        f.write(TRACE_HEADER + "\n")
-        for rec in trace.records():
-            f.write(
-                "%d,%s,%s,%s,%s,%s,%s\n"
-                % (
-                    rec.t,
-                    format_float(rec.residual_fro),
-                    format_float(rec.objective),
-                    format_float(rec.sigma_min),
-                    format_float(rec.opnorm),
-                    format_float(rec.eta),
-                    format_float(rec.err_norm),
-                )
-            )
-    finally:
-        if should_close:
-            f.close()
+    rows = zip(*(getattr(trace, name) for name in TRACE_HEADER))
+    write_table_csv(path_or_file, TRACE_HEADER, rows)
 
 
 def report_json_line(report) -> str:
@@ -130,35 +110,27 @@ def report_json_line(report) -> str:
 
 
 def write_reports_json(path_or_file, reports: Iterable) -> None:
-    f, should_close = _open_for(path_or_file, "w")
-    try:
+    with _opened(path_or_file, "w") as f:
         for report in reports:
             f.write(report_json_line(report))
             f.write("\n")
-    finally:
-        if should_close:
-            f.close()
 
 
 def write_table_csv(path_or_file, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a CSV table, formatting floats with 17 significant digits."""
 
     def cell(x) -> str:
+        if isinstance(x, (float, np.floating)):
+            return FLOAT_FMT % x
         if isinstance(x, bool):
             return "true" if x else "false"
         if isinstance(x, (int, np.integer)):
             return str(int(x))
-        if isinstance(x, (float, np.floating)):
-            return format_float(x)
         if x is None:
             return ""
         return str(x)
 
-    f, should_close = _open_for(path_or_file, "w")
-    try:
+    with _opened(path_or_file, "w") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(cell(x) for x in row) + "\n")
-    finally:
-        if should_close:
-            f.close()
+            f.write(",".join(map(cell, row)) + "\n")

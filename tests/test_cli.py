@@ -206,7 +206,7 @@ def test_exit_diverged_writes_partial_trace(capsys, tmp_path):
     assert code == 2
     assert "error:" in err
     lines = trace_path.read_text().splitlines()
-    assert lines[0] == io.TRACE_HEADER
+    assert lines[0] == "t,residual_fro,objective,sigma_min,opnorm,eta,err_norm"
     assert len(lines) > 2  # partial records up to the divergence step
 
 
@@ -471,6 +471,18 @@ def test_readme_batch_runs(capsys, monkeypatch, tmp_path):
         assert run_cli(capsys, *argv[1:])[0] == 0
         out = tmp_path / argv[argv.index("-o") + 1]
         assert out.read_text().splitlines()[0] == ",".join(headers[argv[1]])
+
+
+def test_readme_python_blocks_run(capsys, monkeypatch, tmp_path):
+    # every library snippet of the README, run verbatim in a scratch directory
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = [b.split("\n```", 1)[0] for b in readme.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    header = (tmp_path / "robustness_sweep.csv").read_text().splitlines()[0]
+    assert header == ",".join(cli.experiments.ROBUSTNESS_HEADER)
 
 
 # ----------------------------------------------------------- determinism

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -249,7 +250,10 @@ def test_robustness_sweep_floor_tracks_error_size():
     floors = [r.floor_residual for r in rows]
     assert floors[0] > floors[1] > floors[2]
     assert floors[2] <= cfg.tol
-    assert len(rows[0].as_row()) == len(ROBUSTNESS_HEADER)
+    assert ROBUSTNESS_HEADER == (
+        "delta", "plateau_step", "floor_residual", "max_bound_ratio", "bound_satisfied"
+    )
+    assert len(astuple(rows[0])) == len(ROBUSTNESS_HEADER)
 
 
 def test_robustness_sweep_rejects_bad_ladders():
@@ -278,7 +282,11 @@ def test_convergence_benchmark_grid():
     assert all(r.iterations == 0 for r in rows if r.method == "evd")
     assert all(r.predicted_iterations is None for r in rows if r.method != "gd")
     assert all(r.wall_time_s >= 0.0 for r in rows)
-    assert len(rows[0].as_row()) == len(BENCHMARK_HEADER)
+    assert BENCHMARK_HEADER == (
+        "n", "kappa", "method", "iterations", "predicted_iterations",
+        "wall_time_s", "final_residual", "status",
+    )
+    assert len(astuple(rows[0])) == len(BENCHMARK_HEADER)
 
 
 def test_convergence_benchmark_records_per_row_failure():

@@ -724,7 +724,7 @@ def test_brackets_hold_under_injected_errors(schedule):
 
 
 @pytest.mark.parametrize("n", [65, 100])
-def test_run_bitwise_matches_reference_loop_one_iterate_per_block(n):
+def test_run_bitwise_matches_reference_loop_at_n_65_and_100(n):
     M = random_spd(SpdInstanceSpec(n=n, kappa=4.0, seed=n))
     trace = _assert_matches_reference(M, GdConfig(eta=0.01, tol=1e-9, max_iters=50))
     assert trace.stop_reason == "max-iters" and trace.steps == 50
@@ -732,7 +732,7 @@ def test_run_bitwise_matches_reference_loop_one_iterate_per_block(n):
 
 @pytest.mark.parametrize("n", [2, 16])
 @pytest.mark.parametrize("max_iters", [100, 3000])
-def test_loss_of_definiteness_inside_a_block_matches_reference_loop(n, max_iters):
+def test_loss_of_definiteness_at_step_21_matches_reference_loop(n, max_iters):
     # The second coordinate grows from 1e-6 by a factor of 3 a step and
     # overshoots past zero at step 21, then stays bounded: 4 eta m = 4 is
     # the edge of stability.  Each step moves lambda_min by more than a
@@ -750,7 +750,7 @@ def test_loss_of_definiteness_inside_a_block_matches_reference_loop(n, max_iters
     assert lost.steps == 21
 
 
-def test_non_finite_residual_after_loss_of_definiteness_in_a_block(monkeypatch):
+def test_loss_of_definiteness_at_step_25_reported_before_non_finite_residual(monkeypatch):
     # 1x1 with 2 eta m = 2.001: the iterate turns negative at step 25 and
     # its square overflows at step 28.  The problem is scaled by 2^502, so
     # ten times the initial residual exceeds every finite residual and the
@@ -780,7 +780,7 @@ def test_non_finite_residual_after_loss_of_definiteness_in_a_block(monkeypatch):
     assert refreshed == list(range(26))
 
 
-def test_run_perturbed_every_step_across_blocks_matches_reference_loop():
+def test_run_perturbed_every_step_100_steps_matches_reference_loop():
     M = random_spd(SpdInstanceSpec(n=16, kappa=10.0, seed=8))
     cfg = GdConfig(c_step=1.0, tol=1e-8, max_iters=100)
     trace = _assert_matches_reference(M, cfg, ErrorModel(1e-7, "every-step", seed=4))

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from matsqrt import io
 from matsqrt.analysis import CertificateReport
+from matsqrt.gd import IterationTrace
 from matsqrt.io import MatrixFormatError, read_matrix, write_matrix
 
 finite_floats = st.floats(
@@ -74,6 +75,40 @@ def test_trace_csv_header_and_shape():
     assert first[0] == "0"
     assert float(first[1]) == trace.residual_fro[0]
     assert all(len(line.split(",")) == 7 for line in lines[1:])
+
+
+def test_trace_csv_golden_bytes():
+    # the file contract: t as an integer, every float with 17 significant
+    # digits, and err_fro kept in memory only
+    nan, inf = float("nan"), float("inf")
+    trace = IterationTrace(
+        {
+            "t": [0, 1, 10_000_000],
+            "residual_fro": [0.1, 1e-17, nan],
+            "objective": [0.010000000000000002, 1e-34, inf],
+            "sigma_min": [5e-324, -0.0, nan],
+            "opnorm": [1.5, 2.0, inf],
+            "eta": [0.25, 0.25, 0.25],
+            "err_norm": [0.0, 1e-7, -inf],
+            "err_fro": [0.0, 3e-7, 1.0],
+        },
+        converged=False,
+        stop_reason="diverged",
+    )
+    buf = std_io.StringIO()
+    io.write_trace_csv(buf, trace)
+    assert buf.getvalue() == (
+        "t,residual_fro,objective,sigma_min,opnorm,eta,err_norm\n"
+        "0,0.10000000000000001,0.010000000000000002,4.9406564584124654e-324,1.5,0.25,0\n"
+        "1,1.0000000000000001e-17,9.9999999999999993e-35,-0,2,0.25,9.9999999999999995e-08\n"
+        "10000000,nan,inf,nan,inf,0.25,-inf\n"
+    )
+    recs = list(trace.records())
+    assert [r.t for r in recs] == [0, 1, 10_000_000]
+    assert recs[2].err_fro == 1.0
+    for rec in recs:
+        assert type(rec.t) is int
+        assert all(type(x) is float for x in rec[1:])
 
 
 def test_report_json_line_golden():
