@@ -44,6 +44,9 @@ C_RATE = 1.0 / 50.0
 # slack accumulated since the last exact value exceeds this fraction of
 # lambda_min there.
 BRACKET_RTOL = 1.0 / 16.0
+# A perturbed run draws its every-step errors in blocks of about this many
+# bytes: 32 matrices at n = 16, 2 at n = 64 and one from n = 65 up.
+ERROR_BLOCK_BYTES = 64 * 1024
 
 
 class GdError(Exception):
@@ -112,9 +115,12 @@ class GdConfig:
 class ErrorModel:
     """Per-step additive perturbations of exact spectral norm ``delta``.
 
-    Each scheduled step draws a symmetric Gaussian matrix from the seeded
-    generator and rescales it to ``||E_t||_2 = delta``.  ``schedule`` is
+    Each scheduled step adds a symmetric Gaussian matrix drawn from the
+    seeded generator and rescaled to ``||E_t||_2 = delta``.  ``schedule`` is
     ``"every-step"`` or ``"first-step-only"``; ``delta = 0`` injects nothing.
+    The errors are drawn in blocks of consecutive steps, one stacked draw
+    per block; a block's matrices are bitwise those of one draw per step,
+    and it leaves the generator in the same state.
     """
 
     delta: float = 0.0
@@ -132,22 +138,26 @@ class ErrorModel:
     def active_at(self, t: int) -> bool:
         return self.schedule == "every-step" or t == 1
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        G = rng.standard_normal((n, n))
-        E = (G + G.T) / 2.0
+    def sample(self, rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+        """The errors of the next ``k`` scheduled steps, a (k, n, n) stack.
+
+        A slice whose symmetric part is zero stays zero.  With ``delta = 0``
+        every slice is zero, and the generator still advances by the draw.
+        """
+        G = rng.standard_normal((k, n, n))
         if self.delta == 0.0:
-            return np.zeros((n, n))
+            return np.zeros((k, n, n))
+        E = (G + G.transpose(0, 2, 1)) / 2.0
         w = np.linalg.eigvalsh(E)
-        s = max(abs(float(w[0])), abs(float(w[-1])))
-        if s == 0.0:
-            return np.zeros((n, n))
-        E = E * (self.delta / s)
+        s = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
+        s[s == 0.0] = 1.0  # a zero slice stays zero
+        E *= (self.delta / s)[:, None, None]
         # round-off can leave the rescaled norm a few ulps above delta;
         # one corrective rescale restores ||E||_2 <= delta
         w = np.linalg.eigvalsh(E)
-        s2 = max(abs(float(w[0])), abs(float(w[-1])))
-        if s2 > self.delta:
-            E = E * (self.delta / s2)
+        s = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
+        over = s > self.delta
+        E[over] *= (self.delta / s[over])[:, None, None]
         return E
 
 
@@ -405,8 +415,12 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
 
     rng = None
     draw = err is not None and err.delta != 0.0
+    block, j = (), 0
     if draw:
         rng = np.random.default_rng(err.seed)
+        per_block = 1
+        if err.schedule == "every-step":
+            per_block = max(1, ERROR_BLOCK_BYTES // (8 * n * n))
         _, _, _, m_smin, _, beta = rate_spectra(U0, M_spd)
         tolerance = stability_tolerance(eta, beta, m_smin)
         if err.delta >= tolerance:
@@ -463,10 +477,16 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
             if t:
                 _update(U, D, eta, G, H)
                 if draw and err.active_at(t):
-                    E = err.sample(rng, n)
+                    if j == len(block):
+                        block = err.sample(rng, n, min(per_block, cfg.max_iters + 1 - t))
+                        j = 0
+                    E = block[j]
+                    j += 1
                     np.add(U, E, out=U)
                     err_norm = err.delta
-                    err_fro = float(np.linalg.norm(E))
+                    # bitwise np.linalg.norm(E): the dot of the raveled slice
+                    f = E.reshape(-1)
+                    err_fro = math.sqrt(f.dot(f))
                 a = math.sqrt(h.dot(h)) * grow + tiny
                 e = err_norm * grow
                 rnd = min(a + root_n * e, rounding * (hi + slack + a + e))

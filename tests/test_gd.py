@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import matsqrt.experiments as experiments
 import matsqrt.gd as gd
 import matsqrt.linalg as linalg
 from matsqrt.analysis import rate_params, stability_tolerance
@@ -318,17 +319,20 @@ def test_error_model_schedules():
 def test_error_sample_norm_and_symmetry():
     err = ErrorModel(delta=1e-3, schedule="every-step", seed=2)
     rng = np.random.default_rng(2)
-    E = err.sample(rng, 6)
-    assert np.array_equal(E, E.T)
-    s = np.max(np.abs(np.linalg.eigvalsh(E)))
-    assert s <= 1e-3
-    assert s >= 1e-3 * (1.0 - 1e-12)
+    block = err.sample(rng, 6, 5)
+    assert block.shape == (5, 6, 6)
+    for E in block:
+        assert np.array_equal(E, E.T)
+        s = np.max(np.abs(np.linalg.eigvalsh(E)))
+        assert s <= 1e-3
+        assert s >= 1e-3 * (1.0 - 1e-12)
 
 
 def test_error_sample_zero_delta():
     err = ErrorModel(delta=0.0)
-    E = err.sample(np.random.default_rng(0), 4)
-    assert np.all(E == 0.0)
+    block = err.sample(np.random.default_rng(0), 4, 3)
+    assert block.shape == (3, 4, 4)
+    assert np.all(block == 0.0)
 
 
 def test_run_perturbed_zero_delta_matches_run():
@@ -341,7 +345,7 @@ def test_run_perturbed_zero_delta_matches_run():
 
 
 def test_run_perturbed_zero_delta_draws_no_error(monkeypatch):
-    def draw(self, rng, n):
+    def draw(self, rng, n, k):
         raise AssertionError("an error was drawn with delta = 0")
 
     monkeypatch.setattr(ErrorModel, "sample", draw)
@@ -350,6 +354,30 @@ def test_run_perturbed_zero_delta_draws_no_error(monkeypatch):
     for schedule in ("every-step", "first-step-only"):
         _, tr = run_perturbed(M, cfg, ErrorModel(delta=0.0, schedule=schedule))
         assert tr.steps == 20 and np.all(tr.err_fro == 0.0)
+
+
+def _record_samples(monkeypatch) -> list:
+    """(generator, block) of each call of ``ErrorModel.sample``."""
+    calls = []
+    sample = ErrorModel.sample
+
+    def recorded(self, rng, n, k):
+        calls.append((rng, sample(self, rng, n, k)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(ErrorModel, "sample", recorded)
+    return calls
+
+
+def test_run_perturbed_draws_one_matrix_per_scheduled_step_at_most(monkeypatch):
+    calls = _record_samples(monkeypatch)
+    M = random_spd(SpdInstanceSpec(n=5, kappa=4.0, seed=3))
+    cfg = GdConfig(c_step=1.0, max_iters=10, tol=1e-14)
+    _, tr = run_perturbed(M, cfg, ErrorModel(1e-9, "first-step-only"))
+    assert tr.steps == 10 and [len(block) for _, block in calls] == [1]
+    calls.clear()
+    _, tr = run_perturbed(M, cfg, ErrorModel(1e-9, "every-step"))
+    assert tr.steps == 10 and sum(len(block) for _, block in calls) <= 10
 
 
 def test_run_perturbed_records_error_norms():
@@ -469,6 +497,26 @@ def _ref_update(U, S, M, eta):
     return U - eta * (G + G.T)
 
 
+def _ref_sample(err, rng, n):
+    # ErrorModel.sample as it was when it drew one matrix per step
+    G = rng.standard_normal((n, n))
+    E = (G + G.T) / 2.0
+    if err.delta == 0.0:
+        return np.zeros((n, n))
+    w = np.linalg.eigvalsh(E)
+    s = max(abs(float(w[0])), abs(float(w[-1])))
+    if s == 0.0:
+        return np.zeros((n, n))
+    E = E * (err.delta / s)
+    # round-off can leave the rescaled norm a few ulps above delta;
+    # one corrective rescale restores ||E||_2 <= delta
+    w = np.linalg.eigvalsh(E)
+    s2 = max(abs(float(w[0])), abs(float(w[-1])))
+    if s2 > err.delta:
+        E = E * (err.delta / s2)
+    return E
+
+
 def _ref_run_loop(M, cfg, err):
     M_spd, U0, eta = gd.resolve(M, cfg)
     M_arr = M_spd.values
@@ -494,7 +542,7 @@ def _ref_run_loop(M, cfg, err):
         err_norm = 0.0
         err_fro = 0.0
         if err is not None and err.active_at(t):
-            E = err.sample(rng, n)
+            E = _ref_sample(err, rng, n)
             U = U + E
             err_norm = err.delta
             err_fro = float(np.linalg.norm(E))
@@ -785,6 +833,67 @@ def test_run_perturbed_every_step_100_steps_matches_reference_loop():
     cfg = GdConfig(c_step=1.0, tol=1e-8, max_iters=100)
     trace = _assert_matches_reference(M, cfg, ErrorModel(1e-7, "every-step", seed=4))
     assert len(trace) == 101 and np.all(trace.err_norm[1:] == 1e-7)
+
+
+@pytest.mark.parametrize(
+    "n, max_iters, schedule, blocks",
+    [
+        (16, 100, "every-step", [32, 32, 32, 4]),
+        (16, 45, "every-step", [32, 13]),
+        (65, 6, "every-step", [1] * 6),
+        (16, 100, "first-step-only", [1]),
+        (65, 6, "first-step-only", [1]),
+    ],
+)
+def test_error_blocks_draw_the_reference_stream(monkeypatch, n, max_iters, schedule, blocks):
+    # Block by block, the loop must add exactly the matrices that one
+    # reference draw per step gives, and leave the generator where those
+    # draws leave it.  About half the draws take the corrective rescale, so
+    # the blocks mix both branches.
+    calls = _record_samples(monkeypatch)
+    M = random_spd(SpdInstanceSpec(n=n, kappa=4.0, seed=n))
+    cfg = GdConfig(eta=0.01, tol=1e-300, max_iters=max_iters)
+    err = ErrorModel(1e-7, schedule, seed=5)
+    trace = _assert_matches_reference(M, cfg, err)
+    assert trace.stop_reason == "max-iters" and trace.steps == max_iters
+    assert [len(block) for _, block in calls] == blocks
+    ref_rng = np.random.default_rng(err.seed)
+    ref = [_ref_sample(err, ref_rng, n) for _ in range(sum(blocks))]
+    assert _same_bits(np.concatenate([block for _, block in calls]), np.stack(ref))
+    assert calls[0][0].bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_robustness_sweep_rows_match_the_reference_loop(monkeypatch):
+    M = random_spd(SpdInstanceSpec(n=16, kappa=10.0, seed=6))
+    cfg = GdConfig(c_step=1.0, tol=1e-8, max_iters=400)
+    deltas = [1e-6, 1e-7, 0.0]
+    rows = experiments.robustness_sweep(M, deltas, cfg, seed=3)
+    monkeypatch.setattr(experiments, "run_perturbed", _ref_run_loop)
+    assert experiments.robustness_sweep(M, deltas, cfg, seed=3) == rows
+
+
+def test_error_sample_keeps_a_zero_slice_zero():
+    # An antisymmetric draw has a zero symmetric part: its slice stays
+    # zero, and the slices around it are rescaled as one draw per step
+    n = 5
+    draws = np.random.default_rng(7).standard_normal((3, n, n))
+    draws[1] -= draws[1].T
+
+    class Stream:
+        def __init__(self):
+            self.values = draws.reshape(-1)
+
+        def standard_normal(self, shape):
+            size = math.prod(shape)
+            out, self.values = self.values[:size], self.values[size:]
+            return out.reshape(shape)
+
+    err = ErrorModel(1e-6)
+    ref_stream = Stream()
+    ref = np.stack([_ref_sample(err, ref_stream, n) for _ in range(3)])
+    block = err.sample(Stream(), n, 3)
+    assert _same_bits(block, ref)
+    assert np.all(block[1] == 0.0) and np.all(block[0] != 0.0)
 
 
 # ------------------------------------------------------- input hygiene
