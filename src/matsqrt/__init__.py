@@ -3,7 +3,6 @@
 from .linalg import (
     DimensionMismatchError,
     EigenDecomposition,
-    JacobiConvergenceError,
     LinalgError,
     NotPositiveDefiniteError,
     PowerIterationError,

@@ -311,9 +311,7 @@ def saddle_location_check(
     """
     M_arr = np.asarray(M, dtype=float)
     n = M_arr.shape[0]
-    dec = linalg.eigendecomposition(M)
-    if dec.eigenvalues[-1] <= 0.0:
-        raise linalg.NotPositiveDefiniteError("saddle check requires PD M")
+    dec = linalg.as_spd(M).eig
     sqrt_m = (dec.eigenvectors * np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.T
     sqrt_m = (sqrt_m + sqrt_m.T) / 2.0
     m_op = float(dec.eigenvalues[0])

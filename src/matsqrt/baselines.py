@@ -55,7 +55,7 @@ def newton_sqrt(M, cfg: NewtonConfig = NewtonConfig()):
     converges to the SPD root.  Returns (root, iterations); the count is 0
     when the start already meets tolerance.
     """
-    M_spd = M if isinstance(M, linalg.SpdMatrix) else linalg.SpdMatrix(M)
+    M_spd = linalg.as_spd(M)
     A = M_spd.values
     n = M_spd.n
     m_fro = linalg.frobenius_norm(A)
@@ -76,11 +76,6 @@ def newton_sqrt(M, cfg: NewtonConfig = NewtonConfig()):
 
 def evd_sqrt(M) -> linalg.SpdMatrix:
     """Square root through the eigendecomposition of M."""
-    M_spd = M if isinstance(M, linalg.SpdMatrix) else linalg.SpdMatrix(M)
-    dec = M_spd.eig
-    if dec.eigenvalues[-1] <= 0.0:
-        raise linalg.NotPositiveDefiniteError(
-            "eigendecomposition root requires positive eigenvalues"
-        )
+    dec = linalg.as_spd(M).eig
     root = (dec.eigenvectors * np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.T
     return linalg.SpdMatrix(linalg.symmetrize(root))

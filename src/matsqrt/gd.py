@@ -304,7 +304,7 @@ def step_size_policy(U0, M, cfg: GdConfig) -> float:
     safeguard 1 / (10 max(||U0||^2, 3 ||M||)), a corridor safeguard
     beta / max(||U0||, sqrt(3 ||M||))^3, and the rate-parameter safeguard
     1 / (alpha beta^2).  With ``c_step <= 1`` the iterates provably stay in
-    the certified corridor.  Norms are taken from the Jacobi eigensolver.
+    the certified corridor.  Norms come from :func:`rate_spectra`.
 
     The value scales like 1 / ||M|| under (M, U0) -> (s^2 M, s U0).
     """
@@ -319,14 +319,13 @@ def rate_spectra(U0, M) -> tuple:
     """(||U0||, sigma_min(U0), ||M||, sigma_min(M), alpha, beta) for a start and target.
 
     alpha = (max(||U0||, sqrt(||M||)) / min(sigma_min(U0), sqrt(sigma_min(M))))^3
-    and beta = min(sigma_min(U0), sqrt(sigma_min(M))).  Norms come from the
-    Jacobi eigensolver, through the cached decomposition of an
-    :class:`SpdMatrix`.
+    and beta = min(sigma_min(U0), sqrt(sigma_min(M))).  The norms are the
+    widened ``eigvalsh`` bounds each :class:`SpdMatrix` keeps from its
+    construction (raw arrays are validated into one), so the norms are
+    upper and the sigma_min lower bounds, and sigma_min > 0 is certified.
     """
-    u_op = linalg.spectral_norm(U0)
-    u_smin = linalg.sigma_min(U0)
-    m_op = linalg.spectral_norm(M)
-    m_smin = linalg.sigma_min(M)
+    _, u_smin, u_op = linalg.as_spd(U0).bounds
+    _, m_smin, m_op = linalg.as_spd(M).bounds
     ratio = max(u_op, math.sqrt(m_op)) / min(u_smin, math.sqrt(m_smin))
     alpha = rate_cube(ratio, u_op, m_op)
     beta = min(u_smin, math.sqrt(m_smin))
@@ -365,8 +364,7 @@ def initial_iterate(M, cfg: GdConfig) -> SpdMatrix:
         return SpdMatrix(math.sqrt(lam) * np.eye(n))
     if cfg.init == "sqrt-opnorm-identity":
         return SpdMatrix(math.sqrt(linalg.spectral_norm(M)) * np.eye(n))
-    U0 = cfg.init_matrix
-    return U0 if isinstance(U0, SpdMatrix) else SpdMatrix(U0)
+    return linalg.as_spd(cfg.init_matrix)
 
 
 def resolve(M, cfg: GdConfig) -> tuple[SpdMatrix, SpdMatrix, float]:
@@ -375,7 +373,7 @@ def resolve(M, cfg: GdConfig) -> tuple[SpdMatrix, SpdMatrix, float]:
     A run on ``dataclasses.replace(cfg, eta=eta, init="explicit",
     init_matrix=U0)`` resolves to the same objects without recomputing them.
     """
-    M_spd = M if isinstance(M, SpdMatrix) else SpdMatrix(M)
+    M_spd = linalg.as_spd(M)
     U0 = initial_iterate(M_spd, cfg)
     if U0.n != M_spd.n:
         raise linalg.DimensionMismatchError(
@@ -440,8 +438,8 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     #
     # The spectrum is bracketed, not recomputed every step.  A refresh takes
     # lambda_min and lambda_max of U from one eigvalsh, records them as they
-    # are, and widens them by 2 n eps ||U||_2, twice LAPACK's error bound,
-    # into [lo, hi].  By Weyl's inequality an eigenvalue then moves by at
+    # are, and widens them by 2 n eps ||U||_2, twice LAPACK's error bound
+    # (``linalg.eigvalsh_pad``, as for every SpdMatrix), into [lo, hi].  By Weyl's inequality an eigenvalue then moves by at
     # most ||U_{t+1} - U_t||_2 <= ||H||_F + ||E_t||_2 + ||R||_F a step, R the
     # rounding of U - H and of + E_t: at most ||H||_F + ||E_t||_F, since
     # rounding to nearest moves an entry by at most the operand added to
@@ -518,7 +516,7 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                         step=t,
                         trace=builder.finish(False, "lost-positive-definiteness"),
                     )
-                pad = 2.0 * n * eps * opn
+                pad = linalg.eigvalsh_pad(n, opn)
                 lo, hi, slack = lam - pad, opn + pad, 0.0
                 limit = BRACKET_RTOL * lo
             else:

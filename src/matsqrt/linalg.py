@@ -1,11 +1,13 @@
 """Dense symmetric linear algebra primitives.
 
 Everything in this module operates on plain float64 numpy arrays wrapped in
-thin validated types.  The eigensolver is a round-robin Jacobi iteration,
-the linear solver is Gaussian elimination with partial pivoting, and the
-operator norm estimator is a power iteration; each carries explicit
-convergence contracts and fails loudly instead of returning silently
-degraded results.
+thin validated types.  Spectra come from LAPACK: ``eigvalsh`` for the
+extreme eigenvalues, ``eigh`` where eigenvectors are needed.  The norms
+and lower bounds derived from them are widened outward by twice
+``eigvalsh``'s error bound, so they bracket the exact values.  The linear
+solver is Gaussian elimination with partial pivoting, and the operator
+norm estimator is a power iteration; each carries explicit convergence
+contracts and fails loudly instead of returning silently degraded results.
 
 All functions are pure: inputs are never mutated, wrapped arrays are frozen
 at construction, and every random choice takes an explicit seed.
@@ -13,16 +15,14 @@ at construction, and every random choice takes an explicit seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+# A numpy scalar like the loop's round-off constants: mixed types dispatch slower.
+EPS = np.finfo(float).eps
 # Relative threshold below which a pivot is treated as exactly singular.
 PIVOT_RTOL = 1e-14
-# Jacobi stops once the largest off-diagonal entry falls below this times ||A||_F.
-JACOBI_RTOL = 1e-12
-JACOBI_MAX_SWEEPS = 50
 # Power iteration stops once successive Rayleigh quotients agree to this.
 POWER_RTOL = 1e-3
 POWER_MAX_ITERS = 1000
@@ -41,10 +41,6 @@ class DimensionMismatchError(LinalgError):
 
 
 class SingularMatrixError(LinalgError):
-    pass
-
-
-class JacobiConvergenceError(LinalgError):
     pass
 
 
@@ -118,28 +114,31 @@ class SymmetricMatrix:
 class SpdMatrix:
     """A symmetric positive definite matrix.
 
-    Positive definiteness is verified at construction through an
-    eigendecomposition: the smallest eigenvalue must exceed
-    ``SPD_RTOL`` times the largest.  Construction is the only gate;
-    downstream code may rely on the invariant without rechecking.
+    Positive definiteness is verified at construction by one ``eigvalsh``:
+    the smallest eigenvalue must exceed ``SPD_RTOL`` times the largest, and
+    its widened lower bound must be positive.  Construction is the only
+    gate; downstream code may rely on the invariant without rechecking.
 
-    The Jacobi eigendecomposition behind the certified norms is computed
-    on first use of :attr:`eig` and kept, so every consumer of one matrix
-    shares one decomposition.
+    ``bounds`` keeps that spectrum as (lambda_min, sigma_min, ||A||_2)
+    widened outward (see :func:`spectral_bounds`), so every norm of the
+    matrix is read without another decomposition.  The ``eigh``
+    decomposition behind :attr:`eig` is computed on first use and kept.
     """
 
-    __slots__ = ("sym", "_eig")
+    __slots__ = ("sym", "bounds", "_eig")
 
     def __init__(self, values):
         sym = values if isinstance(values, SymmetricMatrix) else SymmetricMatrix(values)
         w = np.linalg.eigvalsh(sym.values)
         lam_min, lam_max = float(w[0]), float(w[-1])
-        if lam_min <= SPD_RTOL * abs(lam_max) or lam_min <= 0.0:
+        bounds = _widened(w)
+        if lam_min <= SPD_RTOL * abs(lam_max) or bounds[0] <= 0.0:
             raise NotPositiveDefiniteError(
                 f"matrix is not positive definite: lambda_min={lam_min:.6e}, "
                 f"lambda_max={lam_max:.6e}"
             )
         object.__setattr__(self, "sym", sym)
+        object.__setattr__(self, "bounds", bounds)
 
     def __setattr__(self, name, value):
         raise AttributeError("SpdMatrix is immutable")
@@ -168,6 +167,11 @@ class SpdMatrix:
         return f"SpdMatrix(n={self.n})"
 
 
+def as_spd(A) -> SpdMatrix:
+    """A itself if it is an :class:`SpdMatrix`, else A validated into one."""
+    return A if isinstance(A, SpdMatrix) else SpdMatrix(A)
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Eigenvalues in descending order with matching eigenvector columns."""
@@ -185,163 +189,86 @@ def frobenius_norm(A) -> float:
     return float(np.linalg.norm(A))
 
 
-def _round_robin(n: int) -> list:
-    """Index pairs (P, Q), with P < Q, of each round of a round-robin sweep.
-
-    The circle method: index 0 stays put while the others rotate one place
-    per round, so the n - 1 rounds (n padded to even) together meet every
-    pair exactly once.  The pad index of an odd n sits out its round.
-    """
-    m = n + n % 2
-    ring = list(range(1, m))
-    rounds = []
-    for _ in range(m - 1):
-        order = [0] + ring
-        pairs = [
-            sorted(ab) for ab in zip(order[: m // 2], reversed(order[m // 2 :])) if max(ab) < n
-        ]
-        rounds.append(tuple(np.array(pairs, dtype=int).reshape(-1, 2).T))
-        ring = ring[-1:] + ring[:-1]
-    return rounds
-
-
 def sym_eig(A) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by round-robin Jacobi sweeps.
+    """Full eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
-    A sweep has n - 1 rounds of n // 2 disjoint rotations (Brent and Luk
-    1985; Golub and Van Loan, section 8.5).  A round rotates the columns of
-    the iterate and of the eigenvector matrix, then the rows of the
-    iterate, all its rotations at once, so a sweep makes O(n) numpy calls.
-    Each rotation is the classical one that zeroes its (p, q) entry.
-    Sweeps run until the largest off-diagonal magnitude is at most
-    ``JACOBI_RTOL * ||A||_F`` or ``JACOBI_MAX_SWEEPS`` sweeps have run;
-    hitting the sweep cap raises instead of returning an unconverged
-    decomposition.  Eigenvalues come back sorted descending.
+    Eigenvalues come back sorted descending, with matching orthonormal
+    eigenvector columns; both arrays are read-only.
     """
-    A = symmetrize(A)
-    n = A.shape[0]
-    with np.errstate(over="ignore"):
-        scale = float(np.linalg.norm(A))
-    if math.isinf(scale):
-        # the squares overflowed, which would make every rotation look
-        # converged; take the norm of A scaled by its largest entry
-        amax = float(np.max(np.abs(A)))
-        scale = amax * float(np.linalg.norm(A / amax))
-    tol = JACOBI_RTOL * scale
-    # H above V in one Fortran-ordered array: a round gathers and scatters
-    # the columns of both in one call each, along contiguous memory
-    W = np.empty((2 * n, n), order="F")
-    H, V = W[:n], W[n:]
-    H[...] = A
-    V[...] = np.eye(n)
-    diag = H.diagonal()
-
-    def max_offdiag() -> float:
-        if n == 1:
-            return 0.0
-        off = np.abs(H - np.diag(diag))
-        return float(off.max())
-
-    converged = max_offdiag() <= tol
-    rounds = [] if converged else _round_robin(n)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if converged:
-            break
-        for P, Q in rounds:
-            apq = H[P, Q]
-            rotate = apq != 0.0
-            if not rotate.all():
-                P, Q, apq = P[rotate], Q[rotate], apq[rotate]
-                if P.size == 0:
-                    continue
-            theta = (diag[Q] - diag[P]) / (2.0 * apq)
-            abs_theta = np.abs(theta)
-            # capping |theta| only keeps theta * theta finite where the
-            # next branch replaces t anyway
-            a = np.minimum(abs_theta, 1e10)
-            t = np.copysign(1.0, theta) / (a + np.sqrt(a * a + 1.0))
-            big = abs_theta > 1e10
-            if big.any():
-                t[big] = 1.0 / (2.0 * theta[big])
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            # new [p | q] = c [p | q] + [-s | s] [q | p], entry by entry
-            # c * p - s * q and s * p + c * q
-            PQ = np.concatenate((P, Q))
-            QP = np.concatenate((Q, P))
-            cc = np.concatenate((c, c))
-            ss = np.concatenate((-s, s))
-            X = W[:, PQ]
-            Y = W[:, QP]
-            X *= cc
-            Y *= ss
-            X += Y
-            W[:, PQ] = X
-            X = H[PQ]
-            Y = H[QP]
-            X *= cc[:, None]
-            Y *= ss[:, None]
-            X += Y
-            H[PQ] = X
-            H[P, Q] = 0.0
-            H[Q, P] = 0.0
-        converged = max_offdiag() <= tol
-    if not converged:
-        raise JacobiConvergenceError(
-            f"Jacobi did not converge in {JACOBI_MAX_SWEEPS} sweeps "
-            f"(max off-diagonal {max_offdiag():.3e}, tolerance {tol:.3e})"
-        )
-    w = diag.copy()
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    V = np.ascontiguousarray(V[:, order])
+    w, V = np.linalg.eigh(symmetrize(A))
+    w = w[::-1].copy()
+    V = np.ascontiguousarray(V[:, ::-1])
     w.setflags(write=False)
     V.setflags(write=False)
     return EigenDecomposition(eigenvalues=w, eigenvectors=V)
 
 
-def eigendecomposition(A) -> EigenDecomposition:
-    """``sym_eig`` of A, read from the cache when A is an :class:`SpdMatrix`."""
-    return A.eig if isinstance(A, SpdMatrix) else sym_eig(A)
+def eigvalsh_pad(n: int, opnorm: float) -> float:
+    """2 n eps ||A||_2: twice the error bound of an ``eigvalsh`` eigenvalue.
+
+    For a symmetric A of order n, each computed eigenvalue is within
+    n eps ||A||_2 of an exact one; the other half of the pad covers the
+    rounding of widening by it.
+    """
+    return 2.0 * n * EPS * opnorm
+
+
+def _extremes(w) -> tuple:
+    """(lambda_min, sigma_min, ||A||_2) from ascending eigenvalues w."""
+    lo, hi = float(w[0]), float(w[-1])
+    if lo > 0.0:
+        # a positive lo is min |w| and hi is max |w|; only an indefinite
+        # matrix pays for the general form
+        return lo, lo, hi
+    return lo, float(np.min(np.abs(w))), max(abs(lo), abs(hi))
+
+
+def _widened(w) -> tuple:
+    """:func:`_extremes` of w moved outward by :func:`eigvalsh_pad`."""
+    lam, smin, opnorm = _extremes(w)
+    pad = eigvalsh_pad(len(w), opnorm)
+    return float(lam - pad), max(float(smin - pad), 0.0), float(opnorm + pad)
+
+
+def spectral_bounds(A) -> tuple:
+    """(lambda_min, sigma_min, ||A||_2) of a symmetric matrix, widened outward.
+
+    The two lower bounds are at most, and the norm at least, the exact
+    values.  An :class:`SpdMatrix` answers from its constructor's
+    ``eigvalsh``; anything else pays one ``eigvalsh``.
+    """
+    if isinstance(A, SpdMatrix):
+        return A.bounds
+    return _widened(np.linalg.eigvalsh(symmetrize(A)))
 
 
 def spectral_norm(A) -> float:
-    """Largest singular value of a symmetric matrix, via ``sym_eig``."""
-    w = eigendecomposition(A).eigenvalues
-    return float(np.max(np.abs(w)))
+    """Upper bound on the largest singular value of a symmetric matrix."""
+    return spectral_bounds(A)[2]
 
 
 def sigma_min(A) -> float:
-    """Smallest singular value of a symmetric matrix, via ``sym_eig``."""
-    w = eigendecomposition(A).eigenvalues
-    return float(np.min(np.abs(w)))
+    """Lower bound on the smallest singular value of a symmetric matrix."""
+    return spectral_bounds(A)[1]
 
 
 def lambda_min(A) -> float:
-    """Smallest (signed) eigenvalue of a symmetric matrix, via ``sym_eig``.
+    """Lower bound on the smallest (signed) eigenvalue of a symmetric matrix.
 
     Reported separately from :func:`sigma_min`; for indefinite matrices the
     two genuinely differ and callers must pick the one they mean.
     """
-    w = eigendecomposition(A).eigenvalues
-    return float(w[-1])
+    return spectral_bounds(A)[0]
 
 
 def spectral_extremes(A):
-    """(lambda_min, sigma_min, opnorm) of a symmetric matrix via LAPACK.
+    """(lambda_min, sigma_min, opnorm) of a symmetric matrix, as ``eigvalsh`` gives them.
 
-    Fast path for the descent loop's exact spectrum refreshes, where a full
-    Jacobi decomposition would dominate the runtime.  Agreement with the
-    ``sym_eig``-derived norms is covered by tests; use :func:`spectral_norm`
-    and friends whenever a certified value is wanted.
+    The descent loop's exact spectrum refreshes, which widen the values
+    themselves; use :func:`spectral_bounds` and friends whenever a
+    certified value is wanted.
     """
-    w = np.linalg.eigvalsh(np.asarray(A, dtype=float))
-    lo, hi = float(w[0]), float(w[-1])
-    if lo > 0.0:
-        # eigenvalues come back ascending, so a positive lo is min |w| and
-        # hi is max |w|; only an indefinite matrix pays for the general form
-        return lo, lo, hi
-    return lo, float(np.min(np.abs(w))), max(abs(lo), abs(hi))
+    return _extremes(np.linalg.eigvalsh(np.asarray(A, dtype=float)))
 
 
 def solve(A, B) -> np.ndarray:

@@ -26,17 +26,18 @@ def matrix_file(tmp_path):
     return write
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, owner=None):
     from matsqrt import linalg
 
+    owner = linalg if owner is None else owner
     calls = []
-    real = getattr(linalg, name)
+    real = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -44,6 +45,18 @@ def _count_calls(monkeypatch, name):
 def sym_eig_calls(monkeypatch):
     """A list that grows by one entry on every call of ``linalg.sym_eig``."""
     return _count_calls(monkeypatch, "sym_eig")
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """A list that grows by one entry on every call of ``np.linalg.eigvalsh``."""
+    return _count_calls(monkeypatch, "eigvalsh", np.linalg)
+
+
+@pytest.fixture
+def spectral_extremes_calls(monkeypatch):
+    """A list that grows by one entry on every refresh's ``linalg.spectral_extremes``."""
+    return _count_calls(monkeypatch, "spectral_extremes")
 
 
 @pytest.fixture

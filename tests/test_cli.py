@@ -150,7 +150,6 @@ EXIT_CASES = [
     (linalg.DimensionMismatchError, 1),
     (io.MatrixFormatError, 1),
     (NewtonConvergenceError, 3),
-    (linalg.JacobiConvergenceError, 2),
     (linalg.SingularMatrixError, 2),
     (DivergenceError, 2),
     (LowerBoundError, 4),
@@ -312,32 +311,31 @@ def test_certify_passes(capsys, spd_file):
     }
 
 
-def test_certify_eigendecomposes_as_often_as_sqrt(capsys, tmp_path, sym_eig_calls):
-    # sqrt: one Jacobi decomposition of M and one of U0, shared by the step
-    # size and the echoed rate parameters.  certify's smoothness cap and
-    # three certificates read M's cached decomposition.
+def test_certify_eigendecomposes_m_once_and_sqrt_never(capsys, tmp_path, sym_eig_calls):
+    # sqrt: the step size and the echoed rate parameters read the spectra
+    # that the constructors of M and U0 keep.  certify's smoothness cap and
+    # first two certificates read them too; the saddle check needs M's
+    # eigenvectors, so it decomposes M once.
     path = tmp_path / "m6.txt"
     io.write_matrix(path, np.diag([6.0, 5.0, 4.0, 3.0, 2.0, 1.0]) + 0.1)
     assert run_cli(capsys, "sqrt", str(path))[0] == 0
-    assert len(sym_eig_calls) == 2
-    sym_eig_calls.clear()
+    assert len(sym_eig_calls) == 0
     assert run_cli(capsys, "certify", str(path), "--samples", "10")[0] == 0
-    assert len(sym_eig_calls) == 2
+    assert len(sym_eig_calls) == 1
 
 
 def test_sqrt_and_robustness_resolve_their_start_once(
     capsys, matrix_file, sym_eig_calls, opnorm_bound_calls
 ):
-    # one power iteration for the auto-lambda start, one Jacobi
-    # decomposition each of M and U0, however many runs follow
+    # one power iteration for the auto-lambda start, and no decomposition
+    # beyond the constructors' spectra, however many runs follow
     path = matrix_file(np.diag([6.0, 5.0, 4.0, 3.0, 2.0, 1.0]) + 0.1)
     assert run_cli(capsys, "sqrt", path)[0] == 0
-    assert (len(opnorm_bound_calls), len(sym_eig_calls)) == (1, 2)
+    assert (len(opnorm_bound_calls), len(sym_eig_calls)) == (1, 0)
     opnorm_bound_calls.clear()
-    sym_eig_calls.clear()
     argv = ("robustness", path, "--deltas", "1e-6,1e-7,0", "--max-iters", "200")
     assert run_cli(capsys, *argv)[0] == 0
-    assert (len(opnorm_bound_calls), len(sym_eig_calls)) == (1, 2)
+    assert (len(opnorm_bound_calls), len(sym_eig_calls)) == (1, 0)
 
 
 def test_certify_env_seed_and_flag_priority(capsys, spd_file, monkeypatch):

@@ -26,6 +26,8 @@ from matsqrt.gd import (
     objective,
     residual_fro,
     run,
+    rate_spectra,
+    resolve,
     run_perturbed,
     step_size_policy,
 )
@@ -145,6 +147,15 @@ def test_step_size_policy_worked_example():
     assert eta == pytest.approx(0.01 / 120.0, rel=1e-14)
 
 
+def test_step_size_and_spectra_are_python_floats():
+    M, U0 = np.diag([4.0, 1.0]), 2.0 * np.eye(2)
+    values = [step_size_policy(U0, M, GdConfig()), *rate_spectra(U0, M)]
+    values.append(resolve(M, GdConfig())[2])
+    values.append(resolve(M, GdConfig(eta=np.float64(0.01)))[2])
+    for value in values:
+        assert type(value) is float
+
+
 def test_step_size_scales_inversely_with_m():
     M = np.diag([4.0, 1.0])
     U0 = 2.0 * np.eye(2)
@@ -161,26 +172,33 @@ def test_step_size_c_step_is_linear():
 
 
 @pytest.mark.parametrize("init", ["scaled-identity", "sqrt-opnorm-identity"])
-def test_run_on_a_raw_array_eigendecomposes_m_and_u0_once_each(sym_eig_calls, init):
+def test_run_on_a_raw_array_eigendecomposes_m_and_u0_once_each(
+    sym_eig_calls, eigvalsh_calls, spectral_extremes_calls, init
+):
+    # one eigvalsh each in the constructors of M, U0 and the returned
+    # iterate; the step size reads them, and the loop's refreshes make the rest
     M = random_spd(SpdInstanceSpec(n=6, kappa=4.0, seed=3))
+    eigvalsh_calls.clear()
     run(np.array(M.values), GdConfig(init=init, max_iters=5))
-    assert len(sym_eig_calls) == 2
+    assert len(sym_eig_calls) == 0
+    assert len(eigvalsh_calls) - len(spectral_extremes_calls) == 3
 
 
-def test_step_size_and_rate_params_share_the_cached_spectra(sym_eig_calls):
+def test_step_size_and_rate_params_share_the_cached_spectra(sym_eig_calls, eigvalsh_calls):
     M_arr = np.array([[4.0, 1.0], [1.0, 2.0]])
     U_arr = np.array([[2.0, 0.5], [0.5, 1.5]])
     eta_raw = step_size_policy(U_arr, M_arr, GdConfig())
     rate_raw = rate_params(U_arr, M_arr)
-    assert len(sym_eig_calls) == 8  # raw arrays are decomposed on every call
-    sym_eig_calls.clear()
+    assert len(eigvalsh_calls) == 4  # raw arrays are validated on every call
+    eigvalsh_calls.clear()
     M, U0 = linalg.SpdMatrix(M_arr), linalg.SpdMatrix(U_arr)
-    assert step_size_policy(U0, M, GdConfig()) == eta_raw
-    assert len(sym_eig_calls) == 2
-    assert rate_params(U0, M) == rate_raw
+    assert len(eigvalsh_calls) == 2
     assert step_size_policy(U0, M, GdConfig()) == eta_raw
     assert rate_params(U0, M) == rate_raw
-    assert len(sym_eig_calls) == 2
+    assert step_size_policy(U0, M, GdConfig()) == eta_raw
+    assert rate_params(U0, M) == rate_raw
+    assert len(eigvalsh_calls) == 2
+    assert sym_eig_calls == []
 
 
 # ---------------------------------------------------------------- init
@@ -423,6 +441,16 @@ def test_run_perturbed_warns_from_the_stability_tolerance(factor):
     assert len(caught) == (1 if factor > 1.0 else 0)
     if caught:
         assert "stability tolerance" in str(caught[0].message)
+
+
+def test_explicit_eta_perturbed_run_on_a_raw_array_makes_no_decomposition(sym_eig_calls):
+    # the stability warning reads the spectra of M and U0 from their
+    # constructors' eigvalsh
+    M = np.array(random_spd(SpdInstanceSpec(n=16, kappa=2.0, seed=4)).values)
+    cfg = GdConfig(eta=0.01, init="explicit", init_matrix=np.eye(16), max_iters=5)
+    with pytest.warns(UserWarning, match="stability tolerance"):
+        run_perturbed(M, cfg, ErrorModel(delta=1e-3))
+    assert sym_eig_calls == []
 
 
 def test_run_perturbed_deterministic_in_seed():
@@ -760,6 +788,21 @@ def test_brackets_hold_at_the_rounding_floor(monkeypatch, seed):
     assert trace.steps == 3000 and trace.residual_fro.max() < 1e-13
 
 
+def test_brackets_count_the_rounding_of_each_update():
+    # 1x1, the root 1e-10 below U0 = 1.5 and a step H of 0.6 ulp: each
+    # update U - H rounds to the next double down, so U moves one ulp, 5/3
+    # of ||H||, on every step.  Only the rounding term of the slack covers
+    # the other 2/3; without it the lower bound passes the exact eigenvalue
+    # within about ten steps.
+    u0 = 1.5
+    m = (u0 - 1e-10) ** 2
+    eta = 0.6 * np.spacing(u0) / (2.0 * (u0 * u0 - m) * u0)
+    cfg = GdConfig(eta=eta, tol=1e-300, max_iters=400, init="explicit", init_matrix=[[u0]])
+    trace = _assert_matches_reference(np.array([[m]]), cfg)
+    assert trace.steps == 400
+    assert trace.sigma_min[-1] == u0 - 400 * np.spacing(u0)
+
+
 @pytest.mark.parametrize("schedule", ["every-step", "first-step-only"])
 def test_brackets_hold_under_injected_errors(schedule):
     # Near the root the update moves U by about 1e-7 a step and each error
@@ -935,7 +978,8 @@ def test_rate_parameters_of_an_overflowing_start_raise_gd_error():
         with pytest.raises(GdError, match="start of spectral norm 1.000000e\\+200"):
             compute()
     # a finite cube keeps its bits
-    assert rate_params(2.0 * np.eye(2), M).alpha == 8.0
+    u_op, u_smin, m_op, m_smin, alpha, _ = rate_spectra(2.0 * np.eye(2), M)
+    assert alpha == (max(u_op, math.sqrt(m_op)) / min(u_smin, math.sqrt(m_smin))) ** 3
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf])

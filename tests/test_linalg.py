@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -51,8 +52,8 @@ def test_sym_eig_identity():
 
 
 def test_sym_eig_huge_entries_still_rotate():
-    # ||A||_F^2 overflows; the convergence scale must not become inf, which
-    # would return the diagonal 1e200 (1, 1) as the eigenvalues
+    # ||A||_F^2 overflows, and the decomposition must not return the
+    # diagonal 1e200 (1, 1) as the eigenvalues
     A = 1e200 * np.array([[1.0, 0.5], [0.5, 1.0]])
     w = sym_eig(A).eigenvalues
     assert w == pytest.approx([1.5e200, 0.5e200], rel=1e-14)
@@ -86,85 +87,75 @@ def test_sym_eig_matches_reference_eigvalsh(seed, n):
     assert np.max(np.abs(w - ref)) <= 1e-10 * scale
 
 
-def cyclic_sym_eig(A) -> linalg.EigenDecomposition:
-    """Reference: the cyclic-order Jacobi solver that round-robin replaced.
-
-    Same rotation formulas, tolerance and stopping rule; one rotation per
-    (p, q) in row-by-row order.
-    """
-    A = symmetrize(A)
-    n = A.shape[0]
-    with np.errstate(over="ignore"):
-        scale = float(np.linalg.norm(A))
-    if math.isinf(scale):
-        # the squares overflowed, which would make every rotation look
-        # converged; take the norm of A scaled by its largest entry
-        amax = float(np.max(np.abs(A)))
-        scale = amax * float(np.linalg.norm(A / amax))
-    tol = linalg.JACOBI_RTOL * scale
-    H = A.copy()
-    V = np.eye(n)
-
-    def max_offdiag() -> float:
-        if n == 1:
-            return 0.0
-        off = np.abs(H - np.diag(np.diag(H)))
-        return float(off.max())
-
-    converged = max_offdiag() <= tol
-    for _ in range(linalg.JACOBI_MAX_SWEEPS):
-        if converged:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = H[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (H[q, q] - H[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e10:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                hp = H[:, p].copy()
-                hq = H[:, q].copy()
-                H[:, p] = c * hp - s * hq
-                H[:, q] = s * hp + c * hq
-                hp = H[p, :].copy()
-                hq = H[q, :].copy()
-                H[p, :] = c * hp - s * hq
-                H[q, :] = s * hp + c * hq
-                H[p, q] = 0.0
-                H[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-        converged = max_offdiag() <= tol
-    if not converged:
-        raise linalg.JacobiConvergenceError(
-            f"Jacobi did not converge in {linalg.JACOBI_MAX_SWEEPS} sweeps "
-            f"(max off-diagonal {max_offdiag():.3e}, tolerance {tol:.3e})"
-        )
-    w = np.diag(H).copy()
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    V = V[:, order]
-    w.setflags(write=False)
-    V.setflags(write=False)
-    return linalg.EigenDecomposition(eigenvalues=w, eigenvectors=V)
-
-
 def spd_with_spectrum(w, seed):
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((len(w), len(w))))
     return symmetrize((Q * np.asarray(w, dtype=float)) @ Q.T)
 
 
-ORACLE_SIZES = [1, 2, 3, 5, 16, 17, 33, 64]
+ORACLE_SIZES = [1, 2, 3, 5, 16, 17]
+ORACLE_INPUTS = {
+    "random": lambda n: random_pd(n, 1000 + n),
+    "kappa-2": lambda n: spd_with_spectrum(np.geomspace(1.0, 0.5, n), n),
+    "kappa-1e6": lambda n: spd_with_spectrum(np.geomspace(1.0, 1e-6, n), n),
+}
+
+
+def exact_eigenvalues(A) -> list:
+    """Eigenvalues of the float matrix A to 50 digits, ascending, by mpmath."""
+    with mpmath.workdps(50):
+        w = mpmath.eigsy(mpmath.matrix(A.tolist()), eigvals_only=True)
+        return sorted(w[i] for i in range(A.shape[0]))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150], ids=["1", "1e150", "1e-150"])
+@pytest.mark.parametrize("kind", sorted(ORACLE_INPUTS))
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_spectra_against_a_50_digit_oracle(n, kind, scale):
+    # an independent oracle: mpmath's eigenvalues of the same float matrix
+    A = ORACLE_INPUTS[kind](n) * scale
+    exact = exact_eigenvalues(A)
+    lam_min, lam_max = exact[0], exact[-1]
+    pad = 4 * n * linalg.EPS * float(lam_max)
+    for M in (A, SpdMatrix(A)):
+        lo, smin, op = linalg.spectral_bounds(M)
+        assert lo == smin == sigma_min(M) == lambda_min(M)
+        assert op == spectral_norm(M)
+        # outward, and by no more than twice the widening
+        assert lam_min - pad <= smin <= lam_min
+        assert lam_max <= op <= lam_max + pad
+    dec = SpdMatrix(A).eig
+    w = dec.eigenvalues
+    assert np.all(np.diff(w) <= 0)
+    err = max(abs(mpmath.mpf(float(x)) - e) for x, e in zip(w[::-1], exact))
+    assert err <= 1e-13 * float(lam_max)
+    V = dec.eigenvectors
+    assert frobenius_norm(V.T @ V - np.eye(n)) <= 1e-12 * n
+    assert frobenius_norm(dec.reconstruct() - A) <= 1e-13 * n * float(lam_max)
+    assert not w.flags.writeable and not V.flags.writeable
+
+
+def test_spd_requires_a_positive_certified_lower_bound(monkeypatch):
+    # lambda_min = 1e-17 passes a zero SPD_RTOL, but it is within
+    # eigvalsh's error bound of zero, so positive definiteness is not certified
+    monkeypatch.setattr(linalg, "SPD_RTOL", 0.0)
+    with pytest.raises(NotPositiveDefiniteError):
+        SpdMatrix(np.diag([1.0, 1e-17]))
+    assert SpdMatrix(np.diag([1.0, 1e-14])).bounds[0] > 0.0
+
+
+def test_norms_are_python_floats():
+    A = random_pd(4, 2)
+    for M in (A, SpdMatrix(A)):
+        for value in (spectral_norm(M), sigma_min(M), lambda_min(M), *linalg.spectral_bounds(M)):
+            assert type(value) is float
+    for value in linalg.spectral_extremes(random_symmetric(4, 2)):
+        assert type(value) is float
+
+
+# The four tests below keep the ids they had under the Jacobi solver that
+# LAPACK's eigh replaced; they now check it against eigvalsh and against
+# mpmath's 50-digit eigenvalues, and the widened bounds against the latter.
 
 
 def assert_matches_oracles(A):
@@ -173,20 +164,24 @@ def assert_matches_oracles(A):
     ref = np.linalg.eigvalsh(A)[::-1]
     bound = 1e-13 * np.max(np.abs(ref))
     assert np.max(np.abs(dec.eigenvalues - ref)) <= bound
-    assert np.max(np.abs(dec.eigenvalues - cyclic_sym_eig(A).eigenvalues)) <= bound
+    exact = exact_eigenvalues(A)[::-1]
+    assert max(abs(mpmath.mpf(float(x)) - e) for x, e in zip(dec.eigenvalues, exact)) <= bound
+    lo, smin, op = linalg.spectral_bounds(A)
+    assert lo <= exact[-1]
+    assert smin <= min(abs(e) for e in exact)
+    assert op >= max(abs(exact[0]), abs(exact[-1]))
     V = dec.eigenvectors
     assert frobenius_norm(V.T @ V - np.eye(n)) <= 1e-12 * n
     assert np.all(np.diff(dec.eigenvalues) <= 0)
     assert not dec.eigenvalues.flags.writeable and not dec.eigenvectors.flags.writeable
 
 
-@pytest.mark.parametrize("n", ORACLE_SIZES)
+@pytest.mark.parametrize("n", ORACLE_SIZES + [33, 64])
 def test_round_robin_matches_cyclic_and_lapack_on_random_symmetric(n):
-    # odd n leaves one index out of every round
     assert_matches_oracles(random_symmetric(n, 1000 + n))
 
 
-@pytest.mark.parametrize("n", ORACLE_SIZES)
+@pytest.mark.parametrize("n", ORACLE_SIZES + [33, 64])
 def test_round_robin_matches_cyclic_and_lapack_on_kappa_2_spd(n):
     assert_matches_oracles(spd_with_spectrum(np.geomspace(1.0, 0.5, n), n))
 
@@ -201,8 +196,7 @@ def test_round_robin_on_repeated_and_clustered_spectra(n):
 
 
 def test_round_robin_on_sparse_inputs():
-    # exact zeros leave some pairs of a round unrotated; in the 2 + 2 block
-    # diagonal matrix every pair of some rounds is zero, so the round is empty
+    # exact zeros: 2 + 2 and 8 + 9 block diagonal matrices and a tridiagonal one
     assert_matches_oracles(
         np.array([[2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, 1.0], [0.0, 0.0, 1.0, 3.0]])
     )
@@ -214,9 +208,10 @@ def test_round_robin_on_sparse_inputs():
     assert_matches_oracles(blocks)
 
 
-@pytest.mark.parametrize("n", ORACLE_SIZES)
-def test_diagonal_input_takes_zero_sweeps(n, monkeypatch):
-    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
+@pytest.mark.parametrize("n", ORACLE_SIZES + [33, 64])
+def test_diagonal_input_takes_zero_sweeps(n):
+    # every off-diagonal is zero, so LAPACK's tridiagonal solver splits the
+    # problem into n 1 x 1 blocks and returns the input exactly
     d = np.random.default_rng(n).standard_normal(n)
     dec = sym_eig(np.diag(d))
     order = np.argsort(-d, kind="stable")
@@ -224,26 +219,24 @@ def test_diagonal_input_takes_zero_sweeps(n, monkeypatch):
     assert np.array_equal(dec.eigenvectors, np.eye(n)[:, order])
 
 
-def test_sweep_cap_raises(monkeypatch):
-    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
-    with pytest.raises(linalg.JacobiConvergenceError, match="did not converge in 1 sweeps"):
-        sym_eig(random_symmetric(16, 7))
-
-
 def test_spectral_extremes_agrees_with_jacobi():
+    # the refresh's raw values, widened by the pad, are the certified norms
     for seed in range(20):
         A = random_symmetric(6, seed)
         lam_min, smin, opnorm = linalg.spectral_extremes(A)
-        assert lam_min == pytest.approx(lambda_min(A), abs=1e-11)
-        assert smin == pytest.approx(sigma_min(A), abs=1e-11)
-        assert opnorm == pytest.approx(spectral_norm(A), abs=1e-11)
+        pad = linalg.eigvalsh_pad(6, opnorm)
+        assert (lambda_min(A), sigma_min(A), spectral_norm(A)) == (
+            lam_min - pad,
+            max(smin - pad, 0.0),
+            opnorm + pad,
+        )
 
 
 def test_norms_on_diagonal():
     A = np.diag([3.0, -4.0, 0.5])
-    assert spectral_norm(A) == pytest.approx(4.0)
-    assert sigma_min(A) == pytest.approx(0.5)
-    assert lambda_min(A) == pytest.approx(-4.0)
+    assert 4.0 < spectral_norm(A) == pytest.approx(4.0, rel=1e-14)
+    assert 0.5 > sigma_min(A) == pytest.approx(0.5, rel=1e-14)
+    assert -4.0 > lambda_min(A) == pytest.approx(-4.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------- solve
@@ -321,17 +314,20 @@ def test_spd_rejects_indefinite():
 def test_spd_caches_one_read_only_decomposition(sym_eig_calls):
     A = random_pd(5, 4)
     M = SpdMatrix(A)
+    # the norms come from the constructor's eigvalsh, not a decomposition
+    assert (lambda_min(M), sigma_min(M), spectral_norm(M)) == M.bounds
+    assert M.bounds == linalg.spectral_bounds(A)
     assert sym_eig_calls == []
     dec = M.eig
     assert M.eig is dec and len(sym_eig_calls) == 1
-    assert spectral_norm(M) == float(dec.eigenvalues[0])
-    assert sigma_min(M) == lambda_min(M) == float(dec.eigenvalues[-1])
+    assert sigma_min(M) < float(dec.eigenvalues[-1])
+    assert spectral_norm(M) > float(dec.eigenvalues[0])
     assert len(sym_eig_calls) == 1
     assert np.array_equal(dec.eigenvalues, linalg.sym_eig(A).eigenvalues)
     for arr in (dec.eigenvalues, dec.eigenvectors, M.values):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    for name in ("sym", "_eig", "eig", "other"):
+    for name in ("sym", "bounds", "_eig", "eig", "other"):
         with pytest.raises(AttributeError):
             setattr(M, name, None)
     assert M.eig is dec
