@@ -37,6 +37,8 @@ STATIONARY_GRAD_TOL = 1e-6
 CORRIDOR_SLACK = 1e-9
 # Relative round-off allowance in certificate margins.
 MARGIN_RTOL = 1e-9
+# The saddle check samples iterates with sigma_min(U) at least this.
+SADDLE_SIGMA_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -297,16 +299,14 @@ def gradient_dominance_certificate(
     )
 
 
-def saddle_location_check(
-    M, num_samples: int, seed: int, sigma_floor: float = 1e-3
-) -> CertificateReport:
+def saddle_location_check(M, num_samples: int, seed: int) -> CertificateReport:
     """Confirm no spurious stationary points away from singularity.
 
-    Over PD samples with sigma_min(U) >= sigma_floor, checks the pointwise
-    dominance inequality ||grad f(U)||_F^2 >= 4 sigma_min(U)^2 f(U) and its
-    consequence that any near-stationary sample (gradient norm <= 1e-6)
-    must have objective at most (1e-6)^2 / (4 sigma_min(U)^2), i.e. is near
-    the global minimum.  Sample 0 is the exact square root of M; sample 1
+    Over PD samples with sigma_min(U) >= SADDLE_SIGMA_FLOOR, checks the
+    pointwise dominance inequality ||grad f(U)||_F^2 >= 4 sigma_min(U)^2 f(U)
+    and its consequence that any near-stationary sample (gradient norm
+    <= 1e-6) must have objective at most (1e-6)^2 / (4 sigma_min(U)^2), i.e.
+    is near the global minimum.  Sample 0 is the exact square root of M; sample 1
     pins the smallest eigenvalue at the floor.
     """
     M_arr = np.asarray(M, dtype=float)
@@ -315,7 +315,7 @@ def saddle_location_check(
     sqrt_m = (dec.eigenvectors * np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.T
     sqrt_m = (sqrt_m + sqrt_m.T) / 2.0
     m_op = float(dec.eigenvalues[0])
-    hi = max(math.sqrt(3.0 * m_op), 2.0 * sigma_floor)
+    hi = max(math.sqrt(3.0 * m_op), 2.0 * SADDLE_SIGMA_FLOOR)
     scale = linalg.frobenius_norm(M_arr) ** 4
     worst = math.inf
     witnesses = []
@@ -325,12 +325,12 @@ def saddle_location_check(
             smin = math.sqrt(float(dec.eigenvalues[-1]))
         elif i == 1:
             lam = np.sqrt(dec.eigenvalues).copy()
-            lam[-1] = sigma_floor
+            lam[-1] = SADDLE_SIGMA_FLOOR
             U = (dec.eigenvectors * lam) @ dec.eigenvectors.T
             U = (U + U.T) / 2.0
             smin = float(lam.min())
         else:
-            U, smin = _sample_pd_interval(_rng_for(seed, i), n, sigma_floor, hi)
+            U, smin = _sample_pd_interval(_rng_for(seed, i), n, SADDLE_SIGMA_FLOOR, hi)
         g = float(np.linalg.norm(gradient(U, M_arr)))
         f = objective(U, M_arr)
         margin = g * g - 4.0 * smin * smin * f
@@ -366,7 +366,7 @@ def corridor_check(trace: IterationTrace, rate: RateParams) -> CertificateReport
     bad = np.nonzero((low_margin < -CORRIDOR_SLACK) | (high_margin < -CORRIDOR_SLACK))[0]
     for idx in bad[:5]:
         witnesses.append(
-            f"step {int(trace.t[idx])}: sigma_min {trace.sigma_min[idx]:.6e}, "
+            f"step {idx}: sigma_min {trace.sigma_min[idx]:.6e}, "
             f"opnorm {trace.opnorm[idx]:.6e}"
         )
     return CertificateReport(

@@ -13,22 +13,16 @@ import numpy as np
 
 from . import linalg
 
-NEWTON_INIT_CHOICES = ("M", "identity")
-
-
 class NewtonConvergenceError(linalg.LinalgError):
     """Newton iteration failed to reach tolerance within max_iters."""
 
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    init: str = "M"
     max_iters: int = 100
     tol: float = 1e-11  # relative to ||M||_F
 
     def __post_init__(self):
-        if self.init not in NEWTON_INIT_CHOICES:
-            raise ValueError(f"init must be one of {NEWTON_INIT_CHOICES}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if not 0.0 < self.tol < 1.0:
@@ -50,16 +44,15 @@ def scalar_newton(m: float, u0: float, iters: int) -> list:
 def newton_sqrt(M, cfg: NewtonConfig = NewtonConfig()):
     """Matrix square root by Newton's iteration.
 
-    Starts from M itself or the identity, both of which commute with M, so
-    the iteration stays in the commutative polynomial algebra of M and
-    converges to the SPD root.  Returns (root, iterations); the count is 0
-    when the start already meets tolerance.
+    Starts from M itself, which commutes with M, so the iteration stays in
+    the commutative polynomial algebra of M and converges to the SPD root.
+    Returns (root, iterations); the count is 0 when the start already meets
+    tolerance.
     """
     M_spd = linalg.as_spd(M)
     A = M_spd.values
-    n = M_spd.n
     m_fro = linalg.frobenius_norm(A)
-    X = A.copy() if cfg.init == "M" else np.eye(n)
+    X = A.copy()
     for k in range(cfg.max_iters + 1):
         R = A - X @ X
         if linalg.frobenius_norm(R) <= cfg.tol * m_fro:

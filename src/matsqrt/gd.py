@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -73,8 +74,9 @@ class GdConfig:
     ``eta`` is either a positive number, stored as a float, or ``"auto"``,
     in which case :func:`step_size_policy` picks the step size.  ``init``
     selects the starting iterate: ``"scaled-identity"`` uses
-    sqrt(lambda) I with ``init_lambda`` (estimated by power iteration when
-    None), ``"sqrt-opnorm-identity"`` uses sqrt(||M||_2) I, and
+    sqrt(lambda) I with lambda the power-iteration estimate
+    :func:`linalg.estimate_opnorm_bound` of ||M||_2,
+    ``"sqrt-opnorm-identity"`` uses sqrt(||M||_2) I, and
     ``"explicit"`` takes ``init_matrix`` as given.  ``c_step`` scales the
     automatic step size; the defaults are pinned by the acceptance tests.
     """
@@ -83,7 +85,6 @@ class GdConfig:
     max_iters: int = 10_000_000
     tol: float = 1e-8
     init: str = "scaled-identity"
-    init_lambda: float | None = None
     init_matrix: object | None = None
     c_step: float = 0.01
     seed: int = 0
@@ -105,8 +106,6 @@ class GdConfig:
             raise ValueError(f"init must be one of {INIT_CHOICES}, got {self.init!r}")
         if self.init == "explicit" and self.init_matrix is None:
             raise ValueError("init='explicit' requires init_matrix")
-        if self.init_lambda is not None and not (self.init_lambda > 0.0):
-            raise ValueError("init_lambda must be positive")
         if not (self.c_step > 0.0):
             raise ValueError("c_step must be positive")
 
@@ -173,33 +172,65 @@ class TraceRecord(NamedTuple):
 
 
 class IterationTrace:
-    """Column-oriented per-step records, including the t = 0 record.
+    """Per-step records of a run, one row per step including t = 0.
 
-    ``sigma_min`` and ``opnorm`` are a certified lower bound on the
-    smallest and an upper bound on the largest singular value of the
+    Only what the loop measured is stored: the ``MEASURED`` columns, the
+    Frobenius norms ``drawn_fro`` of the injected errors (the stability
+    bound consumes them), and the run's ``step_size`` and error level
+    ``delta``.  ``sigma_min`` and ``opnorm`` are a certified lower bound on
+    the smallest and an upper bound on the largest singular value of the
     iterate; they are the exact ``eigvalsh`` values at t = 0, at each row
     where the loop refreshed its spectral bracket, and at the last row.
-    ``err_norm`` is the spectral norm of the injected error at each step
-    (zero for unperturbed runs); ``err_fro`` additionally stores its
-    Frobenius norm, which the stability bound consumes.  Only the seven
-    columns of ``io.TRACE_HEADER`` appear in CSV output.
+    The other columns of :class:`TraceRecord` are derived on each access,
+    not cached: ``t`` is the row index, ``eta`` is ``step_size``,
+    ``objective`` is ``residual_fro`` squared, and ``err_norm`` and
+    ``err_fro`` are ``delta`` and ``drawn_fro`` on the rows that drew an
+    error, always rows 1..len(drawn_fro), and zero elsewhere.  Only the
+    seven columns of ``io.TRACE_HEADER`` appear in CSV output.
     """
 
-    __slots__ = TraceRecord._fields + ("converged", "stop_reason")
+    MEASURED = ("residual_fro", "sigma_min", "opnorm")
+    __slots__ = MEASURED + ("drawn_fro", "step_size", "delta", "converged", "stop_reason")
 
-    def __init__(self, columns: dict, converged: bool, stop_reason: str):
-        for name in TraceRecord._fields:
-            dtype = int if name == "t" else float
-            setattr(self, name, np.asarray(columns[name], dtype=dtype))
-        self.converged = converged
-        self.stop_reason = stop_reason
+    def __init__(self, columns, step_size, converged, stop_reason, delta=0.0, drawn_fro=()):
+        # an array.array("d") column becomes a view of its buffer, not a copy
+        for name, column in zip(self.MEASURED, columns):
+            setattr(self, name, np.asarray(column, dtype=float))
+        self.drawn_fro = np.asarray(drawn_fro, dtype=float)
+        self.step_size, self.delta = step_size, delta
+        self.converged, self.stop_reason = converged, stop_reason
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.residual_fro)
+
+    @property
+    def t(self) -> np.ndarray:
+        return np.arange(len(self))
+
+    @property
+    def eta(self) -> np.ndarray:
+        return np.full(len(self), self.step_size)
+
+    @property
+    def objective(self) -> np.ndarray:
+        return self.residual_fro * self.residual_fro
+
+    @property
+    def err_norm(self) -> np.ndarray:
+        return self._on_drawn_rows(self.delta)
+
+    @property
+    def err_fro(self) -> np.ndarray:
+        return self._on_drawn_rows(self.drawn_fro)
+
+    def _on_drawn_rows(self, values) -> np.ndarray:
+        column = np.zeros(len(self))
+        column[1 : 1 + len(self.drawn_fro)] = values
+        return column
 
     @property
     def steps(self) -> int:
-        return int(self.t[-1])
+        return len(self) - 1
 
     @property
     def final_residual(self) -> float:
@@ -210,48 +241,6 @@ class IterationTrace:
         columns = [getattr(self, name) for name in TraceRecord._fields]
         for row in zip(*columns):
             yield TraceRecord._make(x.item() for x in row)
-
-
-class _TraceBuilder:
-    """Trace columns in preallocated numpy arrays that double when full.
-
-    A step costs 64 bytes of trace (eight 8-byte entries) once
-    :meth:`finish` has trimmed the columns to their length.  ``sigma_min``
-    and ``opnorm`` are a refresh's exact values or the bracket's bounds.
-    """
-
-    def __init__(self):
-        self.k = 0
-        self.columns = {
-            name: np.empty(1024, dtype=int if name == "t" else float)
-            for name in TraceRecord._fields
-        }
-
-    def append(self, t, residual, smin, opnorm, eta, err_norm, err_fro):
-        k = self.k
-        c = self.columns
-        if k == len(c["t"]):
-            for name, col in c.items():
-                grown = np.empty(2 * k, dtype=col.dtype)
-                grown[:k] = col
-                c[name] = grown
-        c["t"][k] = t
-        c["residual_fro"][k] = residual
-        c["objective"][k] = residual * residual
-        c["sigma_min"][k] = smin
-        c["opnorm"][k] = opnorm
-        c["eta"][k] = eta
-        c["err_norm"][k] = err_norm
-        c["err_fro"][k] = err_fro
-        self.k = k + 1
-
-    def finish(self, converged: bool, stop_reason: str) -> IterationTrace:
-        # trim column by column, so each full-capacity array is released as
-        # soon as its copy is made
-        c = self.columns
-        for name in TraceRecord._fields:
-            c[name] = c[name][: self.k].copy()
-        return IterationTrace(c, converged, stop_reason)
 
 
 def objective(U, M) -> float:
@@ -358,9 +347,7 @@ def initial_iterate(M, cfg: GdConfig) -> SpdMatrix:
     M_arr = np.asarray(M, dtype=float)
     n = M_arr.shape[0]
     if cfg.init == "scaled-identity":
-        lam = cfg.init_lambda
-        if lam is None:
-            lam = linalg.estimate_opnorm_bound(M_arr, seed=cfg.seed)
+        lam = linalg.estimate_opnorm_bound(M_arr, seed=cfg.seed)
         return SpdMatrix(math.sqrt(lam) * np.eye(n))
     if cfg.init == "sqrt-opnorm-identity":
         return SpdMatrix(math.sqrt(linalg.spectral_norm(M)) * np.eye(n))
@@ -429,6 +416,20 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                 stacklevel=3,
             )
 
+    # The trace keeps what the loop measures: a row's residual and spectral
+    # bounds, and each drawn error's Frobenius norm (see IterationTrace).
+    residuals, smins, opnorms, drawn = (array("d") for _ in range(4))
+    delta = err.delta if draw else 0.0
+
+    def add_row(r, smin, opn):
+        residuals.append(r)
+        smins.append(smin)
+        opnorms.append(opn)
+
+    def trace(converged, stop_reason):
+        columns = (residuals, smins, opnorms)
+        return IterationTrace(columns, eta, converged, stop_reason, delta, drawn)
+
     # One iterate U is updated in place; three more n x n buffers carry the
     # loop: D = U^2 - M, the product G = D U and the step H = eta (G + G^T).
     # -D is the residual matrix M - U^2; IEEE subtraction is antisymmetric,
@@ -452,14 +453,13 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     # The loop refreshes at t = 0, at every stop, and when the slack exceeds
     # BRACKET_RTOL lo or is not finite, so lo - slack >= (15/16) lo > 0
     # certifies definiteness in between and a loss is found at its own step.
-    builder = _TraceBuilder()
     U = np.array(U0.values, order="C")
     D = np.empty_like(U)
     d = D.reshape(-1)
     G = np.empty_like(U)
     H = np.empty_like(U)
     h = H.reshape(-1)
-    eps = np.finfo(float).eps
+    eps = linalg.EPS
     grow = 1.0 + (n * n + 4) * eps
     tiny = n * 2.0**-537
     root_n = math.sqrt(n)
@@ -471,7 +471,6 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(cfg.max_iters + 1):
             err_norm = 0.0
-            err_fro = 0.0
             if t:
                 _update(U, D, eta, G, H)
                 if draw and err.active_at(t):
@@ -481,10 +480,10 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                     E = block[j]
                     j += 1
                     np.add(U, E, out=U)
-                    err_norm = err.delta
+                    err_norm = delta
                     # bitwise np.linalg.norm(E): the dot of the raveled slice
                     f = E.reshape(-1)
-                    err_fro = math.sqrt(f.dot(f))
+                    drawn.append(math.sqrt(f.dot(f)))
                 a = math.sqrt(h.dot(h)) * grow + tiny
                 e = err_norm * grow
                 rnd = min(a + root_n * e, rounding * (hi + slack + a + e))
@@ -498,31 +497,29 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                 # A NaN residual fails both the tolerance and the growth
                 # test, so it is caught explicitly; its row records NaN for
                 # the spectrum.
-                builder.append(t, r, math.nan, math.nan, eta, err_norm, err_fro)
+                add_row(r, math.nan, math.nan)
                 raise DivergenceError(
                     f"residual {r} at step {t} is not finite",
                     step=t,
-                    trace=builder.finish(False, "diverged"),
+                    trace=trace(False, "diverged"),
                 )
             done = r <= cfg.tol
             diverged = r > DIVERGENCE_FACTOR * r0
             if done or diverged or t == cfg.max_iters or not (slack <= limit):
                 lam, smin, opn = linalg.spectral_extremes(U)
-                builder.append(t, r, smin, opn, eta, err_norm, err_fro)
+                add_row(r, smin, opn)
                 if lam <= 0.0:
                     raise LostPositiveDefinitenessError(
                         f"iterate lost positive definiteness at step {t} "
                         f"(lambda_min={lam:.6e})",
                         step=t,
-                        trace=builder.finish(False, "lost-positive-definiteness"),
+                        trace=trace(False, "lost-positive-definiteness"),
                     )
                 pad = linalg.eigvalsh_pad(n, opn)
                 lo, hi, slack = lam - pad, opn + pad, 0.0
                 limit = BRACKET_RTOL * lo
             else:
-                builder.append(
-                    t, r, (lo - slack) * down, (hi + slack) * up, eta, err_norm, err_fro
-                )
+                add_row(r, (lo - slack) * down, (hi + slack) * up)
             if done:
                 converged = True
                 break
@@ -531,7 +528,6 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                     f"residual {r:.6e} at step {t} exceeds {DIVERGENCE_FACTOR:g}x "
                     f"its initial value {r0:.6e}",
                     step=t,
-                    trace=builder.finish(False, "diverged"),
+                    trace=trace(False, "diverged"),
                 )
-    trace = builder.finish(converged, "converged" if converged else "max-iters")
-    return SpdMatrix(U), trace
+    return SpdMatrix(U), trace(converged, "converged" if converged else "max-iters")

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# A numpy scalar like the loop's round-off constants: mixed types dispatch slower.
-EPS = np.finfo(float).eps
+# Machine epsilon as a Python float, like every round-off constant derived from it.
+EPS = float(np.finfo(float).eps)
 # Relative threshold below which a pivot is treated as exactly singular.
 PIVOT_RTOL = 1e-14
 # Power iteration stops once successive Rayleigh quotients agree to this.
@@ -227,7 +227,7 @@ def _widened(w) -> tuple:
     """:func:`_extremes` of w moved outward by :func:`eigvalsh_pad`."""
     lam, smin, opnorm = _extremes(w)
     pad = eigvalsh_pad(len(w), opnorm)
-    return float(lam - pad), max(float(smin - pad), 0.0), float(opnorm + pad)
+    return lam - pad, max(smin - pad, 0.0), opnorm + pad
 
 
 def spectral_bounds(A) -> tuple:

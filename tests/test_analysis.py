@@ -230,8 +230,8 @@ def test_corridor_check_on_real_run():
 
 def test_corridor_check_flags_violation():
     M = np.diag([4.0, 1.0])
-    cfg = GdConfig(eta=0.02, init_lambda=4.0, tol=1e-6)
-    U0 = 2.0 * np.eye(2)
+    U0 = math.sqrt(4.0) * np.eye(2)
+    cfg = GdConfig(eta=0.02, init="explicit", init_matrix=U0, tol=1e-6)
     rate = rate_params(U0, M)
     _, trace = run(M, cfg)
     trace.sigma_min[3] = rate.corridor_low / 2.0  # doctor one record

@@ -35,13 +35,6 @@ def test_newton_sqrt_diagonal():
     assert np.allclose(np.asarray(X), np.diag([2.0, np.sqrt(2.0)]), rtol=0, atol=1e-10)
 
 
-def test_newton_sqrt_identity_init():
-    M = random_spd(SpdInstanceSpec(n=5, kappa=12.0, seed=1))
-    X, iters = newton_sqrt(M, NewtonConfig(init="identity"))
-    assert iters <= 20
-    assert np.allclose(np.asarray(X) @ np.asarray(X), M, rtol=1e-9, atol=1e-12)
-
-
 def test_newton_sqrt_identity_input_converges_immediately():
     X, iters = newton_sqrt(np.eye(3))
     assert iters == 0
@@ -75,8 +68,6 @@ def test_newton_iteration_cap():
 
 
 def test_newton_config_validation():
-    with pytest.raises(ValueError):
-        NewtonConfig(init="random")
     with pytest.raises(ValueError):
         NewtonConfig(max_iters=0)
     with pytest.raises(ValueError):

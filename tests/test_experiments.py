@@ -198,18 +198,9 @@ def test_lower_bound_report_rows_match_header():
 
 def _fake_trace(residuals, converged=False):
     k = len(residuals)
-    cols = {
-        "t": np.arange(k),
-        "residual_fro": np.asarray(residuals, dtype=float),
-        "objective": np.zeros(k),
-        "sigma_min": np.ones(k),
-        "opnorm": np.ones(k),
-        "eta": np.full(k, 1e-3),
-        "err_norm": np.zeros(k),
-        "err_fro": np.zeros(k),
-    }
+    columns = (residuals, np.ones(k), np.ones(k))
     reason = "converged" if converged else "max-iters"
-    return IterationTrace(cols, converged, reason)
+    return IterationTrace(columns, 1e-3, converged, reason)
 
 
 def test_residual_floor_converged_run():

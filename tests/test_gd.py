@@ -56,7 +56,7 @@ def test_config_defaults_pinned():
         dict(tol=0.0),
         dict(init="random"),
         dict(init="explicit"),
-        dict(init_lambda=-1.0),
+        dict(tol=math.nan),
         dict(c_step=0.0),
     ],
 )
@@ -204,11 +204,6 @@ def test_step_size_and_rate_params_share_the_cached_spectra(sym_eig_calls, eigva
 # ---------------------------------------------------------------- init
 
 
-def test_initial_iterate_scaled_identity_explicit_lambda():
-    U0 = initial_iterate(np.diag([4.0, 1.0]), GdConfig(init_lambda=4.0))
-    assert np.array_equal(U0.values, 2.0 * np.eye(2))
-
-
 def test_initial_iterate_scaled_identity_estimates_lambda():
     M = np.diag([4.0, 1.0])
     U0 = initial_iterate(M, GdConfig())
@@ -232,7 +227,7 @@ def test_initial_iterate_explicit():
 
 def test_run_converges_to_root():
     M = np.diag([4.0, 1.0])
-    U, trace = run(M, GdConfig(init_lambda=4.0))
+    U, trace = run(M, GdConfig(init="explicit", init_matrix=math.sqrt(4.0) * np.eye(2)))
     assert trace.converged
     assert trace.stop_reason == "converged"
     assert np.allclose(U.values, np.diag([2.0, 1.0]), atol=1e-8)
@@ -264,13 +259,15 @@ def test_run_matches_evd_root(seed):
 
 def test_run_eta_column_constant():
     M = np.diag([4.0, 1.0])
-    _, trace = run(M, GdConfig(eta=0.02, init_lambda=4.0, tol=1e-6))
+    cfg = GdConfig(eta=0.02, tol=1e-6, init="explicit", init_matrix=math.sqrt(4.0) * np.eye(2))
+    _, trace = run(M, cfg)
     assert np.all(trace.eta == 0.02)
 
 
 def test_run_max_iters_returns_unconverged_trace():
     M = np.diag([4.0, 1.0])
-    _, trace = run(M, GdConfig(eta=1e-6, max_iters=50, init_lambda=4.0))
+    U0 = math.sqrt(4.0) * np.eye(2)
+    _, trace = run(M, GdConfig(eta=1e-6, max_iters=50, init="explicit", init_matrix=U0))
     assert not trace.converged
     assert trace.stop_reason == "max-iters"
     assert trace.steps == 50
@@ -300,14 +297,15 @@ def test_run_detects_loss_of_positive_definiteness():
 
 
 def test_run_1x1():
-    U, trace = run(np.array([[4.0]]), GdConfig(init_lambda=4.0))
+    U, trace = run(np.array([[4.0]]), GdConfig(init="explicit", init_matrix=[[math.sqrt(4.0)]]))
     assert trace.converged
     assert U.values[0, 0] == pytest.approx(2.0, abs=1e-8)
 
 
 def test_trace_records_iterates_all_columns():
     M = np.diag([4.0, 1.0])
-    _, trace = run(M, GdConfig(eta=0.02, init_lambda=4.0, tol=1e-6))
+    cfg = GdConfig(eta=0.02, tol=1e-6, init="explicit", init_matrix=math.sqrt(4.0) * np.eye(2))
+    _, trace = run(M, cfg)
     recs = list(trace.records())
     assert recs[0].t == 0
     assert recs[0].residual_fro == 3.0  # ||diag(4,1) - 4 I||_F
@@ -462,6 +460,43 @@ def test_run_perturbed_deterministic_in_seed():
     assert np.array_equal(a.residual_fro, b.residual_fro)
 
 
+# All eight columns of two perturbed runs, recorded before the trace derived
+# its t, eta, objective, err_norm and err_fro columns instead of storing them.
+PINNED_PERTURBED_TRACES = {
+    "every-step": {
+        "t": [0, 1, 2, 3, 4, 5, 6],
+        "residual_fro": [2.7613402542968153, 2.3272250001716626, 1.9854401746949302, 1.7101870528023573, 1.484710778327541, 1.2975221903992082, 1.1403817995086272],
+        "objective": [7.625000000000001, 5.4159762014239945, 3.9419726872926346, 2.924739755572813, 2.204366095281973, 1.6835638345783592, 1.3004706486505346],
+        "sigma_min": [2.0, 1.8895363898281223, 1.8468230221639153, 1.7724157311063407, 1.7429381713639427, 1.6899383222091682, 1.668005896924279],
+        "opnorm": [2.0, 2.110463610171878, 2.054160408955513, 2.128567700013088, 2.0928223419032497, 2.1458221910580244, 2.1197557982943294],
+        "eta": [0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01],
+        "err_norm": [0.0, 1e-05, 1e-05, 1e-05, 1e-05, 1e-05, 1e-05],
+        "err_fro": [0.0, 1.2385767850567396e-05, 1.0373823877902992e-05, 1.1749074829929246e-05, 1.173994485553376e-05, 1.076784413147782e-05, 1.3109304448337367e-05],
+    },
+    "first-step-only": {
+        "t": [0, 1, 2, 3, 4, 5, 6],
+        "residual_fro": [2.7613402542968153, 2.3272250001716626, 1.9854608066958361, 1.7102194348613675, 1.48473900680224, 1.2975264920869727, 1.1403671745146073],
+        "objective": [7.625000000000001, 5.4159762014239945, 3.94205461492528, 2.9248505153775355, 2.2044499183201016, 1.6835749976675247, 1.3004372927104288],
+        "sigma_min": [2.0, 1.8895363898281223, 1.8468268935938332, 1.7724286838769714, 1.7429512377125427, 1.6899603554172045, 1.6680042759001903],
+        "opnorm": [2.0, 2.110463610171878, 2.054162783824154, 2.128560993541016, 2.0928404965788654, 2.145831378874204, 2.119770367386508],
+        "eta": [0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01],
+        "err_norm": [0.0, 1e-05, 0.0, 0.0, 0.0, 0.0, 0.0],
+        "err_fro": [0.0, 1.2385767850567396e-05, 0.0, 0.0, 0.0, 0.0, 0.0],
+    },
+}
+
+
+@pytest.mark.parametrize("schedule", sorted(PINNED_PERTURBED_TRACES))
+def test_run_perturbed_trace_pinned(schedule):
+    M = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 2.0]])
+    cfg = GdConfig(eta=0.01, max_iters=6, init="explicit", init_matrix=2.0 * np.eye(3))
+    _, trace = run_perturbed(M, cfg, ErrorModel(1e-5, schedule, seed=7))
+    pinned = PINNED_PERTURBED_TRACES[schedule]
+    for name in TraceRecord._fields:
+        assert _same_bits(getattr(trace, name), np.array(pinned[name])), name
+    assert [tuple(rec) for rec in trace.records()] == list(zip(*pinned.values()))
+
+
 # -------------------------------------------------------- residual basics
 
 
@@ -509,7 +544,28 @@ class _RefTraceBuilder:
         c["err_fro"].append(err_fro)
 
     def finish(self, converged: bool, stop_reason: str):
-        return gd.IterationTrace(self.columns, converged, stop_reason)
+        return _RefTrace(self.columns, converged, stop_reason)
+
+
+class _RefTrace:
+    """The reference loop's record: its eight columns as arrays, and the stop."""
+
+    def __init__(self, columns, converged, stop_reason):
+        for name, values in columns.items():
+            setattr(self, name, np.asarray(values, dtype=int if name == "t" else float))
+        self.converged = converged
+        self.stop_reason = stop_reason
+
+    def __len__(self):
+        return len(self.t)
+
+    @property
+    def steps(self):
+        return int(self.t[-1])
+
+    @property
+    def final_residual(self):
+        return float(self.residual_fro[-1])
 
 
 def _ref_spectral_extremes(A):
@@ -737,20 +793,31 @@ def test_run_from_scaled_identity_follows_the_scalar_recurrences(n):
         assert np.linalg.norm(U.values - expect) <= 1e-13 * np.linalg.norm(expect)
 
 
-def test_trace_memory_per_step_bounded():
-    # the eight columns cost 64 bytes a step; doubling and the final trim
-    # bring the peak to under three times that (eight Python lists: 261)
-    steps = 20_000
+def _peak_bytes_per_step(loop, steps):
     M = random_spd(SpdInstanceSpec(n=4, kappa=10.0, seed=1))
     cfg = GdConfig(max_iters=steps, tol=1e-300)
     tracemalloc.start()
     try:
-        _, trace = run(M, cfg)
+        _, trace = loop(M, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert trace.steps == steps
-    assert peak / steps <= 192.0
+    return peak / steps
+
+
+def test_trace_memory_per_step_bounded():
+    # three stored columns cost 24 bytes a step, and array.array's
+    # over-allocation of about a sixteenth keeps the peak under 26 (eight
+    # numpy columns that doubled: 113; eight Python lists: 261)
+    assert _peak_bytes_per_step(run, 20_000) <= 32.0
+
+
+def test_perturbed_trace_memory_per_step_bounded():
+    # every step also keeps its error's Frobenius norm, 8 bytes, and the
+    # error blocks of 64 KiB and their eigvalsh work arrays add a constant
+    err = ErrorModel(1e-9, "every-step", seed=1)
+    assert _peak_bytes_per_step(lambda M, cfg: run_perturbed(M, cfg, err), 20_000) <= 64.0
 
 
 # ------------------------------------------------------ spectral brackets
@@ -947,7 +1014,8 @@ def test_config_user_eta_is_used_whatever_its_number_type(eta):
     cfg = GdConfig(eta=eta)
     assert type(cfg.eta) is float and cfg.eta == float(eta)
     M = np.diag([0.04, 0.01])
-    _, trace = run(M, GdConfig(eta=eta, init_lambda=0.04, max_iters=3))
+    U0 = math.sqrt(0.04) * np.eye(2)
+    _, trace = run(M, GdConfig(eta=eta, init="explicit", init_matrix=U0, max_iters=3))
     assert np.all(trace.eta == float(eta))
 
 

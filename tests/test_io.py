@@ -1,5 +1,6 @@
 import io as std_io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -65,7 +66,8 @@ def test_read_matrix_rejects_malformed(text):
 def test_trace_csv_header_and_shape():
     from matsqrt import GdConfig, run
 
-    _, trace = run(np.diag([4.0, 1.0]), GdConfig(eta=0.02, tol=1e-6, init_lambda=4.0))
+    cfg = GdConfig(eta=0.02, tol=1e-6, init="explicit", init_matrix=math.sqrt(4.0) * np.eye(2))
+    _, trace = run(np.diag([4.0, 1.0]), cfg)
     buf = std_io.StringIO()
     io.write_trace_csv(buf, trace)
     lines = buf.getvalue().splitlines()
@@ -79,33 +81,28 @@ def test_trace_csv_header_and_shape():
 
 def test_trace_csv_golden_bytes():
     # the file contract: t as an integer, every float with 17 significant
-    # digits, and err_fro kept in memory only
+    # digits, and err_fro kept in memory only; objective, eta and err_norm
+    # are derived from the stored columns, the step size and delta
     nan, inf = float("nan"), float("inf")
     trace = IterationTrace(
-        {
-            "t": [0, 1, 10_000_000],
-            "residual_fro": [0.1, 1e-17, nan],
-            "objective": [0.010000000000000002, 1e-34, inf],
-            "sigma_min": [5e-324, -0.0, nan],
-            "opnorm": [1.5, 2.0, inf],
-            "eta": [0.25, 0.25, 0.25],
-            "err_norm": [0.0, 1e-7, -inf],
-            "err_fro": [0.0, 3e-7, 1.0],
-        },
+        ([0.1, 1e-17, nan], [5e-324, -0.0, -inf], [1.5, 2.0, inf]),
+        0.25,
         converged=False,
         stop_reason="diverged",
+        delta=1e-7,
+        drawn_fro=[3e-7],
     )
     buf = std_io.StringIO()
     io.write_trace_csv(buf, trace)
     assert buf.getvalue() == (
         "t,residual_fro,objective,sigma_min,opnorm,eta,err_norm\n"
         "0,0.10000000000000001,0.010000000000000002,4.9406564584124654e-324,1.5,0.25,0\n"
-        "1,1.0000000000000001e-17,9.9999999999999993e-35,-0,2,0.25,9.9999999999999995e-08\n"
-        "10000000,nan,inf,nan,inf,0.25,-inf\n"
+        "1,1.0000000000000001e-17,1.0000000000000001e-34,-0,2,0.25,9.9999999999999995e-08\n"
+        "2,nan,nan,-inf,inf,0.25,0\n"
     )
     recs = list(trace.records())
-    assert [r.t for r in recs] == [0, 1, 10_000_000]
-    assert recs[2].err_fro == 1.0
+    assert [r.t for r in recs] == [0, 1, 2]
+    assert [r.err_fro for r in recs] == [0.0, 3e-7, 0.0]
     for rec in recs:
         assert type(rec.t) is int
         assert all(type(x) is float for x in rec[1:])
@@ -137,9 +134,14 @@ def test_table_csv_cell_formats():
     io.write_table_csv(
         buf,
         ("a", "b", "c", "d", "e"),
-        [(1, 0.5, True, None, "gd"), (2, 1e-17, False, None, "x")],
+        [
+            (1, 0.5, True, None, "gd"),
+            (2, 1e-17, False, None, "x"),
+            (10_000_000, 0.25, True, None, "y"),
+        ],
     )
     lines = buf.getvalue().splitlines()
     assert lines[0] == "a,b,c,d,e"
     assert lines[1] == "1,0.5,true,,gd"
     assert lines[2] == "2,1.0000000000000001e-17,false,,x"
+    assert lines[3] == "10000000,0.25,true,,y"

@@ -51,7 +51,7 @@ def test_sym_eig_identity():
     assert dec.eigenvalues == pytest.approx([1, 1, 1])
 
 
-def test_sym_eig_huge_entries_still_rotate():
+def test_sym_eig_of_huge_entries_whose_norm_overflows():
     # ||A||_F^2 overflows, and the decomposition must not return the
     # diagonal 1e200 (1, 1) as the eigenvalues
     A = 1e200 * np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -195,7 +195,7 @@ def test_round_robin_on_repeated_and_clustered_spectra(n):
     assert_matches_oracles(spd_with_spectrum(1.0 + 1e-14 * np.arange(n), n))
 
 
-def test_round_robin_on_sparse_inputs():
+def test_eigh_on_sparse_inputs():
     # exact zeros: 2 + 2 and 8 + 9 block diagonal matrices and a tridiagonal one
     assert_matches_oracles(
         np.array([[2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, 1.0], [0.0, 0.0, 1.0, 3.0]])
@@ -219,7 +219,7 @@ def test_diagonal_input_takes_zero_sweeps(n):
     assert np.array_equal(dec.eigenvectors, np.eye(n)[:, order])
 
 
-def test_spectral_extremes_agrees_with_jacobi():
+def test_spectral_extremes_widened_by_the_pad_are_the_norms():
     # the refresh's raw values, widened by the pad, are the certified norms
     for seed in range(20):
         A = random_symmetric(6, seed)
