@@ -8,7 +8,6 @@ from .linalg import (
     PowerIterationError,
     SingularMatrixError,
     SpdMatrix,
-    SymmetricMatrix,
     estimate_opnorm_bound,
     frobenius_norm,
     lambda_min,

@@ -1,4 +1,8 @@
-"""Rate parameters, residual decay bounds, and runtime certificates.
+"""Residual decay bounds and runtime certificates.
+
+The bounds read the rate parameters of :func:`matsqrt.gd.rate_params`,
+which this module re-exports with :class:`~matsqrt.gd.RateParams` and
+:func:`~matsqrt.gd.stability_tolerance`.
 
 The certificates re-check, on seeded random samples, the structural facts
 the solver's guarantees rest on: a Lipschitz bound on the gradient over an
@@ -19,14 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .gd import (
-    C_RATE,
-    IterationTrace,
-    gradient,
-    objective,
-    rate_spectra,
-    stability_tolerance,
-)
+from .gd import C_RATE, GdError, IterationTrace, RateParams, corridor_top, gradient, objective
+from .gd import rate_params, stability_tolerance  # noqa: F401 - re-exported
 
 # Smoothness constant: ||grad f(U1) - grad f(U2)||_F <= this * max(cap, ||M||_2)
 # * ||U1 - U2||_F over the ball ||U||_2^2 <= cap.
@@ -41,44 +39,16 @@ MARGIN_RTOL = 1e-9
 SADDLE_SIGMA_FLOOR = 1e-3
 
 
-@dataclass(frozen=True)
-class RateParams:
-    """Quantities controlling the certified convergence rate.
-
-    ``alpha`` bounds the iteration count scale, ``beta`` the contraction
-    strength; iterates of a certified run stay inside
-    [corridor_low, corridor_high] in sigma_min and operator norm.
-    """
-
-    alpha: float
-    beta: float
-    corridor_low: float
-    corridor_high: float
-    kappa: float
-
-
-def rate_params(U0, M) -> RateParams:
-    """Evaluate the rate parameters for a start U0 and target M.
-
-    alpha = (max(||U0||, sqrt(||M||)) / min(sigma_min(U0), sqrt(sigma_min(M))))^3,
-    beta = min(sigma_min(U0), sqrt(sigma_min(M))), as computed by
-    :func:`matsqrt.gd.rate_spectra`.
-    """
-    u_op, u_smin, m_op, m_smin, alpha, beta = rate_spectra(U0, M)
-    return RateParams(
-        alpha=alpha,
-        beta=beta,
-        corridor_low=min(u_smin, math.sqrt(m_smin) / 10.0),
-        corridor_high=max(u_op, math.sqrt(3.0 * m_op)),
-        kappa=m_op / m_smin,
-    )
+def _decay_exponent(eta: float, rate: RateParams) -> float:
+    """C_RATE eta beta^2, the per-step exponent of every decay bound."""
+    return C_RATE * eta * rate.beta**2
 
 
 def theoretical_residual_bound(
     t: int, eta: float, rate: RateParams, r0: float
 ) -> float:
     """Certified residual decay: exp(-C_RATE eta beta^2 t) * r0."""
-    return math.exp(-C_RATE * eta * rate.beta**2 * t) * r0
+    return math.exp(-_decay_exponent(eta, rate) * t) * r0
 
 
 def stability_bound(
@@ -97,9 +67,9 @@ def stability_bound(
     equals :func:`theoretical_residual_bound` bitwise.
     """
     decay = theoretical_residual_bound(t, eta, rate, r0)
-    prefactor = 4.0 * max(u0_opnorm, math.sqrt(3.0 * m_opnorm))
+    prefactor = 4.0 * corridor_top(u0_opnorm, m_opnorm)
     acc = 0.0
-    x = C_RATE * eta * rate.beta**2
+    x = _decay_exponent(eta, rate)
     for s in range(t):
         acc += math.exp(-x * (t - s - 1)) * float(err_fro[s])
     return decay + prefactor * acc
@@ -121,9 +91,8 @@ def stability_bound_series(
     """
     err_fro = np.asarray(err_fro, dtype=float)
     T = len(err_fro)
-    x = C_RATE * eta * rate.beta**2
-    g = math.exp(-x)
-    prefactor = 4.0 * max(u0_opnorm, math.sqrt(3.0 * m_opnorm))
+    g = math.exp(-_decay_exponent(eta, rate))
+    prefactor = 4.0 * corridor_top(u0_opnorm, m_opnorm)
     out = np.empty(T + 1)
     out[0] = r0
     acc = 0.0
@@ -154,8 +123,7 @@ def first_error_attenuation_bound(
         return r0
     decay = theoretical_residual_bound(t, eta, rate, r0)
     prefactor = 6.0 * max(u0_opnorm * u0_opnorm, m_opnorm)
-    x = C_RATE * eta * rate.beta**2
-    return decay + prefactor * math.exp(-x * (t - 1)) * e0_fro
+    return decay + prefactor * math.exp(-_decay_exponent(eta, rate) * (t - 1)) * e0_fro
 
 
 @dataclass(frozen=True)
@@ -182,10 +150,39 @@ def _rng_for(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed, index))
 
 
-def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    G = rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(G)
-    return Q * np.where(np.diag(R) >= 0.0, 1.0, -1.0)
+def _report(name: str, samples: int, floor: float, results) -> CertificateReport:
+    """One certificate's report from its (margin, witness or None) per sample.
+
+    The worst margin is the smallest one; a NaN margin never becomes it.
+    The certificate passes when that margin reaches ``floor``, its
+    round-off allowance, and no sample gave a witness.
+    """
+    worst = math.inf
+    witnesses = []
+    for margin, witness in results:
+        if margin < worst:
+            worst = margin
+        if witness is not None:
+            witnesses.append(witness)
+    return CertificateReport(
+        property_name=name,
+        samples=samples,
+        worst_margin=worst,
+        passed=worst >= floor and not witnesses,
+        witnesses=witnesses,
+    )
+
+
+def margin_scale(M) -> float:
+    """||M||_F^4, the scale of the dominance margins; a :class:`GdError` past the doubles."""
+    with np.errstate(over="ignore"):
+        fro = linalg.frobenius_norm(M)
+    try:
+        if fro < math.inf:
+            return fro**4
+    except OverflowError:
+        pass
+    raise GdError(f"certificate margins overflow for a matrix of Frobenius norm {fro:.6e}")
 
 
 def _sample_symmetric_ball(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
@@ -205,10 +202,9 @@ def _sample_pd_interval(rng: np.random.Generator, n: int, lo: float, hi: float):
     Returns (matrix, smallest drawn eigenvalue); the construction makes the
     spectrum known exactly, so no eigensolve is needed per sample.
     """
-    V = _random_orthogonal(rng, n)
+    V = linalg.random_orthogonal(rng, n)
     lam = rng.uniform(lo, hi, size=n)
-    U = (V * lam) @ V.T
-    return (U + U.T) / 2.0, float(lam.min())
+    return linalg.from_eig(V, lam), float(lam.min())
 
 
 def smoothness_certificate(
@@ -227,36 +223,31 @@ def smoothness_certificate(
     """
     M_arr = np.asarray(M, dtype=float)
     n = M_arr.shape[0]
-    m_op = linalg.spectral_norm(M)
-    slope = constant * max(cap, m_op)
+    slope = constant * max(cap, linalg.spectral_norm(M))
     radius = math.sqrt(cap)
-    worst = math.inf
-    witnesses = []
-    for i in range(num_samples):
-        if i == 0:
-            U1 = radius * np.eye(n)
-            U2 = -radius * np.eye(n)
-        else:
-            rng = _rng_for(seed, i)
-            U1 = _sample_symmetric_ball(rng, n, radius)
-            U2 = _sample_symmetric_ball(rng, n, radius)
-        dist = float(np.linalg.norm(U1 - U2))
-        observed = float(np.linalg.norm(gradient(U1, M_arr) - gradient(U2, M_arr)))
-        margin = slope * dist - observed
-        if margin < worst:
-            worst = margin
-        if margin < -MARGIN_RTOL * slope * radius and len(witnesses) < 5:
-            witnesses.append(
-                f"sample {i}: ratio {observed / dist if dist else math.inf:.6e} "
-                f"exceeds slope {slope:.6e}"
-            )
-    return CertificateReport(
-        property_name="smoothness",
-        samples=num_samples,
-        worst_margin=worst,
-        passed=worst >= -MARGIN_RTOL * slope * radius and not witnesses,
-        witnesses=tuple(witnesses),
-    )
+    allowance = -MARGIN_RTOL * slope * radius
+
+    def results():
+        for i in range(num_samples):
+            if i == 0:
+                U1 = radius * np.eye(n)
+                U2 = -radius * np.eye(n)
+            else:
+                rng = _rng_for(seed, i)
+                U1 = _sample_symmetric_ball(rng, n, radius)
+                U2 = _sample_symmetric_ball(rng, n, radius)
+            dist = float(np.linalg.norm(U1 - U2))
+            observed = float(np.linalg.norm(gradient(U1, M_arr) - gradient(U2, M_arr)))
+            margin = slope * dist - observed
+            witness = None
+            if margin < allowance:
+                witness = (
+                    f"sample {i}: ratio {observed / dist if dist else math.inf:.6e} "
+                    f"exceeds slope {slope:.6e}"
+                )
+            yield margin, witness
+
+    return _report("smoothness", num_samples, allowance, results())
 
 
 def gradient_dominance_certificate(
@@ -271,32 +262,23 @@ def gradient_dominance_certificate(
     """
     M_arr = np.asarray(M, dtype=float)
     n = M_arr.shape[0]
-    m_op = linalg.spectral_norm(M)
     lo = math.sqrt(floor)
-    hi = max(math.sqrt(3.0 * m_op), 2.0 * lo)
-    scale = linalg.frobenius_norm(M_arr) ** 4
-    worst = math.inf
-    witnesses = []
-    for i in range(num_samples):
-        if i == 0:
-            U = lo * np.eye(n)
-        else:
-            U, _ = _sample_pd_interval(_rng_for(seed, i), n, lo, hi)
-        margin = (
-            float(np.linalg.norm(gradient(U, M_arr))) ** 2
-            - 4.0 * floor * objective(U, M_arr)
-        )
-        if margin < worst:
-            worst = margin
-        if margin < -MARGIN_RTOL * scale and len(witnesses) < 5:
-            witnesses.append(f"sample {i}: margin {margin:.6e}")
-    return CertificateReport(
-        property_name="gradient-dominance",
-        samples=num_samples,
-        worst_margin=worst,
-        passed=worst >= -MARGIN_RTOL * scale and not witnesses,
-        witnesses=tuple(witnesses),
-    )
+    hi = max(math.sqrt(3.0 * linalg.spectral_norm(M)), 2.0 * lo)
+    allowance = -MARGIN_RTOL * margin_scale(M_arr)
+
+    def results():
+        for i in range(num_samples):
+            if i == 0:
+                U = lo * np.eye(n)
+            else:
+                U, _ = _sample_pd_interval(_rng_for(seed, i), n, lo, hi)
+            margin = (
+                float(np.linalg.norm(gradient(U, M_arr))) ** 2
+                - 4.0 * floor * objective(U, M_arr)
+            )
+            yield margin, f"sample {i}: margin {margin:.6e}" if margin < allowance else None
+
+    return _report("gradient-dominance", num_samples, allowance, results())
 
 
 def saddle_location_check(M, num_samples: int, seed: int) -> CertificateReport:
@@ -312,44 +294,31 @@ def saddle_location_check(M, num_samples: int, seed: int) -> CertificateReport:
     M_arr = np.asarray(M, dtype=float)
     n = M_arr.shape[0]
     dec = linalg.as_spd(M).eig
-    sqrt_m = (dec.eigenvectors * np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.T
-    sqrt_m = (sqrt_m + sqrt_m.T) / 2.0
-    m_op = float(dec.eigenvalues[0])
-    hi = max(math.sqrt(3.0 * m_op), 2.0 * SADDLE_SIGMA_FLOOR)
-    scale = linalg.frobenius_norm(M_arr) ** 4
-    worst = math.inf
-    witnesses = []
-    for i in range(num_samples):
-        if i == 0:
-            U = sqrt_m
-            smin = math.sqrt(float(dec.eigenvalues[-1]))
-        elif i == 1:
-            lam = np.sqrt(dec.eigenvalues).copy()
-            lam[-1] = SADDLE_SIGMA_FLOOR
-            U = (dec.eigenvectors * lam) @ dec.eigenvectors.T
-            U = (U + U.T) / 2.0
-            smin = float(lam.min())
-        else:
-            U, smin = _sample_pd_interval(_rng_for(seed, i), n, SADDLE_SIGMA_FLOOR, hi)
-        g = float(np.linalg.norm(gradient(U, M_arr)))
-        f = objective(U, M_arr)
-        margin = g * g - 4.0 * smin * smin * f
-        if margin < worst:
-            worst = margin
-        violated = margin < -MARGIN_RTOL * scale
-        if g <= STATIONARY_GRAD_TOL and f > STATIONARY_GRAD_TOL**2 / (4.0 * smin * smin):
-            violated = True
-        if violated and len(witnesses) < 5:
-            witnesses.append(
-                f"sample {i}: margin {margin:.6e}, grad {g:.6e}, objective {f:.6e}"
-            )
-    return CertificateReport(
-        property_name="saddle-location",
-        samples=num_samples,
-        worst_margin=worst,
-        passed=worst >= -MARGIN_RTOL * scale and not witnesses,
-        witnesses=tuple(witnesses),
-    )
+    V, root_w = dec.eigenvectors, np.sqrt(dec.eigenvalues)
+    hi = max(math.sqrt(3.0 * float(dec.eigenvalues[0])), 2.0 * SADDLE_SIGMA_FLOOR)
+    allowance = -MARGIN_RTOL * margin_scale(M_arr)
+
+    def results():
+        for i in range(num_samples):
+            if i == 0:
+                U, smin = linalg.from_eig(V, root_w), math.sqrt(float(dec.eigenvalues[-1]))
+            elif i == 1:
+                lam = root_w.copy()
+                lam[-1] = SADDLE_SIGMA_FLOOR
+                U, smin = linalg.from_eig(V, lam), float(lam.min())
+            else:
+                U, smin = _sample_pd_interval(_rng_for(seed, i), n, SADDLE_SIGMA_FLOOR, hi)
+            g = float(np.linalg.norm(gradient(U, M_arr)))
+            f = objective(U, M_arr)
+            margin = g * g - 4.0 * smin * smin * f
+            witness = None
+            if margin < allowance or (
+                g <= STATIONARY_GRAD_TOL and f > STATIONARY_GRAD_TOL**2 / (4.0 * smin * smin)
+            ):
+                witness = f"sample {i}: margin {margin:.6e}, grad {g:.6e}, objective {f:.6e}"
+            yield margin, witness
+
+    return _report("saddle-location", num_samples, allowance, results())
 
 
 def corridor_check(trace: IterationTrace, rate: RateParams) -> CertificateReport:
@@ -362,17 +331,15 @@ def corridor_check(trace: IterationTrace, rate: RateParams) -> CertificateReport
     low_margin = trace.sigma_min - rate.corridor_low
     high_margin = rate.corridor_high - trace.opnorm
     worst = float(min(low_margin.min(), high_margin.min()))
-    witnesses = []
     bad = np.nonzero((low_margin < -CORRIDOR_SLACK) | (high_margin < -CORRIDOR_SLACK))[0]
-    for idx in bad[:5]:
-        witnesses.append(
-            f"step {idx}: sigma_min {trace.sigma_min[idx]:.6e}, "
-            f"opnorm {trace.opnorm[idx]:.6e}"
-        )
+    witnesses = [
+        f"step {idx}: sigma_min {trace.sigma_min[idx]:.6e}, opnorm {trace.opnorm[idx]:.6e}"
+        for idx in bad[:5]
+    ]
     return CertificateReport(
         property_name="eigenvalue-corridor",
         samples=len(trace),
         worst_margin=worst,
         passed=worst >= -CORRIDOR_SLACK and not witnesses,
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
     )

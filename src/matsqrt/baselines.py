@@ -70,5 +70,4 @@ def newton_sqrt(M, cfg: NewtonConfig = NewtonConfig()):
 def evd_sqrt(M) -> linalg.SpdMatrix:
     """Square root through the eigendecomposition of M."""
     dec = linalg.as_spd(M).eig
-    root = (dec.eigenvectors * np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.T
-    return linalg.SpdMatrix(linalg.symmetrize(root))
+    return linalg.SpdMatrix(linalg.from_eig(dec.eigenvectors, np.sqrt(dec.eigenvalues)))

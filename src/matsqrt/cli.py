@@ -177,10 +177,11 @@ def cmd_certify(args) -> int:
     seed = _resolve_seed(args)
     samples = args.samples
     constant = 1.0 if args.self_test else analysis.SMOOTHNESS_CONSTANT
-    m_op = linalg.spectral_norm(M_spd)
-    cap = 4.0 * m_op
+    # refuse a matrix too large to certify before anything is echoed
+    analysis.margin_scale(M_spd)
     cfg = GdConfig(max_iters=CERTIFY_MAX_ITERS, tol=args.tol, seed=seed)
     cfg, rate = _echo_gd_config(M_spd, cfg, seed)
+    cap = 4.0 * rate.m_op
     _echo([("samples", samples), ("smoothness-cap", cap), ("self-test", args.self_test)])
     reports = [
         analysis.smoothness_certificate(M_spd, cap, samples, seed, constant),

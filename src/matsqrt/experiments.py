@@ -70,12 +70,12 @@ class SpdInstanceSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.kappa < 1.0:
-            raise ValueError("kappa must be at least 1")
+        if not 1.0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and at least 1, got {self.kappa}")
         if self.kappa > 1.0 and self.n < 2:
             raise ValueError("kappa > 1 needs n >= 2")
-        if self.opnorm <= 0.0:
-            raise ValueError("opnorm must be positive")
+        if not 0.0 < self.opnorm < math.inf:
+            raise ValueError(f"opnorm must be finite and positive, got {self.opnorm}")
         if self.spectrum not in SPECTRUM_CHOICES:
             raise ValueError(f"spectrum must be one of {SPECTRUM_CHOICES}")
 
@@ -93,11 +93,8 @@ def random_spd(spec: SpdInstanceSpec) -> linalg.SpdMatrix:
         lam = np.linspace(spec.opnorm, lo, n)
     else:
         lam = np.array([spec.opnorm] * (n - n // 2) + [lo] * (n // 2))
-    rng = np.random.default_rng(spec.seed)
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    d = np.diag(R)
-    Q = Q * np.where(d >= 0.0, 1.0, -1.0)
-    return linalg.SpdMatrix(linalg.symmetrize((Q * lam) @ Q.T))
+    Q = linalg.random_orthogonal(np.random.default_rng(spec.seed), n)
+    return linalg.SpdMatrix(linalg.from_eig(Q, lam))
 
 
 @dataclass(frozen=True)
@@ -107,20 +104,20 @@ class LowerBoundInstance:
     Normalized to ||M||_2 = 1, sigma_min(M) = 1/kappa.  ``case`` 1 is the
     large-step regime (eta >= 1/4) where the first update lands exactly on
     the singular saddle surface; case 2 is the small-step regime where the
-    bottom coordinate crawls.  ``alpha_trace`` holds the case-2 normalized
-    bottom-coordinate recurrence alpha_{t+1} = alpha_t (1 + 2 eta sigma_min
-    (1 - alpha_t^2)), alpha_0 = 1/2; empty for case 1.
+    bottom coordinate crawls (see :func:`case2_alpha_trace`).
     """
 
     M: linalg.SpdMatrix
     U0: linalg.SpdMatrix
     eta: float
     case: int
-    alpha_trace: tuple
 
 
 def case2_alpha_trace(eta: float, sigma_min: float, steps: int) -> tuple:
-    """Normalized scalar recurrence for the case-2 bottom coordinate."""
+    """Normalized scalar recurrence for the case-2 bottom coordinate.
+
+    alpha_{t+1} = alpha_t (1 + 2 eta sigma_min (1 - alpha_t^2)), alpha_0 = 1/2.
+    """
     out = [0.5]
     a = 0.5
     for _ in range(steps):
@@ -148,13 +145,9 @@ def lower_bound_instance(kappa: float, eta: float, case: int | None = None) -> L
     if case == 1:
         beta = 1.0 / (2.0 * eta) + 1.0
         U0 = np.diag([math.sqrt(beta), math.sqrt(sigma)])
-        alpha = ()
     else:
         U0 = np.diag([1.0, 0.5 * math.sqrt(sigma)])
-        alpha = case2_alpha_trace(eta, sigma, math.ceil(kappa))
-    return LowerBoundInstance(
-        M=M, U0=linalg.SpdMatrix(U0), eta=eta, case=case, alpha_trace=alpha
-    )
+    return LowerBoundInstance(M=M, U0=linalg.SpdMatrix(U0), eta=eta, case=case)
 
 
 def scalar_gd_trace(u0: float, m: float, eta: float, steps: int) -> np.ndarray:
@@ -368,8 +361,6 @@ def robustness_sweep(M, deltas, cfg: GdConfig, seed: int = 0) -> list:
     M_spd, U0, eta = resolve(M, cfg)
     cfg = replace(cfg, eta=eta, init="explicit", init_matrix=U0)
     rate = analysis.rate_params(U0, M_spd)
-    u0_op = linalg.spectral_norm(U0)
-    m_op = linalg.spectral_norm(M_spd)
     rows = []
     for delta in deltas:
         err = ErrorModel(delta=delta, schedule="every-step", seed=seed)
@@ -380,8 +371,8 @@ def robustness_sweep(M, deltas, cfg: GdConfig, seed: int = 0) -> list:
             rate,
             float(trace.residual_fro[0]),
             trace.err_fro[1:],
-            u0_op,
-            m_op,
+            rate.u_op,
+            rate.m_op,
         )
         ratio = float(np.max(trace.residual_fro / bounds))
         rows.append(
@@ -442,7 +433,7 @@ def convergence_benchmark(specs, methods=("gd", "newton", "evd"), cfg: GdConfig 
         for method in methods:
             # a fresh matrix per method, so no method reads a spectrum
             # another one decomposed and paid for
-            M_method = linalg.SpdMatrix(M.sym)
+            M_method = linalg.SpdMatrix(M.values)
             start = time.perf_counter()
             iters, predicted, resid, status = None, None, None, ""
             try:

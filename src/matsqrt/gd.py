@@ -104,8 +104,8 @@ class GdConfig:
             raise ValueError("tol must be positive")
         if self.init not in INIT_CHOICES:
             raise ValueError(f"init must be one of {INIT_CHOICES}, got {self.init!r}")
-        if self.init == "explicit" and self.init_matrix is None:
-            raise ValueError("init='explicit' requires init_matrix")
+        if (self.init == "explicit") != (self.init_matrix is not None):
+            raise ValueError("init='explicit' requires init_matrix, and no other init takes one")
         if not (self.c_step > 0.0):
             raise ValueError("c_step must be positive")
 
@@ -286,44 +286,73 @@ def gd_step(U, M, eta: float) -> np.ndarray:
     return U
 
 
+@dataclass(frozen=True)
+class RateParams:
+    """The quantities of a start U0 and target M that the guarantees read.
+
+    ``u_op``, ``u_smin``, ``m_op`` and ``m_smin`` are ||U0||, sigma_min(U0),
+    ||M|| and sigma_min(M), the widened ``eigvalsh`` bounds each
+    :class:`SpdMatrix` keeps from its construction: the norms are upper
+    and the sigma_min lower bounds, and sigma_min > 0 is certified.
+    ``alpha`` = (max(||U0||, sqrt(||M||)) / beta)^3 scales the iteration
+    count and ``beta`` = min(sigma_min(U0), sqrt(sigma_min(M))) the
+    contraction; iterates of a certified run stay inside
+    [corridor_low, corridor_high] in sigma_min and operator norm.
+    """
+
+    alpha: float
+    beta: float
+    corridor_low: float
+    corridor_high: float
+    kappa: float
+    u_op: float
+    u_smin: float
+    m_op: float
+    m_smin: float
+
+
+def rate_params(U0, M) -> RateParams:
+    """The :class:`RateParams` of a start and target (raw arrays are validated)."""
+    _, u_smin, u_op = linalg.as_spd(U0).bounds
+    _, m_smin, m_op = linalg.as_spd(M).bounds
+    beta = min(u_smin, math.sqrt(m_smin))
+    return RateParams(
+        alpha=rate_cube(max(u_op, math.sqrt(m_op)) / beta, u_op, m_op),
+        beta=beta,
+        corridor_low=min(u_smin, math.sqrt(m_smin) / 10.0),
+        corridor_high=corridor_top(u_op, m_op),
+        kappa=m_op / m_smin,
+        u_op=u_op, u_smin=u_smin, m_op=m_op, m_smin=m_smin,
+    )
+
+
+def corridor_top(u_op: float, m_op: float) -> float:
+    """max(||U0||, sqrt(3 ||M||)): the certified bound on the iterates' norm."""
+    return max(u_op, math.sqrt(3.0 * m_op))
+
+
 def step_size_policy(U0, M, cfg: GdConfig) -> float:
     """Automatic step size.
 
     Returns ``c_step`` times the smallest of three bounds: an operator-norm
     safeguard 1 / (10 max(||U0||^2, 3 ||M||)), a corridor safeguard
-    beta / max(||U0||, sqrt(3 ||M||))^3, and the rate-parameter safeguard
+    beta / corridor_high^3, and the rate-parameter safeguard
     1 / (alpha beta^2).  With ``c_step <= 1`` the iterates provably stay in
-    the certified corridor.  Norms come from :func:`rate_spectra`.
+    the certified corridor.  Every quantity comes from :func:`rate_params`.
 
     The value scales like 1 / ||M|| under (M, U0) -> (s^2 M, s U0).
     """
-    u_op, _, m_op, _, alpha, beta = rate_spectra(U0, M)
+    rate = rate_params(U0, M)
+    u_op, m_op, beta = rate.u_op, rate.m_op, rate.beta
     bound_opnorm = 1.0 / (10.0 * max(u_op * u_op, 3.0 * m_op))
-    bound_corridor = beta / rate_cube(max(u_op, math.sqrt(3.0 * m_op)), u_op, m_op)
-    bound_rate = 1.0 / (alpha * beta * beta)
+    bound_corridor = beta / rate_cube(rate.corridor_high, u_op, m_op)
+    bound_rate = 1.0 / (rate.alpha * beta * beta)
     return cfg.c_step * min(bound_opnorm, bound_corridor, bound_rate)
 
 
-def rate_spectra(U0, M) -> tuple:
-    """(||U0||, sigma_min(U0), ||M||, sigma_min(M), alpha, beta) for a start and target.
-
-    alpha = (max(||U0||, sqrt(||M||)) / min(sigma_min(U0), sqrt(sigma_min(M))))^3
-    and beta = min(sigma_min(U0), sqrt(sigma_min(M))).  The norms are the
-    widened ``eigvalsh`` bounds each :class:`SpdMatrix` keeps from its
-    construction (raw arrays are validated into one), so the norms are
-    upper and the sigma_min lower bounds, and sigma_min > 0 is certified.
-    """
-    _, u_smin, u_op = linalg.as_spd(U0).bounds
-    _, m_smin, m_op = linalg.as_spd(M).bounds
-    ratio = max(u_op, math.sqrt(m_op)) / min(u_smin, math.sqrt(m_smin))
-    alpha = rate_cube(ratio, u_op, m_op)
-    beta = min(u_smin, math.sqrt(m_smin))
-    return u_op, u_smin, m_op, m_smin, alpha, beta
-
-
-def stability_tolerance(eta: float, beta: float, m_sigma_min: float) -> float:
+def stability_tolerance(eta: float, rate: RateParams) -> float:
     """Largest per-step error spectral norm the stability bound tolerates."""
-    return eta * m_sigma_min * beta / STABILITY_SLACK
+    return eta * rate.m_smin * rate.beta / STABILITY_SLACK
 
 
 def rate_cube(x: float, u_op: float, m_op: float) -> float:
@@ -406,8 +435,7 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
         per_block = 1
         if err.schedule == "every-step":
             per_block = max(1, ERROR_BLOCK_BYTES // (8 * n * n))
-        _, _, _, m_smin, _, beta = rate_spectra(U0, M_spd)
-        tolerance = stability_tolerance(eta, beta, m_smin)
+        tolerance = stability_tolerance(eta, rate_params(U0, M_spd))
         if err.delta >= tolerance:
             warnings.warn(
                 f"error level delta={err.delta:.3e} is at or above the "
@@ -440,8 +468,9 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     # The spectrum is bracketed, not recomputed every step.  A refresh takes
     # lambda_min and lambda_max of U from one eigvalsh, records them as they
     # are, and widens them by 2 n eps ||U||_2, twice LAPACK's error bound
-    # (``linalg.eigvalsh_pad``, as for every SpdMatrix), into [lo, hi].  By Weyl's inequality an eigenvalue then moves by at
-    # most ||U_{t+1} - U_t||_2 <= ||H||_F + ||E_t||_2 + ||R||_F a step, R the
+    # (``linalg.eigvalsh_pad``, as for every SpdMatrix), into [lo, hi].
+    # By Weyl's inequality an eigenvalue then moves by at most
+    # ||U_{t+1} - U_t||_2 <= ||H||_F + ||E_t||_2 + ||R||_F a step, R the
     # rounding of U - H and of + E_t: at most ||H||_F + ||E_t||_F, since
     # rounding to nearest moves an entry by at most the operand added to
     # it, and at most eps sqrt(n) (||U_t||_2 + ||H||_F + ||E_t||_2).

@@ -73,27 +73,55 @@ def symmetrize(A) -> np.ndarray:
     return (A + A.T) / 2.0
 
 
-class SymmetricMatrix:
-    """A square matrix that is exactly symmetric entrywise.
+class SpdMatrix:
+    """A symmetric positive definite matrix.
 
     The constructor symmetrizes its argument, so ``values[i, j] ==
-    values[j, i]`` holds bitwise.  The wrapped array is frozen; operations
-    return new objects.
+    values[j, i]`` holds bitwise, and freezes it; operations return new
+    objects.  Positive definiteness is verified at construction by one
+    ``eigvalsh``: the smallest eigenvalue must exceed ``SPD_RTOL`` times
+    the largest, and its widened lower bound must be positive.
+    Construction is the only gate; downstream code may rely on the
+    invariant without rechecking.
+
+    ``bounds`` keeps that spectrum as (lambda_min, sigma_min, ||A||_2)
+    widened outward (see :func:`spectral_bounds`), so every norm of the
+    matrix is read without another decomposition.  The ``eigh``
+    decomposition behind :attr:`eig` is computed on first use and kept.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "bounds", "_eig")
 
     def __init__(self, values):
         A = symmetrize(values)
         A.setflags(write=False)
+        w = np.linalg.eigvalsh(A)
+        lam_min, lam_max = float(w[0]), float(w[-1])
+        bounds = _widened(w)
+        if lam_min <= SPD_RTOL * abs(lam_max) or bounds[0] <= 0.0:
+            raise NotPositiveDefiniteError(
+                f"matrix is not positive definite: lambda_min={lam_min:.6e}, "
+                f"lambda_max={lam_max:.6e}"
+            )
         object.__setattr__(self, "values", A)
+        object.__setattr__(self, "bounds", bounds)
 
     def __setattr__(self, name, value):
-        raise AttributeError("SymmetricMatrix is immutable")
+        raise AttributeError("SpdMatrix is immutable")
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def eig(self) -> EigenDecomposition:
+        """``sym_eig`` of the matrix, computed once; its arrays are read-only."""
+        try:
+            return self._eig
+        except AttributeError:
+            dec = sym_eig(self.values)
+            object.__setattr__(self, "_eig", dec)
+            return dec
 
     def __array__(self, dtype=None, copy=None):
         """numpy 2's protocol: ``values`` itself unless a copy is asked for or needed.
@@ -106,62 +134,6 @@ class SymmetricMatrix:
                 raise ValueError(f"converting to {dtype} needs a copy")
             return A.astype(A.dtype if dtype is None else dtype)
         return A
-
-    def __repr__(self) -> str:
-        return f"SymmetricMatrix(n={self.n})"
-
-
-class SpdMatrix:
-    """A symmetric positive definite matrix.
-
-    Positive definiteness is verified at construction by one ``eigvalsh``:
-    the smallest eigenvalue must exceed ``SPD_RTOL`` times the largest, and
-    its widened lower bound must be positive.  Construction is the only
-    gate; downstream code may rely on the invariant without rechecking.
-
-    ``bounds`` keeps that spectrum as (lambda_min, sigma_min, ||A||_2)
-    widened outward (see :func:`spectral_bounds`), so every norm of the
-    matrix is read without another decomposition.  The ``eigh``
-    decomposition behind :attr:`eig` is computed on first use and kept.
-    """
-
-    __slots__ = ("sym", "bounds", "_eig")
-
-    def __init__(self, values):
-        sym = values if isinstance(values, SymmetricMatrix) else SymmetricMatrix(values)
-        w = np.linalg.eigvalsh(sym.values)
-        lam_min, lam_max = float(w[0]), float(w[-1])
-        bounds = _widened(w)
-        if lam_min <= SPD_RTOL * abs(lam_max) or bounds[0] <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"matrix is not positive definite: lambda_min={lam_min:.6e}, "
-                f"lambda_max={lam_max:.6e}"
-            )
-        object.__setattr__(self, "sym", sym)
-        object.__setattr__(self, "bounds", bounds)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpdMatrix is immutable")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.sym.values
-
-    @property
-    def n(self) -> int:
-        return self.sym.n
-
-    @property
-    def eig(self) -> EigenDecomposition:
-        """``sym_eig`` of the matrix, computed once; its arrays are read-only."""
-        try:
-            return self._eig
-        except AttributeError:
-            dec = sym_eig(self.values)
-            object.__setattr__(self, "_eig", dec)
-            return dec
-
-    __array__ = SymmetricMatrix.__array__
 
     def __repr__(self) -> str:
         return f"SpdMatrix(n={self.n})"
@@ -182,6 +154,22 @@ class EigenDecomposition:
     def reconstruct(self) -> np.ndarray:
         V = self.eigenvectors
         return (V * self.eigenvalues) @ V.T
+
+
+def from_eig(V, w) -> np.ndarray:
+    """V diag(w) V^T, symmetrized: exactly symmetric entrywise."""
+    A = (V * w) @ V.T
+    return (A + A.T) / 2.0
+
+
+def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Q of the QR factorization of an n x n standard normal draw from ``rng``.
+
+    The signs of diag(R) are fixed to be non-negative, so the same
+    generator state gives the same Q bitwise.
+    """
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q * np.where(np.diag(R) >= 0.0, 1.0, -1.0)
 
 
 def frobenius_norm(A) -> float:

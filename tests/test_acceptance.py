@@ -272,7 +272,7 @@ def test_check07_stability_floors_and_attenuation():
     U0 = initial_iterate(M, cfg)
     rate = rate_params(U0, M)
     eta = step_size_policy(U0, M, cfg)
-    delta = stability_tolerance(eta, rate.beta, 0.1) / 2.0
+    delta = stability_tolerance(eta, rate) / 2.0
 
     rows = robustness_sweep(M, [delta, delta / 10.0, 0.0], cfg, seed=7)
     assert all(r.bound_satisfied for r in rows)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from matsqrt.analysis import (
     theoretical_residual_bound,
 )
 from matsqrt.experiments import SpdInstanceSpec, random_spd
-from matsqrt.gd import GdConfig, gradient, objective, run
+from matsqrt.gd import GdConfig, GdError, gradient, objective, run
 
 
 def worked_rate():
@@ -35,6 +36,10 @@ def test_rate_params_worked_example():
     assert 0.1 > rate.corridor_low == pytest.approx(0.1, rel=1e-14)
     assert math.sqrt(12.0) < rate.corridor_high == pytest.approx(math.sqrt(12.0), rel=1e-14)
     assert 4.0 < rate.kappa == pytest.approx(4.0, rel=1e-14)
+    assert 2.0 < rate.u_op == pytest.approx(2.0, rel=1e-14)
+    assert 2.0 > rate.u_smin == pytest.approx(2.0, rel=1e-14)
+    assert 4.0 < rate.m_op == pytest.approx(4.0, rel=1e-14)
+    assert 1.0 > rate.m_smin == pytest.approx(1.0, rel=1e-14)
 
 
 @given(st.integers(0, 300), st.integers(2, 8))
@@ -123,9 +128,20 @@ def test_first_error_attenuation_bound_shape():
 
 
 def test_stability_tolerance_formula():
-    assert stability_tolerance(1e-3, 0.5, 0.25) == pytest.approx(
-        1e-3 * 0.25 * 0.5 / 300.0, rel=1e-15
-    )
+    rate = dataclasses.replace(worked_rate(), beta=0.5, m_smin=0.25)
+    assert stability_tolerance(1e-3, rate) == pytest.approx(1e-3 * 0.25 * 0.5 / 300.0, rel=1e-15)
+
+
+def test_bounds_keep_their_operation_order():
+    # bitwise: the exponent is (C_RATE eta) beta^2 and the tolerance
+    # (eta sigma_min(M)) beta / 300, in that order
+    for eta in (1e-3, 3e-3, 7e-3, 0.013, 0.029):
+        for beta, m_smin in ((0.3, 0.7), (0.55, 0.45), (0.9, 0.35), (0.71, 0.2), (0.83, 0.6)):
+            rate = dataclasses.replace(worked_rate(), beta=beta, m_smin=m_smin)
+            assert stability_tolerance(eta, rate) == eta * m_smin * beta / 300.0
+            for t in (10**4, 10**5, 3 * 10**5):
+                want = math.exp(-(1.0 / 50.0) * eta * beta**2 * t) * 2.5
+                assert theoretical_residual_bound(t, eta, rate, 2.5) == want
 
 
 # ------------------------------------------------------------ certificates
@@ -134,6 +150,33 @@ def test_stability_tolerance_formula():
 def test_certificate_report_truncates_witnesses():
     rep = CertificateReport("x", 10, -1.0, False, witnesses=tuple(str(i) for i in range(9)))
     assert len(rep.witnesses) == 5
+
+
+def test_report_keeps_the_certificate_rule():
+    # a NaN margin never becomes the worst, any witness fails the report,
+    # and only the first five witnesses are kept
+    rep = analysis._report("x", 3, -1.0, [(0.5, None), (0.25, None), (math.nan, None)])
+    assert (rep.worst_margin, rep.passed, rep.witnesses) == (0.25, True, ())
+    rep = analysis._report("x", 2, -1.0, [(0.5, None), (0.75, "w")])
+    assert (rep.worst_margin, rep.passed, rep.witnesses) == (0.5, False, ("w",))
+    rep = analysis._report("x", 8, 0.0, [(-1.0, f"w{i}") for i in range(8)])
+    assert (rep.passed, rep.witnesses) == (False, tuple(f"w{i}" for i in range(5)))
+    rep = analysis._report("x", 1, 0.0, [(-0.5, None)])
+    assert (rep.worst_margin, rep.passed) == (-0.5, False)
+
+
+@pytest.mark.parametrize(
+    "top, fro", [(1e100, "1.118034e\\+100"), (1e200, "inf")], ids=["1e100", "1e200"]
+)
+def test_certificates_refuse_a_matrix_whose_margin_scale_overflows(top, fro):
+    # at 1e200 ||M||_F itself overflows
+    M = np.diag([top, top / 2.0])
+    for check in (
+        lambda: gradient_dominance_certificate(M, 1.0, 3, 0),
+        lambda: saddle_location_check(M, 3, 0),
+    ):
+        with pytest.raises(GdError, match=f"Frobenius norm {fro}$"):
+            check()
 
 
 def test_smoothness_certificate_passes():

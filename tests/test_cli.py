@@ -11,7 +11,7 @@ import pytest
 
 from matsqrt import cli, io, linalg
 from matsqrt.baselines import NewtonConvergenceError, evd_sqrt
-from matsqrt.experiments import LowerBoundError
+from matsqrt.experiments import LowerBoundError, SpdInstanceSpec, random_spd
 from matsqrt.gd import DivergenceError
 
 
@@ -311,6 +311,17 @@ def test_certify_passes(capsys, spd_file):
     }
 
 
+@pytest.mark.parametrize("top", [1e100, 1e150], ids=["1e100", "1e150"])
+def test_certify_refuses_a_matrix_whose_margins_overflow(capsys, matrix_file, top):
+    # ||M||_F^4 overflows; at 1e150 the smoothness check's gradient norms
+    # would overflow too, and a RuntimeWarning fails this test
+    path = matrix_file(np.diag([top, top / 2.0]))
+    code, out, err = run_cli(capsys, "certify", path, "--samples", "10")
+    assert (code, out) == (cli.EXIT_DIVERGED, "")
+    fro = math.hypot(top, top / 2.0)
+    assert err == f"error: certificate margins overflow for a matrix of Frobenius norm {fro:.6e}\n"
+
+
 def test_certify_eigendecomposes_m_once_and_sqrt_never(capsys, tmp_path, sym_eig_calls):
     # sqrt: the step size and the echoed rate parameters read the spectra
     # that the constructors of M and U0 keep.  certify's smoothness cap and
@@ -423,6 +434,13 @@ def test_bench_table(capsys):
 def test_bench_unknown_method(capsys):
     code, _, _ = run_cli(capsys, "bench", "--methods", "gd,magic")
     assert code == 1
+
+
+@pytest.mark.parametrize("flag", ["--kappas", "--opnorm"])
+def test_bench_rejects_a_non_finite_instance_value(capsys, flag):
+    code, out, err = run_cli(capsys, "bench", "--sizes", "4", flag, "nan")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: ") and "must be finite" in err
 
 
 def test_bench_deterministic_modulo_wall_time(capsys):
@@ -569,6 +587,79 @@ def test_sqrt_trace_csv_pinned(capsys, tmp_path):
     assert code == cli.EXIT_ITER_CAP
     assert err == "error: tolerance 1e-08 not reached within 40 iterations\n"
     assert trace.read_text() == PINNED_TRACE_CSV
+
+
+_GD_ECHO_KAPPA_10 = (
+    '# method gd\n'
+    '# seed 0\n'
+    '# eta {eta}\n'
+    '# alpha 58.04230155806713\n'
+    '# beta 0.31622776601683383\n'
+    '# corridor-low 0.031622776601683382\n'
+    '# corridor-high 1.7320508075688794\n'
+    '# tol 1e-08\n'
+    '# max-iters {max_iters}\n'
+)
+
+# (argv, exit code, stdout, written file) of three commands on seeded n = 6
+# files, recorded before the rate parameters and certificates were rewritten.
+GOLDEN_RUNS = {
+    "certify": (
+        ["certify", "KAPPA10", "--samples", "40"],
+        cli.EXIT_OK,
+        _GD_ECHO_KAPPA_10.format(eta="0.00033333333333333256", max_iters=200000)
+        + '# samples 40\n'
+        '# smoothness-cap 4.0000000000000098\n'
+        '# self-test False\n',
+        '{"property": "smoothness", "samples": 40, "worst_margin": 9.191767909282188, "pass": true}\n'
+        '{"property": "gradient-dominance", "samples": 40, "worst_margin": 8.673617379884035e-19, "pass": true}\n'
+        '{"property": "saddle-location", "samples": 40, "worst_margin": -1.5881867761018131e-22, "pass": true}\n'
+        '{"property": "eigenvalue-corridor", "samples": 120359, "worst_margin": 0.28441105429942865, "pass": true}\n',
+    ),
+    "certify-self-test": (
+        ["certify", "KAPPA100", "--samples", "40", "--self-test"],
+        cli.EXIT_CERT_FAILED,
+        '# method gd\n'
+        '# seed 0\n'
+        '# eta 0.00019245008972984906\n'
+        '# alpha 1836.946353803881\n'
+        '# beta 0.099999999999986752\n'
+        '# corridor-low 0.0099999999999986749\n'
+        '# corridor-high 1.7320508075688794\n'
+        '# tol 1e-08\n'
+        '# max-iters 200000\n'
+        '# samples 40\n'
+        '# smoothness-cap 4.0000000000000098\n'
+        '# self-test True\n',
+        '{"property": "smoothness", "samples": 40, "worst_margin": -34.10747663791386, "pass": false}\n'
+        '{"property": "gradient-dominance", "samples": 40, "worst_margin": -1.0842021724855044e-19, "pass": true}\n'
+        '{"property": "saddle-location", "samples": 40, "worst_margin": -3.298382692555198e-23, "pass": true}\n'
+        '{"property": "eigenvalue-corridor", "samples": 200001, "worst_margin": 0.10233880200554084, "pass": true}\n',
+    ),
+    "robustness": (
+        ["robustness", "KAPPA10", "--deltas", "1e-6,1e-7,0"],
+        cli.EXIT_OK,
+        _GD_ECHO_KAPPA_10.format(eta="0.033333333333333257", max_iters=20000),
+        'delta,plateau_step,floor_residual,max_bound_ratio,bound_satisfied\n'
+        '9.9999999999999995e-07,893,6.3393537078298896e-06,1,true\n'
+        '9.9999999999999995e-08,1024,6.6854098686110032e-07,1,true\n'
+        '0,1194,9.9382043978026956e-09,1,true\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_bytes(capsys, tmp_path, name):
+    argv, want_code, want_out, want_file = GOLDEN_RUNS[name]
+    files = {}
+    for label, kappa in (("KAPPA10", 10.0), ("KAPPA100", 100.0)):
+        files[label] = str(tmp_path / f"{label}.txt")
+        io.write_matrix(files[label], random_spd(SpdInstanceSpec(n=6, kappa=kappa, seed=3)))
+    dest = tmp_path / "out.txt"
+    argv = [files.get(a, a) for a in argv] + ["-o", str(dest)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (want_code, want_out, "")
+    assert dest.read_text() == want_file
 
 
 # ------------------------------------------------------------ entry point

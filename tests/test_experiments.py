@@ -40,6 +40,11 @@ def test_instance_spec_validation():
         SpdInstanceSpec(n=4, kappa=10.0, spectrum="cauchy")
     with pytest.raises(ValueError):
         SpdInstanceSpec(n=1, kappa=2.0)  # 1x1 cannot have kappa > 1
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SpdInstanceSpec(n=4, kappa=bad)
+        with pytest.raises(ValueError, match="finite"):
+            SpdInstanceSpec(n=4, kappa=10.0, opnorm=bad)
 
 
 def test_random_spd_kappa_one_is_scaled_identity():
@@ -233,7 +238,7 @@ def test_robustness_sweep_floor_tracks_error_size():
     U0 = initial_iterate(M, cfg)
     rate = rate_params(U0, M)
     eta = step_size_policy(U0, M, cfg)
-    delta = stability_tolerance(eta, rate.beta, 1.0 / 4.0) / 2.0
+    delta = stability_tolerance(eta, rate) / 2.0
     rows = robustness_sweep(M, [delta, delta / 10.0, 0.0], cfg, seed=1)
     assert [r.delta for r in rows] == [delta, delta / 10.0, 0.0]
     assert all(r.bound_satisfied for r in rows)

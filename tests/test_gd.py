@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -26,7 +27,6 @@ from matsqrt.gd import (
     objective,
     residual_fro,
     run,
-    rate_spectra,
     resolve,
     run_perturbed,
     step_size_policy,
@@ -58,6 +58,8 @@ def test_config_defaults_pinned():
         dict(init="explicit"),
         dict(tol=math.nan),
         dict(c_step=0.0),
+        # a start given without init="explicit" would be silently ignored
+        dict(init_matrix=5.0 * np.eye(2)),
     ],
 )
 def test_config_rejects_invalid(kwargs):
@@ -149,7 +151,8 @@ def test_step_size_policy_worked_example():
 
 def test_step_size_and_spectra_are_python_floats():
     M, U0 = np.diag([4.0, 1.0]), 2.0 * np.eye(2)
-    values = [step_size_policy(U0, M, GdConfig()), *rate_spectra(U0, M)]
+    rate = rate_params(U0, M)
+    values = [step_size_policy(U0, M, GdConfig()), *dataclasses.astuple(rate)]
     values.append(resolve(M, GdConfig())[2])
     values.append(resolve(M, GdConfig(eta=np.float64(0.01)))[2])
     for value in values:
@@ -431,7 +434,7 @@ def test_run_perturbed_warns_from_the_stability_tolerance(factor):
     cfg = GdConfig(c_step=1.0, max_iters=10, tol=1e-14)
     U0 = initial_iterate(M, cfg)
     eta = step_size_policy(U0, M, cfg)
-    tolerance = stability_tolerance(eta, rate_params(U0, M).beta, linalg.sigma_min(M))
+    tolerance = stability_tolerance(eta, rate_params(U0, M))
     err = ErrorModel(delta=factor * tolerance, schedule="every-step")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -1046,8 +1049,9 @@ def test_rate_parameters_of_an_overflowing_start_raise_gd_error():
         with pytest.raises(GdError, match="start of spectral norm 1.000000e\\+200"):
             compute()
     # a finite cube keeps its bits
-    u_op, u_smin, m_op, m_smin, alpha, _ = rate_spectra(2.0 * np.eye(2), M)
-    assert alpha == (max(u_op, math.sqrt(m_op)) / min(u_smin, math.sqrt(m_smin))) ** 3
+    rate = rate_params(2.0 * np.eye(2), M)
+    ratio = max(rate.u_op, math.sqrt(rate.m_op)) / min(rate.u_smin, math.sqrt(rate.m_smin))
+    assert rate.alpha == ratio**3
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf])

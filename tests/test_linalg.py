@@ -11,7 +11,6 @@ from matsqrt.linalg import (
     NotPositiveDefiniteError,
     SingularMatrixError,
     SpdMatrix,
-    SymmetricMatrix,
     estimate_opnorm_bound,
     frobenius_norm,
     lambda_min,
@@ -289,14 +288,15 @@ def test_symmetrize_is_exact_for_symmetric():
     assert np.array_equal(symmetrize(A), A)
 
 
-def test_symmetric_matrix_symmetrizes_input():
-    S = SymmetricMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
+def test_spd_symmetrizes_input():
+    # [[1, 2], [0, 1]] would symmetrize to a singular matrix
+    S = SpdMatrix(np.array([[3.0, 2.0], [0.0, 3.0]]))
     assert np.array_equal(S.values, S.values.T)
     assert S.values[0, 1] == 1.0
 
 
-def test_symmetric_matrix_immutable():
-    S = SymmetricMatrix(np.eye(2))
+def test_spd_values_immutable():
+    S = SpdMatrix(np.eye(2))
     with pytest.raises((ValueError, AttributeError)):
         S.values[0, 0] = 7.0
 
@@ -327,13 +327,13 @@ def test_spd_caches_one_read_only_decomposition(sym_eig_calls):
     for arr in (dec.eigenvalues, dec.eigenvectors, M.values):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    for name in ("sym", "bounds", "_eig", "eig", "other"):
+    for name in ("values", "bounds", "_eig", "eig", "other"):
         with pytest.raises(AttributeError):
             setattr(M, name, None)
     assert M.eig is dec
 
 
-@pytest.mark.parametrize("cls", [SymmetricMatrix, SpdMatrix])
+@pytest.mark.parametrize("cls", [SpdMatrix])
 def test_array_protocol_copies_exactly_when_asked(cls):
     A = cls(np.array([[2.0, 1.0], [1.0, 3.0]]))
     # np.array asks for a copy: a new, writable array
