@@ -240,7 +240,7 @@ def smoothness_certificate(
             observed = float(np.linalg.norm(gradient(U1, M_arr) - gradient(U2, M_arr)))
             margin = slope * dist - observed
             witness = None
-            if margin < allowance:
+            if not margin >= allowance:
                 witness = (
                     f"sample {i}: ratio {observed / dist if dist else math.inf:.6e} "
                     f"exceeds slope {slope:.6e}"
@@ -276,7 +276,7 @@ def gradient_dominance_certificate(
                 float(np.linalg.norm(gradient(U, M_arr))) ** 2
                 - 4.0 * floor * objective(U, M_arr)
             )
-            yield margin, f"sample {i}: margin {margin:.6e}" if margin < allowance else None
+            yield margin, f"sample {i}: margin {margin:.6e}" if not margin >= allowance else None
 
     return _report("gradient-dominance", num_samples, allowance, results())
 
@@ -312,7 +312,7 @@ def saddle_location_check(M, num_samples: int, seed: int) -> CertificateReport:
             f = objective(U, M_arr)
             margin = g * g - 4.0 * smin * smin * f
             witness = None
-            if margin < allowance or (
+            if not margin >= allowance or (
                 g <= STATIONARY_GRAD_TOL and f > STATIONARY_GRAD_TOL**2 / (4.0 * smin * smin)
             ):
                 witness = f"sample {i}: margin {margin:.6e}, grad {g:.6e}, objective {f:.6e}"

@@ -320,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--case", type=int, choices=(1, 2), default=None)
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_lowerbound)
 
@@ -338,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--grid-min", type=float, default=0.0)
     p.add_argument("--grid-max", type=float, default=3.0)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_landscape)
 

@@ -112,14 +112,15 @@ class GdConfig:
 
 @dataclass(frozen=True)
 class ErrorModel:
-    """Per-step additive perturbations of exact spectral norm ``delta``.
+    """Per-step additive perturbations of spectral norm just under ``delta``.
 
-    Each scheduled step adds a symmetric Gaussian matrix drawn from the
-    seeded generator and rescaled to ``||E_t||_2 = delta``.  ``schedule`` is
-    ``"every-step"`` or ``"first-step-only"``; ``delta = 0`` injects nothing.
-    The errors are drawn in blocks of consecutive steps, one stacked draw
-    per block; a block's matrices are bitwise those of one draw per step,
-    and it leaves the generator in the same state.
+    Each scheduled step adds a symmetric Gaussian matrix from the seeded
+    generator, scaled by one ``eigvalsh`` and a certified margin into
+    delta (1 - 8 n eps) <= ||E_t||_2 <= delta (bar a subnormal delta's
+    rounding).  ``schedule`` is ``"every-step"`` or ``"first-step-only"``;
+    ``delta = 0`` injects nothing.  The errors are drawn in blocks of
+    consecutive steps, one stacked draw per block, bitwise those of one
+    draw per step; a block leaves the generator in the same state.
     """
 
     delta: float = 0.0
@@ -150,13 +151,11 @@ class ErrorModel:
         w = np.linalg.eigvalsh(E)
         s = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
         s[s == 0.0] = 1.0  # a zero slice stays zero
-        E *= (self.delta / s)[:, None, None]
-        # round-off can leave the rescaled norm a few ulps above delta;
-        # one corrective rescale restores ||E||_2 <= delta
-        w = np.linalg.eigvalsh(E)
-        s = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
-        over = s > self.delta
-        E[over] *= (self.delta / s[over])[:, None, None]
+        # One scaling suffices: s is within n eps ||E||_2 of the norm, the
+        # scale rounds twice and each entry's product by sqrt(n) eps / 2 of
+        # it, and 4 n eps is at least twice their sum (n = 1: eigvalsh is
+        # exact), so ||E||_2 <= delta while no scaled entry underflows.
+        E *= (self.delta / (s * (1.0 + 4 * n * linalg.EPS)))[:, None, None]
         return E
 
 
@@ -474,11 +473,12 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     # rounding of U - H and of + E_t: at most ||H||_F + ||E_t||_F, since
     # rounding to nearest moves an entry by at most the operand added to
     # it, and at most eps sqrt(n) (||U_t||_2 + ||H||_F + ||E_t||_2).
-    # ``grow`` and ``tiny`` cover the ddot's error gamma_{n^2}, the
-    # underflow of its squares and the eigvalsh error in ||E_t||_2 <= delta;
-    # each constant is at least twice its bound, which covers the roundings
-    # of the sums.  ``slack`` sums the steps since the refresh, rounded up,
-    # and a row records lo - slack and hi + slack, rounded outward.
+    # ``grow`` and ``tiny`` cover the ddot's error gamma_{n^2} and the
+    # underflow of its squares; ``tiny`` also covers the rounding by which
+    # an error of subnormal delta exceeds delta.  Each constant is at least
+    # twice its bound, which covers the roundings of the sums.  ``slack``
+    # sums the steps since the refresh, rounded up, and a row records
+    # lo - slack and hi + slack, rounded outward.
     # The loop refreshes at t = 0, at every stop, and when the slack exceeds
     # BRACKET_RTOL lo or is not finite, so lo - slack >= (15/16) lo > 0
     # certifies definiteness in between and a loss is found at its own step.

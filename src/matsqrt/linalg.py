@@ -151,10 +151,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        V = self.eigenvectors
-        return (V * self.eigenvalues) @ V.T
-
 
 def from_eig(V, w) -> np.ndarray:
     """V diag(w) V^T, symmetrized: exactly symmetric entrywise."""
@@ -304,7 +300,7 @@ def estimate_opnorm_bound(M, seed: int = 0) -> float:
     Rayleigh quotients agree to ``POWER_RTOL`` relative, then returns 1.5
     times the final quotient.  For SPD input the quotient never exceeds the
     true norm, so the scaled value lands in [||M||_2, 2 ||M||_2] once the
-    iteration has converged.
+    iteration has converged.  It raises PowerIterationError if ||A v|| overflows.
     """
     A = np.asarray(M, dtype=float)
     n = A.shape[0]
@@ -312,18 +308,21 @@ def estimate_opnorm_bound(M, seed: int = 0) -> float:
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     ray_prev = None
-    for _ in range(POWER_MAX_ITERS):
-        w = A @ v
-        ray = float(v @ w)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            raise PowerIterationError("matrix maps the start vector to zero")
-        v = w / norm_w
-        if ray_prev is not None and abs(ray - ray_prev) < POWER_RTOL * abs(ray):
-            break
-        ray_prev = ray
-    else:
-        raise PowerIterationError(
-            f"Rayleigh quotient did not settle in {POWER_MAX_ITERS} iterations"
-        )
+    with np.errstate(over="ignore"):
+        for _ in range(POWER_MAX_ITERS):
+            w = A @ v
+            ray = float(v @ w)
+            norm_w = float(np.linalg.norm(w))
+            if not norm_w < np.inf:
+                raise PowerIterationError("power iteration overflows: ||A v|| is not finite")
+            if norm_w == 0.0:
+                raise PowerIterationError("matrix maps the start vector to zero")
+            v = w / norm_w
+            if ray_prev is not None and abs(ray - ray_prev) < POWER_RTOL * abs(ray):
+                break
+            ray_prev = ray
+        else:
+            raise PowerIterationError(
+                f"Rayleigh quotient did not settle in {POWER_MAX_ITERS} iterations"
+            )
     return 1.5 * ray

@@ -165,6 +165,19 @@ def test_report_keeps_the_certificate_rule():
     assert (rep.worst_margin, rep.passed) == (-0.5, False)
 
 
+def test_sampled_certificates_fail_on_a_nan_margin(monkeypatch):
+    # a NaN gradient gives NaN margins, which never become the worst margin;
+    # each sample must still give a witness, so no certificate passes
+    monkeypatch.setattr(analysis, "gradient", lambda U, M: np.full(np.shape(U), math.nan))
+    M = np.diag([4.0, 2.0])
+    for rep in (
+        smoothness_certificate(M, 16.0, 3, seed=0),
+        gradient_dominance_certificate(M, 1.0, 3, seed=0),
+        saddle_location_check(M, 3, seed=0),
+    ):
+        assert not rep.passed and len(rep.witnesses) == 3, rep.property_name
+
+
 @pytest.mark.parametrize(
     "top, fro", [(1e100, "1.118034e\\+100"), (1e200, "inf")], ids=["1e100", "1e200"]
 )

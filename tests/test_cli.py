@@ -252,6 +252,19 @@ def test_diverging_run_writes_only_the_error_line(tmp_path):
     assert proc.stderr == "error: residual nan at step 1 is not finite\n"
 
 
+def test_power_iteration_overflow_writes_only_the_error_line(tmp_path):
+    # ||M v|| of the start vector overflows for diag(1e200, 5e199), a valid
+    # SPD matrix; the power iteration names the overflow, and no numpy
+    # warning reaches stderr
+    path = tmp_path / "big.txt"
+    io.write_matrix(path, np.diag([1e200, 5e199]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "matsqrt.cli", "sqrt", str(path)], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: power iteration overflows: ||A v|| is not finite\n"
+
+
 @pytest.mark.parametrize("eta", ["1e-3", "auto"])
 def test_exit_diverged_on_a_start_whose_norms_overflow(capsys, tmp_path, eta):
     # alpha = (||U0|| / sigma_min(M)^(1/2))^3 overflows for U0 = 1e200 I;
@@ -379,6 +392,16 @@ def test_lowerbound_horizon_past_window(capsys):
     )
     assert code == 4
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("lowerbound", "--kappa", "4", "--eta", "0.25"), ("landscape", "--steps", "4")]
+)
+def test_commands_without_randomness_take_no_seed(capsys, argv):
+    assert run_cli(capsys, *argv)[0] == cli.EXIT_OK
+    code, out, err = run_cli(capsys, *argv, "--seed", "3")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: unrecognized arguments: --seed")
 
 
 def test_lowerbound_bad_kappa(capsys):

@@ -347,6 +347,54 @@ def test_error_sample_norm_and_symmetry():
         assert s >= 1e-3 * (1.0 - 1e-12)
 
 
+SAMPLED_SLICES = {1: 2000, 2: 2000, 4: 1000, 16: 200, 17: 200, 64: 20, 65: 20}
+
+
+def _sampled_blocks(delta):
+    for n, k in SAMPLED_SLICES.items():
+        yield n, ErrorModel(delta).sample(np.random.default_rng((n, k)), n, k)
+
+
+def _spectral_norms(E):
+    return np.linalg.svd(E, compute_uv=False)[:, 0]
+
+
+@pytest.mark.parametrize("delta", [1e-300, 1e-7, 1.0, 1e5])
+def test_error_sample_norm_is_certified_under_delta(delta):
+    # One eigvalsh and the margin 4 n eps keep every slice at or under
+    # delta, checked on 5,440 slices against an independent SVD and
+    # against a second eigvalsh widened by its own error bound.
+    for n, E in _sampled_blocks(delta):
+        assert np.array_equal(E, E.transpose(0, 2, 1))
+        norms = _spectral_norms(E)
+        assert np.all(norms <= delta) and np.all(norms >= delta * (1.0 - 1e-12))
+        w = np.linalg.eigvalsh(E)
+        s = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
+        assert np.all(s + linalg.eigvalsh_pad(n, s) <= delta)
+
+
+def test_error_sample_at_a_subnormal_delta_exceeds_it_by_its_rounding():
+    # At delta = 1e-320 the scale and the scaled entries are subnormal and
+    # round by up to half a unit 2^-1074 absolutely, not relatively: a
+    # slice exceeds delta by at most (s + n) / 2 units, s the norm of the
+    # symmetric draw before scaling (measured: 2 units at n = 1, 6 at
+    # n = 65).  The loop's ``tiny`` term, n 2^-537 a step, absorbs it.
+    delta = 1e-320
+    unit = 2.0**-1074
+    for n, E in _sampled_blocks(delta):
+        G = np.random.default_rng((n, len(E))).standard_normal(E.shape)
+        s = _spectral_norms((G + G.transpose(0, 2, 1)) / 2.0)
+        # in units of 2^-1074, scaled exactly by two powers of two
+        norms = _spectral_norms(E * 2.0**537 * 2.0**537)
+        assert np.all(norms <= delta / unit + (s + n) / 2.0)
+        assert np.any(norms > delta / unit)
+
+
+def test_error_sample_makes_one_eigensolve(eigvalsh_calls):
+    ErrorModel(1e-3).sample(np.random.default_rng(0), 16, 32)
+    assert len(eigvalsh_calls) == 1
+
+
 def test_error_sample_zero_delta():
     err = ErrorModel(delta=0.0)
     block = err.sample(np.random.default_rng(0), 4, 3)
@@ -465,6 +513,8 @@ def test_run_perturbed_deterministic_in_seed():
 
 # All eight columns of two perturbed runs, recorded before the trace derived
 # its t, eta, objective, err_norm and err_fro columns instead of storing them.
+# err_fro, the one column that moved, was re-recorded when the sampler's
+# certified margin replaced its corrective rescale.
 PINNED_PERTURBED_TRACES = {
     "every-step": {
         "t": [0, 1, 2, 3, 4, 5, 6],
@@ -474,7 +524,7 @@ PINNED_PERTURBED_TRACES = {
         "opnorm": [2.0, 2.110463610171878, 2.054160408955513, 2.128567700013088, 2.0928223419032497, 2.1458221910580244, 2.1197557982943294],
         "eta": [0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01],
         "err_norm": [0.0, 1e-05, 1e-05, 1e-05, 1e-05, 1e-05, 1e-05],
-        "err_fro": [0.0, 1.2385767850567396e-05, 1.0373823877902992e-05, 1.1749074829929246e-05, 1.173994485553376e-05, 1.076784413147782e-05, 1.3109304448337367e-05],
+        "err_fro": [0.0, 1.2385767850567369e-05, 1.0373823877902967e-05, 1.1749074829929215e-05, 1.173994485553373e-05, 1.0767844131477792e-05, 1.3109304448337332e-05],
     },
     "first-step-only": {
         "t": [0, 1, 2, 3, 4, 5, 6],
@@ -484,7 +534,7 @@ PINNED_PERTURBED_TRACES = {
         "opnorm": [2.0, 2.110463610171878, 2.054162783824154, 2.128560993541016, 2.0928404965788654, 2.145831378874204, 2.119770367386508],
         "eta": [0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01],
         "err_norm": [0.0, 1e-05, 0.0, 0.0, 0.0, 0.0, 0.0],
-        "err_fro": [0.0, 1.2385767850567396e-05, 0.0, 0.0, 0.0, 0.0, 0.0],
+        "err_fro": [0.0, 1.2385767850567369e-05, 0.0, 0.0, 0.0, 0.0, 0.0],
     },
 }
 
@@ -585,7 +635,7 @@ def _ref_update(U, S, M, eta):
 
 
 def _ref_sample(err, rng, n):
-    # ErrorModel.sample as it was when it drew one matrix per step
+    # ErrorModel.sample drawing one matrix per step
     G = rng.standard_normal((n, n))
     E = (G + G.T) / 2.0
     if err.delta == 0.0:
@@ -594,14 +644,7 @@ def _ref_sample(err, rng, n):
     s = max(abs(float(w[0])), abs(float(w[-1])))
     if s == 0.0:
         return np.zeros((n, n))
-    E = E * (err.delta / s)
-    # round-off can leave the rescaled norm a few ulps above delta;
-    # one corrective rescale restores ||E||_2 <= delta
-    w = np.linalg.eigvalsh(E)
-    s2 = max(abs(float(w[0])), abs(float(w[-1])))
-    if s2 > err.delta:
-        E = E * (err.delta / s2)
-    return E
+    return E * (err.delta / (s * (1.0 + 4 * n * linalg.EPS)))
 
 
 def _ref_run_loop(M, cfg, err):
@@ -961,8 +1004,7 @@ def test_run_perturbed_every_step_100_steps_matches_reference_loop():
 def test_error_blocks_draw_the_reference_stream(monkeypatch, n, max_iters, schedule, blocks):
     # Block by block, the loop must add exactly the matrices that one
     # reference draw per step gives, and leave the generator where those
-    # draws leave it.  About half the draws take the corrective rescale, so
-    # the blocks mix both branches.
+    # draws leave it.
     calls = _record_samples(monkeypatch)
     M = random_spd(SpdInstanceSpec(n=n, kappa=4.0, seed=n))
     cfg = GdConfig(eta=0.01, tol=1e-300, max_iters=max_iters)
@@ -987,7 +1029,7 @@ def test_robustness_sweep_rows_match_the_reference_loop(monkeypatch):
 
 def test_error_sample_keeps_a_zero_slice_zero():
     # An antisymmetric draw has a zero symmetric part: its slice stays
-    # zero, and the slices around it are rescaled as one draw per step
+    # zero, and the slices around it are scaled as one draw per step
     n = 5
     draws = np.random.default_rng(7).standard_normal((3, n, n))
     draws[1] -= draws[1].T

@@ -13,6 +13,7 @@ from matsqrt.linalg import (
     SpdMatrix,
     estimate_opnorm_bound,
     frobenius_norm,
+    from_eig,
     lambda_min,
     sigma_min,
     solve,
@@ -42,7 +43,7 @@ def test_sym_eig_2x2_oracle():
     assert dec.eigenvalues == pytest.approx([3.0, 1.0], abs=1e-14)
     v0 = dec.eigenvectors[:, 0]
     assert abs(abs(v0[0]) - 1 / math.sqrt(2)) < 1e-14
-    assert np.allclose(dec.reconstruct(), [[2, 1], [1, 2]], atol=1e-14)
+    assert np.allclose(from_eig(dec.eigenvectors, dec.eigenvalues), [[2, 1], [1, 2]], atol=1e-14)
 
 
 def test_sym_eig_identity():
@@ -69,7 +70,7 @@ def test_sym_eig_reconstructs(seed, n):
     A = random_symmetric(n, seed)
     dec = sym_eig(A)
     scale = max(frobenius_norm(A), 1.0)
-    assert frobenius_norm(dec.reconstruct() - A) <= 1e-10 * scale
+    assert frobenius_norm(from_eig(dec.eigenvectors, dec.eigenvalues) - A) <= 1e-10 * scale
     # eigenvalues sorted descending
     assert np.all(np.diff(dec.eigenvalues) <= 0)
     # eigenvectors orthonormal
@@ -130,7 +131,7 @@ def test_spectra_against_a_50_digit_oracle(n, kind, scale):
     assert err <= 1e-13 * float(lam_max)
     V = dec.eigenvectors
     assert frobenius_norm(V.T @ V - np.eye(n)) <= 1e-12 * n
-    assert frobenius_norm(dec.reconstruct() - A) <= 1e-13 * n * float(lam_max)
+    assert frobenius_norm(from_eig(V, w) - A) <= 1e-13 * n * float(lam_max)
     assert not w.flags.writeable and not V.flags.writeable
 
 
