@@ -351,9 +351,12 @@ def robustness_sweep(M, deltas, cfg: GdConfig, seed: int = 0) -> list:
     For each delta, runs the perturbed iteration to the configured horizon,
     locates the residual plateau, and verifies every recorded residual
     against the certified perturbed bound.  Returns RobustnessRow entries
-    in input order.
+    in input order.  A non-finite, negative or increasing delta is rejected
+    before the first run.
     """
     deltas = [float(d) for d in deltas]
+    if not all(math.isfinite(d) for d in deltas):
+        raise ValueError("deltas must be finite")
     if any(b > a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be nonincreasing")
     if any(d < 0.0 for d in deltas):

@@ -21,6 +21,8 @@ spectrum and at the stop.
 from __future__ import annotations
 
 import math
+import pickle
+import threading
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -48,6 +50,13 @@ BRACKET_RTOL = 1.0 / 16.0
 # A perturbed run draws its every-step errors in blocks of about this many
 # bytes: 32 matrices at n = 16, 2 at n = 64 and one from n = 65 up.
 ERROR_BLOCK_BYTES = 64 * 1024
+# ErrorModel.sample keeps the slice norms of at most this many drawn error
+# slices per process (1 MiB of float64), evicting the oldest block first.
+NORM_MEMO_SLICES = 1 << 17
+# Each memoized block is also charged this many slices for its key, tuples
+# and array header (400 to 550 bytes measured), so that the memo stays near
+# 1 MiB whatever its block size.
+NORM_MEMO_BLOCK_SLICES = 64
 
 
 class GdError(Exception):
@@ -120,7 +129,14 @@ class ErrorModel:
     rounding).  ``schedule`` is ``"every-step"`` or ``"first-step-only"``;
     ``delta = 0`` injects nothing.  The errors are drawn in blocks of
     consecutive steps, one stacked draw per block, bitwise those of one
-    draw per step; a block leaves the generator in the same state.
+    draw per step; a block leaves the generator in the same state.  A
+    process memoizes the block's slice norms, keyed by the bit generator's
+    class and state before the draw, ``n`` and ``k``, and keeps at most
+    ``NORM_MEMO_SLICES`` slices, oldest block out first (each block is also
+    charged ``NORM_MEMO_BLOCK_SLICES`` for its overhead): a run that redraws
+    a stream, such as each positive delta of a ladder under one seed, makes
+    no eigensolve for it.  A hit also needs the block's first and last
+    draws to match, so every block is bitwise the one computed afresh.
     """
 
     delta: float = 0.0
@@ -144,19 +160,73 @@ class ErrorModel:
         A slice whose symmetric part is zero stays zero.  With ``delta = 0``
         every slice is zero, and the generator still advances by the draw.
         """
-        G = rng.standard_normal((k, n, n))
         if self.delta == 0.0:
+            rng.standard_normal((k, n, n))
             return np.zeros((k, n, n))
+        # numpy's Generator draws the same block from the same state, so
+        # the slice norms are memoized by that state; any other rng skips it
+        key = None
+        if type(rng) is np.random.Generator:
+            bits = rng.bit_generator
+            # pickle, not str: str abbreviates long state arrays (MT19937)
+            key = (type(bits), pickle.dumps(bits.state), n, k)
+        G = rng.standard_normal((k, n, n))
+        # a generator that another thread advanced between the state read
+        # and the draw drew another block: its first and last draws differ
+        ends = (float(G[0, 0, 0]), float(G[-1, -1, -1]))
         E = (G + G.transpose(0, 2, 1)) / 2.0
-        w = np.linalg.eigvalsh(E)
-        s = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
-        s[s == 0.0] = 1.0  # a zero slice stays zero
+        s = None if key is None else _NORM_MEMO.get(key, ends)
+        if s is None:
+            w = np.linalg.eigvalsh(E)
+            s = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
+            s[s == 0.0] = 1.0  # a zero slice stays zero
+            s.flags.writeable = False
+            if key is not None:
+                _NORM_MEMO.put(key, ends, s)
         # One scaling suffices: s is within n eps ||E||_2 of the norm, the
         # scale rounds twice and each entry's product by sqrt(n) eps / 2 of
         # it, and 4 n eps is at least twice their sum (n = 1: eigvalsh is
         # exact), so ||E||_2 <= delta while no scaled entry underflows.
         E *= (self.delta / (s * (1.0 + 4 * n * linalg.EPS)))[:, None, None]
         return E
+
+
+class _NormMemo:
+    """Read-only slice norms of drawn error blocks, keyed by the draw.
+
+    A hit also needs the block's first and last draws to match.  ``held``
+    counts the slices kept plus ``NORM_MEMO_BLOCK_SLICES`` a block; it
+    stays at most ``NORM_MEMO_SLICES``, the oldest block evicted first.
+    Lookups take no lock; an insertion and its evictions take one, so
+    racing callers at worst recompute a block's norms.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._norms = {}
+        self.held = 0
+
+    def get(self, key, ends):
+        entry = self._norms.get(key)
+        return entry[1] if entry is not None and entry[0] == ends else None
+
+    def put(self, key, ends, s: np.ndarray) -> None:
+        with self._lock:
+            if key in self._norms:
+                return
+            self._norms[key] = (ends, s)
+            self.held += len(s) + NORM_MEMO_BLOCK_SLICES
+            while self.held > NORM_MEMO_SLICES:
+                _, evicted = self._norms.pop(next(iter(self._norms)))
+                self.held -= len(evicted) + NORM_MEMO_BLOCK_SLICES
+
+    def clear(self) -> None:
+        with self._lock:
+            self._norms.clear()
+            self.held = 0
+
+
+_NORM_MEMO = _NormMemo()
 
 
 class TraceRecord(NamedTuple):

@@ -23,7 +23,7 @@ from matsqrt.experiments import (
     scalar_gd_trace,
 )
 from matsqrt.gd import GdConfig, IterationTrace
-from matsqrt import linalg
+from matsqrt import experiments, linalg
 
 
 # ------------------------------------------------------------ instances
@@ -259,6 +259,24 @@ def test_robustness_sweep_rejects_bad_ladders():
         robustness_sweep(M, [1e-8, 1e-6], cfg)
     with pytest.raises(ValueError):
         robustness_sweep(M, [1e-6, -1e-8], cfg)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_robustness_sweep_rejects_a_non_finite_delta_before_any_run(monkeypatch, bad):
+    # NaN passes the ordering and sign checks; it must not cost the runs
+    # of the deltas before it
+    runs = []
+
+    def run_perturbed(*args):
+        runs.append(args)
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(experiments, "run_perturbed", run_perturbed)
+    M = random_spd(SpdInstanceSpec(n=4, kappa=4.0, seed=0))
+    ladder = [1e-6, 1e-7, bad] if math.isnan(bad) else [bad, 1e-7]
+    with pytest.raises(ValueError, match="finite"):
+        robustness_sweep(M, ladder, GdConfig(max_iters=100))
+    assert runs == []
 
 
 # ------------------------------------------------------------- benchmark

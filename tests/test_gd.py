@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import pickle
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -391,6 +393,10 @@ def test_error_sample_at_a_subnormal_delta_exceeds_it_by_its_rounding():
 
 
 def test_error_sample_makes_one_eigensolve(eigvalsh_calls):
+    # one stacked eigvalsh for a block drawn first, none for its redraw
+    gd._NORM_MEMO.clear()
+    ErrorModel(1e-3).sample(np.random.default_rng(0), 16, 32)
+    assert len(eigvalsh_calls) == 1
     ErrorModel(1e-3).sample(np.random.default_rng(0), 16, 32)
     assert len(eigvalsh_calls) == 1
 
@@ -861,7 +867,11 @@ def test_trace_memory_per_step_bounded():
 
 def test_perturbed_trace_memory_per_step_bounded():
     # every step also keeps its error's Frobenius norm, 8 bytes, and the
-    # error blocks of 64 KiB and their eigvalsh work arrays add a constant
+    # error blocks of 64 KiB and their eigvalsh work arrays add a constant.
+    # A cold norm memo adds each slice's norm, 8 bytes, and 400 to 550
+    # bytes per block of 512 slices, about 1 byte a step: measured 33.7 ->
+    # 42.6 bytes a step kept and 45.2 -> 54.9 at the peak, warm -> cold.
+    gd._NORM_MEMO.clear()
     err = ErrorModel(1e-9, "every-step", seed=1)
     assert _peak_bytes_per_step(lambda M, cfg: run_perturbed(M, cfg, err), 20_000) <= 64.0
 
@@ -1049,6 +1059,178 @@ def test_error_sample_keeps_a_zero_slice_zero():
     block = err.sample(Stream(), n, 3)
     assert _same_bits(block, ref)
     assert np.all(block[1] == 0.0) and np.all(block[0] != 0.0)
+
+
+# ------------------------------------------------------------ norm memo
+#
+# ErrorModel.sample memoizes each block's slice norms by the generator's
+# state before the draw, n and k; a redraw must be bitwise a fresh draw.
+
+
+def _memo_entries() -> list:
+    return [s for _, s in gd._NORM_MEMO._norms.values()]
+
+
+def _assert_memo_within_cap():
+    entries = _memo_entries()
+    held = sum(len(s) + gd.NORM_MEMO_BLOCK_SLICES for s in entries)
+    assert gd._NORM_MEMO.held == held <= gd.NORM_MEMO_SLICES
+    assert not any(s.flags.writeable for s in entries)
+
+
+def test_error_sample_warm_equals_cold_at_every_delta():
+    # the norms do not depend on delta: a ladder's second rung reads them
+    # from its first rung's draw
+    for delta in (1e-6, 1e-9, 1e-300):
+        gd._NORM_MEMO.clear()
+        cold = ErrorModel(delta).sample(np.random.default_rng(8), 16, 32)
+        warm = ErrorModel(delta).sample(np.random.default_rng(8), 16, 32)
+        other = ErrorModel(delta * 3.0).sample(np.random.default_rng(8), 16, 32)
+        gd._NORM_MEMO.clear()
+        fresh = ErrorModel(delta * 3.0).sample(np.random.default_rng(8), 16, 32)
+        assert _same_bits(warm, cold) and _same_bits(other, fresh)
+
+
+def test_error_sample_memo_misses_another_draw(eigvalsh_calls):
+    gd._NORM_MEMO.clear()
+    err = ErrorModel(1e-6)
+    advanced = np.random.default_rng(0)
+    advanced.standard_normal(1)
+    draws = [
+        (np.random.default_rng(0), 16, 32),
+        (np.random.default_rng(0), 16, 31),
+        (np.random.default_rng(0), 15, 32),
+        (np.random.default_rng(1), 16, 32),
+        (advanced, 16, 32),
+        (np.random.Generator(np.random.PCG64DXSM(0)), 16, 32),
+    ]
+    for i, (rng, n, k) in enumerate(draws, 1):
+        err.sample(rng, n, k)
+        assert len(eigvalsh_calls) == len(_memo_entries()) == i
+    err.sample(np.random.default_rng(0), 16, 32)
+    assert len(eigvalsh_calls) == len(draws)
+
+
+def test_error_sample_memo_is_bypassed_without_a_bit_generator(eigvalsh_calls):
+    gd._NORM_MEMO.clear()
+    draws = np.random.default_rng(7).standard_normal((2, 5, 5))
+
+    class Stream:
+        def standard_normal(self, shape):
+            return draws.copy()
+
+    err = ErrorModel(1e-6)
+    assert _same_bits(err.sample(Stream(), 5, 2), err.sample(Stream(), 5, 2))
+    assert len(eigvalsh_calls) == 2 and _memo_entries() == []
+
+
+def test_norm_memo_evicts_the_oldest_block_within_its_cap(monkeypatch, eigvalsh_calls):
+    k = 8
+    monkeypatch.setattr(gd, "NORM_MEMO_SLICES", 3 * (k + gd.NORM_MEMO_BLOCK_SLICES))
+    gd._NORM_MEMO.clear()
+    err = ErrorModel(1e-6)
+    for seed in range(5):
+        err.sample(np.random.default_rng(seed), 4, k)
+        _assert_memo_within_cap()
+    assert len(_memo_entries()) == 3 and len(eigvalsh_calls) == 5
+    for seed in (4, 3, 2):  # hits, which do not reorder the memo
+        err.sample(np.random.default_rng(seed), 4, k)
+    assert len(eigvalsh_calls) == 5
+    err.sample(np.random.default_rng(0), 4, k)  # a miss evicts seed 2
+    err.sample(np.random.default_rng(3), 4, k)
+    assert len(eigvalsh_calls) == 6
+    err.sample(np.random.default_rng(2), 4, k)
+    assert len(eigvalsh_calls) == 7
+    _assert_memo_within_cap()
+    # a block over the cap on its own is not kept
+    err.sample(np.random.default_rng(9), 4, 3 * k + 2 * gd.NORM_MEMO_BLOCK_SLICES + 1)
+    assert _memo_entries() == []
+    _assert_memo_within_cap()
+
+
+def test_norm_memo_ignores_a_block_drawn_after_another_thread_drew(monkeypatch):
+    # Another thread that draws from the same generator between the state
+    # read and the draw leaves a block of another state under the key; a
+    # clean draw from that state must not take its norms.
+    shared = np.random.default_rng(21)
+    state = shared.bit_generator.state
+    dumps = pickle.dumps
+
+    class Interleaved:
+        @staticmethod
+        def dumps(obj):
+            shared.standard_normal(1)
+            return dumps(obj)
+
+    err = ErrorModel(1e-6)
+    gd._NORM_MEMO.clear()
+    monkeypatch.setattr(gd, "pickle", Interleaved)
+    err.sample(shared, 6, 4)
+    monkeypatch.undo()
+    assert len(_memo_entries()) == 1
+    clean = np.random.default_rng(0)
+    clean.bit_generator.state = state
+    ref_rng = np.random.default_rng(0)
+    ref_rng.bit_generator.state = state
+    ref = np.stack([_ref_sample(err, ref_rng, 6) for _ in range(4)])
+    assert _same_bits(err.sample(clean, 6, 4), ref)
+
+
+def test_perturbed_traces_equal_cold_and_warm(eigvalsh_calls):
+    M = random_spd(SpdInstanceSpec(n=16, kappa=10.0, seed=12))
+    cfg = GdConfig(c_step=1.0, tol=1e-300, max_iters=200)
+    err = ErrorModel(1e-7, "every-step", seed=13)
+    traces, solves = [], []
+    for cold in (True, True, False, False):
+        if cold:
+            gd._NORM_MEMO.clear()
+        eigvalsh_calls.clear()
+        traces.append(run_perturbed(M, cfg, err)[1])
+        solves.append(len(eigvalsh_calls))
+    # 200 steps are 7 blocks of 32 or fewer: the warm runs skip 7 eigvalsh
+    assert solves[0] == solves[1] == solves[2] + 7 == solves[3] + 7
+    for trace in traces[1:]:
+        for name in TraceRecord._fields:
+            assert _same_bits(getattr(trace, name), getattr(traces[0], name)), name
+
+
+def test_norm_memo_under_racing_threads(monkeypatch):
+    # more threads than cores, switching every microsecond, on a cap of
+    # three blocks: every block stays bitwise its reference, nothing
+    # raises, and the memo's count matches its entries
+    n, k, seeds = 6, 4, range(8)
+    err = ErrorModel(1e-6)
+    refs = {}
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        refs[seed] = np.stack([_ref_sample(err, rng, n) for _ in range(k)])
+    monkeypatch.setattr(gd, "NORM_MEMO_SLICES", 3 * (k + gd.NORM_MEMO_BLOCK_SLICES))
+    gd._NORM_MEMO.clear()
+    failures = []
+
+    def work(offset):
+        try:
+            for i in range(200):
+                seed = (i + offset) % len(seeds)
+                block = err.sample(np.random.default_rng(seed), n, k)
+                if not _same_bits(block, refs[seed]):
+                    failures.append(seed)
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    _assert_memo_within_cap()
 
 
 # ------------------------------------------------------- input hygiene

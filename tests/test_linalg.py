@@ -153,9 +153,10 @@ def test_norms_are_python_floats():
         assert type(value) is float
 
 
-# The four tests below keep the ids they had under the Jacobi solver that
-# LAPACK's eigh replaced; they now check it against eigvalsh and against
-# mpmath's 50-digit eigenvalues, and the widened bounds against the latter.
+# Three of the tests below keep the ids they had under the Jacobi solver
+# that LAPACK's eigh replaced (the round-robin pair and the zero-sweeps
+# test); they now check eigh against eigvalsh and against mpmath's 50-digit
+# eigenvalues, and the widened bounds against the latter.
 
 
 def assert_matches_oracles(A):
@@ -187,7 +188,7 @@ def test_round_robin_matches_cyclic_and_lapack_on_kappa_2_spd(n):
 
 
 @pytest.mark.parametrize("n", [3, 16, 17])
-def test_round_robin_on_repeated_and_clustered_spectra(n):
+def test_eigh_on_repeated_and_clustered_spectra(n):
     # kappa = 1 (a rotated identity), two repeated values, and a cluster
     # whose spread is at round-off level
     assert_matches_oracles(spd_with_spectrum(np.ones(n), n))
