@@ -332,27 +332,10 @@ def gradient(U, M) -> np.ndarray:
     return G + G.T
 
 
-def _update(U: np.ndarray, D: np.ndarray, eta: float, G, H) -> None:
-    """Replace U by U - eta (G + G^T), G = D U, leaving the step in H.
-
-    D is U @ U - M; G and H are C-contiguous n x n scratch arrays.  The
-    operations and their order are those of ``U - eta * gradient(U, M)``,
-    so the result is bitwise the same.  The sum goes to H, not back into
-    G: G and G.T overlap, and numpy would copy one of them on every step.
-    ``np.dot`` makes the same BLAS call as ``@`` with less dispatch.
-    """
-    np.dot(D, U, out=G)
-    np.add(G, G.T, out=H)
-    np.multiply(eta, H, out=H)
-    np.subtract(U, H, out=U)
-
-
 def gd_step(U, M, eta: float) -> np.ndarray:
     """One update U - eta (U^2 - M) U - eta U (U^2 - M): U - eta gradient(U, M)."""
     U = np.array(U, dtype=float, order="C")
-    M = np.asarray(M, dtype=float)
-    _update(U, U @ U - M, eta, np.empty_like(U), np.empty_like(U))
-    return U
+    return U - eta * gradient(U, M)
 
 
 @dataclass(frozen=True)
@@ -495,6 +478,7 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     M_spd, U0, eta = resolve(M, cfg)
     M_arr = M_spd.values
     n = M_spd.n
+    tol, cap = cfg.tol, cfg.max_iters
 
     rng = None
     draw = err is not None and err.delta != 0.0
@@ -518,17 +502,14 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     residuals, smins, opnorms, drawn = (array("d") for _ in range(4))
     delta = err.delta if draw else 0.0
 
-    def add_row(r, smin, opn):
-        residuals.append(r)
-        smins.append(smin)
-        opnorms.append(opn)
-
     def trace(converged, stop_reason):
         columns = (residuals, smins, opnorms)
         return IterationTrace(columns, eta, converged, stop_reason, delta, drawn)
 
     # One iterate U is updated in place; three more n x n buffers carry the
-    # loop: D = U^2 - M, the product G = D U and the step H = eta (G + G^T).
+    # loop: D = U^2 - M, the product G = D U and the step H = eta (G + G^T),
+    # so that U - H is bitwise U - eta * gradient(U, M).  The sum goes to H,
+    # not back into G: G and G.T overlap, and numpy would copy one of them.
     # -D is the residual matrix M - U^2; IEEE subtraction is antisymmetric,
     # so sqrt(d . d) over the raveled D is bitwise np.linalg.norm(M - U @ U).
     # Overflow is not an error here: a non-finite residual is caught
@@ -552,12 +533,29 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     # The loop refreshes at t = 0, at every stop, and when the slack exceeds
     # BRACKET_RTOL lo or is not finite, so lo - slack >= (15/16) lo > 0
     # certifies definiteness in between and a loss is found at its own step.
+    #
+    # Each pass of the loop records row t, then steps to t + 1.  A row is
+    # common when tol < r <= r_div = 10 r0, t is not the cap and the slack
+    # is within its limit: it appends its bracket and nothing else.  NaN
+    # fails every comparison, and r_div is finite, since a finite r0 is the
+    # root of a ddot that did not overflow, so r0^2 and 10 r0 are finite: a
+    # non-finite residual fails the chain too.  Every other row takes
+    # the rare branch, which tests in the order of the guards: a non-finite
+    # residual, then a refresh, a loss of definiteness, convergence,
+    # divergence and the cap.  t = 0 always takes it: its slack is infinite.
+    # At n <= 16 the interpreter's bookkeeping costs as much as the BLAS
+    # calls, so the callables and ``G.T`` are bound once, ``np.dot`` makes
+    # the BLAS call of ``@`` with less dispatch, and eta is held in a 0-d
+    # array, which ``multiply`` takes without converting a Python float:
+    # the product is the same IEEE product.
     U = np.array(U0.values, order="C")
     D = np.empty_like(U)
     d = D.reshape(-1)
     G = np.empty_like(U)
+    GT = G.T
     H = np.empty_like(U)
     h = H.reshape(-1)
+    eta_h = np.array(eta)
     eps = linalg.EPS
     grow = 1.0 + (n * n + 4) * eps
     tiny = n * 2.0**-537
@@ -566,47 +564,33 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     down, up = 1.0 - eps, 1.0 + 2.0 * eps
     lo, hi, limit, slack = 0.0, 0.0, 0.0, math.inf
     converged = False
+    dot, add, multiply, subtract, sqrt = np.dot, np.add, np.multiply, np.subtract, math.sqrt
+    hdot, ddot = h.dot, d.dot
+    add_r, add_smin, add_opn = residuals.append, smins.append, opnorms.append
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(cfg.max_iters + 1):
-            err_norm = 0.0
-            if t:
-                _update(U, D, eta, G, H)
-                if draw and err.active_at(t):
-                    if j == len(block):
-                        block = err.sample(rng, n, min(per_block, cfg.max_iters + 1 - t))
-                        j = 0
-                    E = block[j]
-                    j += 1
-                    np.add(U, E, out=U)
-                    err_norm = delta
-                    # bitwise np.linalg.norm(E): the dot of the raveled slice
-                    f = E.reshape(-1)
-                    drawn.append(math.sqrt(f.dot(f)))
-                a = math.sqrt(h.dot(h)) * grow + tiny
-                e = err_norm * grow
-                rnd = min(a + root_n * e, rounding * (hi + slack + a + e))
-                slack = (slack + a + e + rnd) * up
-            np.dot(U, U, out=D)
-            np.subtract(D, M_arr, out=D)
-            r = math.sqrt(d.dot(d))
-            if not t:
-                r0 = r
-            if not math.isfinite(r):
-                # A NaN residual fails both the tolerance and the growth
-                # test, so it is caught explicitly; its row records NaN for
-                # the spectrum.
-                add_row(r, math.nan, math.nan)
-                raise DivergenceError(
-                    f"residual {r} at step {t} is not finite",
-                    step=t,
-                    trace=trace(False, "diverged"),
-                )
-            done = r <= cfg.tol
-            diverged = r > DIVERGENCE_FACTOR * r0
-            if done or diverged or t == cfg.max_iters or not (slack <= limit):
+        dot(U, U, D)
+        subtract(D, M_arr, D)
+        r = r0 = sqrt(ddot(d))
+        r_div = DIVERGENCE_FACTOR * r0
+        for t in range(cap + 1):
+            if tol < r <= r_div and t != cap and slack <= limit:
+                add_r(r)
+                add_smin((lo - slack) * down)
+                add_opn((hi + slack) * up)
+            else:
+                add_r(r)
+                if not math.isfinite(r):
+                    add_smin(math.nan)
+                    add_opn(math.nan)
+                    raise DivergenceError(
+                        f"residual {r} at step {t} is not finite",
+                        step=t,
+                        trace=trace(False, "diverged"),
+                    )
                 lam, smin, opn = linalg.spectral_extremes(U)
-                add_row(r, smin, opn)
+                add_smin(smin)
+                add_opn(opn)
                 if lam <= 0.0:
                     raise LostPositiveDefinitenessError(
                         f"iterate lost positive definiteness at step {t} "
@@ -617,16 +601,38 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                 pad = linalg.eigvalsh_pad(n, opn)
                 lo, hi, slack = lam - pad, opn + pad, 0.0
                 limit = BRACKET_RTOL * lo
-            else:
-                add_row(r, (lo - slack) * down, (hi + slack) * up)
-            if done:
-                converged = True
-                break
-            if diverged:
-                raise DivergenceError(
-                    f"residual {r:.6e} at step {t} exceeds {DIVERGENCE_FACTOR:g}x "
-                    f"its initial value {r0:.6e}",
-                    step=t,
-                    trace=trace(False, "diverged"),
-                )
+                if r <= tol:
+                    converged = True
+                    break
+                if r > r_div:
+                    raise DivergenceError(
+                        f"residual {r:.6e} at step {t} exceeds {DIVERGENCE_FACTOR:g}x "
+                        f"its initial value {r0:.6e}",
+                        step=t,
+                        trace=trace(False, "diverged"),
+                    )
+                if t == cap:
+                    break
+            dot(D, U, G)
+            add(G, GT, H)
+            multiply(eta_h, H, H)
+            subtract(U, H, U)
+            e = 0.0
+            if draw and err.active_at(t + 1):
+                if j == len(block):
+                    block = err.sample(rng, n, min(per_block, cap - t))
+                    j = 0
+                E = block[j]
+                j += 1
+                add(U, E, U)
+                # bitwise np.linalg.norm(E): the dot of the raveled slice
+                f = E.reshape(-1)
+                drawn.append(sqrt(f.dot(f)))
+                e = delta * grow
+            a = sqrt(hdot(h)) * grow + tiny
+            rnd = min(a + root_n * e, rounding * (hi + slack + a + e))
+            slack = (slack + a + e + rnd) * up
+            dot(U, U, D)
+            subtract(D, M_arr, D)
+            r = sqrt(ddot(d))
     return SpdMatrix(U), trace(converged, "converged" if converged else "max-iters")

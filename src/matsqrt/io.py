@@ -92,10 +92,21 @@ def write_trace_csv(path_or_file, trace) -> None:
     """Write the ``TRACE_HEADER`` columns of an iteration trace, row by row.
 
     ``sigma_min`` and ``opnorm`` are certified bounds, exact at t = 0, at
-    each spectrum refresh of the loop and at the last row.
+    each spectrum refresh of the loop and at the last row.  The bytes are
+    those of ``write_table_csv`` over the same columns; ``eta`` and
+    ``err_norm`` are constant on the drawn and the undrawn rows, so each
+    of their values is formatted once, and a row is one ``%``.
     """
-    rows = zip(*(getattr(trace, name) for name in TRACE_HEADER))
-    write_table_csv(path_or_file, TRACE_HEADER, rows)
+    n = len(trace)
+    eta, drawn, undrawn = (FLOAT_FMT % x for x in (trace.step_size, trace.delta, 0.0))
+    err = [undrawn] * n
+    on = slice(1, 1 + len(trace.drawn_fro))
+    err[on] = [drawn] * len(err[on])
+    floats = (getattr(trace, name).tolist() for name in TRACE_HEADER[1:5])
+    row = "%d" + f",{FLOAT_FMT}" * 4 + f",{eta},%s\n"
+    with _opened(path_or_file, "w") as f:
+        f.write(",".join(TRACE_HEADER) + "\n")
+        f.writelines(map(row.__mod__, zip(range(n), *floats, err)))
 
 
 def report_json_line(report) -> str:

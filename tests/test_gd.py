@@ -820,6 +820,42 @@ def test_divergence_and_cap_bitwise_match_reference_loop():
     assert capped.stop_reason == "max-iters" and capped.steps == 500
 
 
+def _guard_edge(case):
+    if case == "start-at-root":
+        root = np.diag([1.0, 2.0, 3.0, 4.0])
+        return root @ root, GdConfig(init="explicit", init_matrix=root)
+    M = random_spd(SpdInstanceSpec(n=4, kappa=10.0, seed=9))
+    r0 = gd.residual_fro(initial_iterate(M, GdConfig()), M)
+    if case == "tol-at-r1":
+        # a step before the cap must stop at a residual equal to tol
+        r1 = run(M, GdConfig(max_iters=1))[1].residual_fro[1]
+        return M, GdConfig(tol=float(r1), max_iters=2)
+    tol = {"tol-at-r0": r0, "tol-below-r0": float(np.nextafter(r0, 0.0))}
+    # one ulp below r0 converges at the cap: convergence is tested first
+    return M, GdConfig(tol=tol.get(case, 1e-8), max_iters=1)
+
+
+@pytest.mark.parametrize(
+    "case, steps, stop_reason",
+    [
+        ("start-at-root", 0, "converged"),
+        ("tol-at-r0", 0, "converged"),
+        ("tol-at-r1", 1, "converged"),
+        ("tol-below-r0", 1, "converged"),
+        ("one-step-cap", 1, "max-iters"),
+    ],
+)
+def test_guard_edges_match_reference_loop(case, steps, stop_reason):
+    # the loop records row 0 on its rare branch and tests r <= tol before
+    # the cap; a zero residual, a tolerance at r0 or one ulp under it, and
+    # a cap of one step each stop at a guard's edge
+    M, cfg = _guard_edge(case)
+    trace = _assert_matches_reference(M, cfg)
+    assert (trace.steps, trace.stop_reason) == (steps, stop_reason)
+    if case == "start-at-root":
+        assert trace.residual_fro.tolist() == [0.0]
+
+
 def test_gd_step_is_the_loop_update():
     M = random_spd(SpdInstanceSpec(n=17, kappa=10.0, seed=7))
     U = np.asarray(initial_iterate(M, GdConfig()))

@@ -108,6 +108,39 @@ def test_trace_csv_golden_bytes():
         assert all(type(x) is float for x in rec[1:])
 
 
+def _traces_for_the_csv_writer():
+    from matsqrt import ErrorModel, GdConfig, run_perturbed
+
+    M = np.diag([4.0, 2.0, 1.0])
+    cfg = GdConfig(c_step=1.0, tol=1e-6, max_iters=40)
+    nan, inf = float("nan"), float("inf")
+    yield run_perturbed(M, cfg, ErrorModel(1e-7, "every-step", seed=1))[1]
+    yield run_perturbed(M, cfg, ErrorModel(1e-7, "first-step-only", seed=1))[1]
+    yield IterationTrace(
+        ([nan, inf, -0.0, 0.0, 5e-324], [-inf, nan, -0.0, 1e300, 0.5], [inf, -0.0, nan, 2.0, 3.0]),
+        -0.0,
+        converged=False,
+        stop_reason="diverged",
+        delta=inf,
+        drawn_fro=[nan, -0.0],
+    )
+
+
+@pytest.mark.parametrize(
+    "trace",
+    list(_traces_for_the_csv_writer()),
+    ids=["every-step", "first-step-only", "nan-inf-zero"],
+)
+def test_trace_csv_is_the_table_writer_over_its_columns(trace):
+    # write_trace_csv formats its constant columns once; the bytes must be
+    # those of the generic table writer, cell by cell
+    got, want = std_io.StringIO(), std_io.StringIO()
+    io.write_trace_csv(got, trace)
+    columns = [getattr(trace, name) for name in io.TRACE_HEADER]
+    io.write_table_csv(want, io.TRACE_HEADER, zip(*columns))
+    assert got.getvalue() == want.getvalue()
+
+
 def test_report_json_line_golden():
     rep = CertificateReport(
         property_name="smoothness", samples=3, worst_margin=0.5, passed=True

@@ -153,10 +153,10 @@ def test_norms_are_python_floats():
         assert type(value) is float
 
 
-# Three of the tests below keep the ids they had under the Jacobi solver
-# that LAPACK's eigh replaced (the round-robin pair and the zero-sweeps
-# test); they now check eigh against eigvalsh and against mpmath's 50-digit
-# eigenvalues, and the widened bounds against the latter.
+# Two of the tests below keep the ids they had under the Jacobi solver
+# that LAPACK's eigh replaced (the round-robin pair); they now check eigh
+# against eigvalsh and against mpmath's 50-digit eigenvalues, and the
+# widened bounds against the latter.
 
 
 def assert_matches_oracles(A):
@@ -210,7 +210,7 @@ def test_eigh_on_sparse_inputs():
 
 
 @pytest.mark.parametrize("n", ORACLE_SIZES + [33, 64])
-def test_diagonal_input_takes_zero_sweeps(n):
+def test_eigh_returns_a_diagonal_input_exactly(n):
     # every off-diagonal is zero, so LAPACK's tridiagonal solver splits the
     # problem into n 1 x 1 blocks and returns the input exactly
     d = np.random.default_rng(n).standard_normal(n)
