@@ -21,7 +21,7 @@ spectrum and at the stop.
 from __future__ import annotations
 
 import math
-import pickle
+import operator
 import threading
 import warnings
 from array import array
@@ -50,13 +50,9 @@ BRACKET_RTOL = 1.0 / 16.0
 # A perturbed run draws its every-step errors in blocks of about this many
 # bytes: 32 matrices at n = 16, 2 at n = 64 and one from n = 65 up.
 ERROR_BLOCK_BYTES = 64 * 1024
-# ErrorModel.sample keeps the slice norms of at most this many drawn error
-# slices per process (1 MiB of float64), evicting the oldest block first.
+# ErrorModel.sample keeps the slice norms of the first steps of one error
+# stream per process, at most this many (1 MiB of float64).
 NORM_MEMO_SLICES = 1 << 17
-# Each memoized block is also charged this many slices for its key, tuples
-# and array header (400 to 550 bytes measured), so that the memo stays near
-# 1 MiB whatever its block size.
-NORM_MEMO_BLOCK_SLICES = 64
 
 
 class GdError(Exception):
@@ -123,20 +119,17 @@ class GdConfig:
 class ErrorModel:
     """Per-step additive perturbations of spectral norm just under ``delta``.
 
-    Each scheduled step adds a symmetric Gaussian matrix from the seeded
-    generator, scaled by one ``eigvalsh`` and a certified margin into
-    delta (1 - 8 n eps) <= ||E_t||_2 <= delta (bar a subnormal delta's
+    Each scheduled step adds a symmetric Gaussian matrix from the generator
+    ``default_rng(seed)``, scaled by one ``eigvalsh`` and a certified margin
+    into delta (1 - 8 n eps) <= ||E_t||_2 <= delta (bar a subnormal delta's
     rounding).  ``schedule`` is ``"every-step"`` or ``"first-step-only"``;
-    ``delta = 0`` injects nothing.  The errors are drawn in blocks of
-    consecutive steps, one stacked draw per block, bitwise those of one
-    draw per step; a block leaves the generator in the same state.  A
-    process memoizes the block's slice norms, keyed by the bit generator's
-    class and state before the draw, ``n`` and ``k``, and keeps at most
-    ``NORM_MEMO_SLICES`` slices, oldest block out first (each block is also
-    charged ``NORM_MEMO_BLOCK_SLICES`` for its overhead): a run that redraws
-    a stream, such as each positive delta of a ladder under one seed, makes
-    no eigensolve for it.  A hit also needs the block's first and last
-    draws to match, so every block is bitwise the one computed afresh.
+    ``delta = 0`` injects nothing; ``seed`` is an integer.  The errors are
+    drawn in blocks of consecutive steps, one stacked draw per block,
+    bitwise those of one draw per step, so the slice of step t depends only
+    on the seed, n and t.  A process memoizes the slice norms of one such
+    stream from step 1, keyed by (seed, n), at most ``NORM_MEMO_SLICES`` of
+    them: a run that redraws a stream, such as each positive delta of a
+    ladder under one seed, makes no eigensolve for the steps it finds.
     """
 
     delta: float = 0.0
@@ -150,39 +143,40 @@ class ErrorModel:
             raise ValueError(
                 f"schedule must be one of {SCHEDULE_CHOICES}, got {self.schedule!r}"
             )
+        # default_rng returns a Generator seed as it is, whose state (seed, n)
+        # would not identify
+        try:
+            object.__setattr__(self, "seed", operator.index(self.seed))
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
 
     def active_at(self, t: int) -> bool:
         return self.schedule == "every-step" or t == 1
 
-    def sample(self, rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    def sample(self, rng, n: int, k: int, at: int | None = None) -> np.ndarray:
         """The errors of the next ``k`` scheduled steps, a (k, n, n) stack.
 
         A slice whose symmetric part is zero stays zero.  With ``delta = 0``
         every slice is zero, and the generator still advances by the draw.
+        ``at`` is the step of the first slice when ``rng`` is
+        ``default_rng(seed)`` advanced to it: such a call reads and extends
+        the memo of slice norms; a call without it does neither.
         """
         if self.delta == 0.0:
             rng.standard_normal((k, n, n))
             return np.zeros((k, n, n))
-        # numpy's Generator draws the same block from the same state, so
-        # the slice norms are memoized by that state; any other rng skips it
-        key = None
-        if type(rng) is np.random.Generator:
-            bits = rng.bit_generator
-            # pickle, not str: str abbreviates long state arrays (MT19937)
-            key = (type(bits), pickle.dumps(bits.state), n, k)
         G = rng.standard_normal((k, n, n))
-        # a generator that another thread advanced between the state read
-        # and the draw drew another block: its first and last draws differ
-        ends = (float(G[0, 0, 0]), float(G[-1, -1, -1]))
         E = (G + G.transpose(0, 2, 1)) / 2.0
-        s = None if key is None else _NORM_MEMO.get(key, ends)
+        key, s = (self.seed, n), None
+        norms = _NORM_MEMO.get(key, ())
+        if at is not None and at - 1 + k <= len(norms):
+            s = np.frombuffer(norms[at - 1 : at - 1 + k])
         if s is None:
             w = np.linalg.eigvalsh(E)
             s = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
             s[s == 0.0] = 1.0  # a zero slice stays zero
-            s.flags.writeable = False
-            if key is not None:
-                _NORM_MEMO.put(key, ends, s)
+            if at is not None:
+                _remember_norms(key, at, s)
         # One scaling suffices: s is within n eps ||E||_2 of the norm, the
         # scale rounds twice and each entry's product by sqrt(n) eps / 2 of
         # it, and 4 n eps is at least twice their sum (n = 1: eigvalsh is
@@ -191,42 +185,25 @@ class ErrorModel:
         return E
 
 
-class _NormMemo:
-    """Read-only slice norms of drawn error blocks, keyed by the draw.
+# (seed, n) of the one error stream whose slice norms are kept -> an
+# array("d") of those norms from step 1.  Reads take no lock.
+_NORM_MEMO: dict = {}
+_NORM_MEMO_LOCK = threading.Lock()
 
-    A hit also needs the block's first and last draws to match.  ``held``
-    counts the slices kept plus ``NORM_MEMO_BLOCK_SLICES`` a block; it
-    stays at most ``NORM_MEMO_SLICES``, the oldest block evicted first.
-    Lookups take no lock; an insertion and its evictions take one, so
-    racing callers at worst recompute a block's norms.
+
+def _remember_norms(key, at: int, s) -> None:
+    """Extend the kept stream from its end by the slices at, at + 1, ...
+
+    The first block of another stream replaces it; the lock keeps racing
+    runs from appending a block twice.
     """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._norms = {}
-        self.held = 0
-
-    def get(self, key, ends):
-        entry = self._norms.get(key)
-        return entry[1] if entry is not None and entry[0] == ends else None
-
-    def put(self, key, ends, s: np.ndarray) -> None:
-        with self._lock:
-            if key in self._norms:
-                return
-            self._norms[key] = (ends, s)
-            self.held += len(s) + NORM_MEMO_BLOCK_SLICES
-            while self.held > NORM_MEMO_SLICES:
-                _, evicted = self._norms.pop(next(iter(self._norms)))
-                self.held -= len(evicted) + NORM_MEMO_BLOCK_SLICES
-
-    def clear(self) -> None:
-        with self._lock:
-            self._norms.clear()
-            self.held = 0
-
-
-_NORM_MEMO = _NormMemo()
+    with _NORM_MEMO_LOCK:
+        if key not in _NORM_MEMO and at == 1:
+            _NORM_MEMO.clear()
+            _NORM_MEMO[key] = array("d")
+        norms = _NORM_MEMO.get(key, ())
+        if at - 1 <= len(norms) < NORM_MEMO_SLICES:
+            norms.extend(s[len(norms) - (at - 1) : NORM_MEMO_SLICES - (at - 1)])
 
 
 class TraceRecord(NamedTuple):
@@ -620,7 +597,7 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
             e = 0.0
             if draw and err.active_at(t + 1):
                 if j == len(block):
-                    block = err.sample(rng, n, min(per_block, cap - t))
+                    block = err.sample(rng, n, min(per_block, cap - t), at=t + 1)
                     j = 0
                 E = block[j]
                 j += 1

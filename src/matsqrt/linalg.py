@@ -64,13 +64,16 @@ def _as_square_array(values, name: str = "matrix") -> np.ndarray:
 
 
 def symmetrize(A) -> np.ndarray:
-    """Return (A + A^T) / 2.
+    """Return (A + A^T) / 2, and A / 2 + A^T / 2 where the sum overflows.
 
     Floating-point addition commutes, so the result is exactly symmetric
     entrywise.  Symmetric inputs are returned unchanged in value.
     """
     A = _as_square_array(A)
-    return (A + A.T) / 2.0
+    with np.errstate(over="ignore"):
+        S = (A + A.T) / 2.0
+    finite = np.isfinite(S)
+    return S if finite.all() else np.where(finite, S, A / 2.0 + A.T / 2.0)
 
 
 class SpdMatrix:
@@ -98,7 +101,8 @@ class SpdMatrix:
         w = np.linalg.eigvalsh(A)
         lam_min, lam_max = float(w[0]), float(w[-1])
         bounds = _widened(w)
-        if lam_min <= SPD_RTOL * abs(lam_max) or bounds[0] <= 0.0:
+        # not (x > y): a NaN or infinite spectrum fails too
+        if not (lam_min > SPD_RTOL * abs(lam_max) and bounds[0] > 0.0 and bounds[2] < np.inf):
             raise NotPositiveDefiniteError(
                 f"matrix is not positive definite: lambda_min={lam_min:.6e}, "
                 f"lambda_max={lam_max:.6e}"

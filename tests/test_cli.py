@@ -47,6 +47,14 @@ def test_sqrt_evd(capsys, spd_file):
     assert np.allclose(U, np.diag([2.0, math.sqrt(2.0)]), rtol=0, atol=1e-10)
 
 
+def test_sqrt_evd_of_entries_above_half_the_largest_double(capsys, matrix_file):
+    # A + A^T overflows here; the file used to fail on a non-finite root
+    for m, root in [([1e308, 1e300], [1e154, 1e150]), ([1.7e308], [math.sqrt(1.7e308)])]:
+        code, out, err = run_cli(capsys, "sqrt", matrix_file(np.diag(m)), "--method", "evd")
+        assert (code, err) == (0, "")
+        assert np.allclose(parse_stdout_matrix(out), np.diag(root), rtol=1e-15, atol=0.0)
+
+
 def test_sqrt_gd_matches_evd(capsys, spd_file):
     code, out, _ = run_cli(capsys, "sqrt", spd_file, "--eta", "0.02", "--tol", "1e-9")
     assert code == 0

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import pickle
 import sys
 import threading
 import tracemalloc
@@ -330,6 +329,16 @@ def test_error_model_validation():
         ErrorModel(schedule="sometimes")
 
 
+def test_error_model_takes_integer_seeds_only():
+    # default_rng returns a Generator seed unaltered, whose state the memo's
+    # key (seed, n) could not identify
+    for seed in (np.random.default_rng(3), 1.5, None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ErrorModel(1e-6, seed=seed)
+    err = ErrorModel(1e-6, seed=np.int64(3))
+    assert type(err.seed) is int and err.seed == 3
+
+
 def test_error_model_schedules():
     every = ErrorModel(delta=1.0, schedule="every-step")
     first = ErrorModel(delta=1.0, schedule="first-step-only")
@@ -393,10 +402,7 @@ def test_error_sample_at_a_subnormal_delta_exceeds_it_by_its_rounding():
 
 
 def test_error_sample_makes_one_eigensolve(eigvalsh_calls):
-    # one stacked eigvalsh for a block drawn first, none for its redraw
-    gd._NORM_MEMO.clear()
-    ErrorModel(1e-3).sample(np.random.default_rng(0), 16, 32)
-    assert len(eigvalsh_calls) == 1
+    # one stacked eigvalsh for a whole block
     ErrorModel(1e-3).sample(np.random.default_rng(0), 16, 32)
     assert len(eigvalsh_calls) == 1
 
@@ -418,7 +424,7 @@ def test_run_perturbed_zero_delta_matches_run():
 
 
 def test_run_perturbed_zero_delta_draws_no_error(monkeypatch):
-    def draw(self, rng, n, k):
+    def draw(self, rng, n, k, at=None):
         raise AssertionError("an error was drawn with delta = 0")
 
     monkeypatch.setattr(ErrorModel, "sample", draw)
@@ -434,8 +440,8 @@ def _record_samples(monkeypatch) -> list:
     calls = []
     sample = ErrorModel.sample
 
-    def recorded(self, rng, n, k):
-        calls.append((rng, sample(self, rng, n, k)))
+    def recorded(self, rng, n, k, at=None):
+        calls.append((rng, sample(self, rng, n, k, at)))
         return calls[-1][1]
 
     monkeypatch.setattr(ErrorModel, "sample", recorded)
@@ -904,9 +910,9 @@ def test_trace_memory_per_step_bounded():
 def test_perturbed_trace_memory_per_step_bounded():
     # every step also keeps its error's Frobenius norm, 8 bytes, and the
     # error blocks of 64 KiB and their eigvalsh work arrays add a constant.
-    # A cold norm memo adds each slice's norm, 8 bytes, and 400 to 550
-    # bytes per block of 512 slices, about 1 byte a step: measured 33.7 ->
-    # 42.6 bytes a step kept and 45.2 -> 54.9 at the peak, warm -> cold.
+    # A cold norm memo adds each slice's norm to one array.array, 8 bytes
+    # and its over-allocation: measured 33.7 -> 42.2 bytes a step kept and
+    # 45.5 -> 54.7 at the peak, warm -> cold.
     gd._NORM_MEMO.clear()
     err = ErrorModel(1e-9, "every-step", seed=1)
     assert _peak_bytes_per_step(lambda M, cfg: run_perturbed(M, cfg, err), 20_000) <= 64.0
@@ -1099,117 +1105,155 @@ def test_error_sample_keeps_a_zero_slice_zero():
 
 # ------------------------------------------------------------ norm memo
 #
-# ErrorModel.sample memoizes each block's slice norms by the generator's
-# state before the draw, n and k; a redraw must be bitwise a fresh draw.
+# ErrorModel.sample memoizes the slice norms of one error stream, keyed by
+# (seed, n) and indexed by step; a run that reads them must be bitwise a
+# cold run and the reference loop, whatever its block split or cap.
 
 
-def _memo_entries() -> list:
-    return [s for _, s in gd._NORM_MEMO._norms.values()]
+def _memo_norms(err, n) -> list:
+    return list(gd._NORM_MEMO.get((err.seed, n), ()))
 
 
 def _assert_memo_within_cap():
-    entries = _memo_entries()
-    held = sum(len(s) + gd.NORM_MEMO_BLOCK_SLICES for s in entries)
-    assert gd._NORM_MEMO.held == held <= gd.NORM_MEMO_SLICES
-    assert not any(s.flags.writeable for s in entries)
+    assert len(gd._NORM_MEMO) <= 1
+    assert all(len(norms) <= gd.NORM_MEMO_SLICES for norms in gd._NORM_MEMO.values())
+
+
+def _memo_run(M, max_iters, err, eigvalsh_calls, cold=False):
+    """(trace, eigvalsh calls) of a perturbed run, after emptying the memo if cold."""
+    if cold:
+        gd._NORM_MEMO.clear()
+    before = len(eigvalsh_calls)
+    cfg = GdConfig(eta=0.01, tol=1e-300, max_iters=max_iters)
+    trace = run_perturbed(M, cfg, err)[1]
+    return trace, len(eigvalsh_calls) - before
+
+
+def _assert_same_trace(got, ref):
+    for name in TraceRecord._fields:
+        assert _same_bits(getattr(got, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 16, 17, 33, 64, 91, 100])
+def test_stacked_eigvalsh_gives_each_slice_its_own_bits(n):
+    # The memo reuses a slice's norm from whatever block computed it, so a
+    # slice's eigenvalues must not depend on the stack it is solved in.
+    G = np.random.default_rng(n).standard_normal((6, n, n))
+    E = (G + G.transpose(0, 2, 1)) / 2.0
+    single = np.stack([np.linalg.eigvalsh(S) for S in E])
+    assert _same_bits(np.linalg.eigvalsh(E), single)
+    assert _same_bits(np.linalg.eigvalsh(E[2:5]), single[2:5])
 
 
 def test_error_sample_warm_equals_cold_at_every_delta():
     # the norms do not depend on delta: a ladder's second rung reads them
     # from its first rung's draw
+    def draw(delta):
+        return ErrorModel(delta, seed=8).sample(np.random.default_rng(8), 16, 32, at=1)
+
     for delta in (1e-6, 1e-9, 1e-300):
         gd._NORM_MEMO.clear()
-        cold = ErrorModel(delta).sample(np.random.default_rng(8), 16, 32)
-        warm = ErrorModel(delta).sample(np.random.default_rng(8), 16, 32)
-        other = ErrorModel(delta * 3.0).sample(np.random.default_rng(8), 16, 32)
+        cold = draw(delta)
+        warm = draw(delta)
+        other = draw(delta * 3.0)
         gd._NORM_MEMO.clear()
-        fresh = ErrorModel(delta * 3.0).sample(np.random.default_rng(8), 16, 32)
+        fresh = draw(delta * 3.0)
         assert _same_bits(warm, cold) and _same_bits(other, fresh)
 
 
+def test_error_sample_without_a_step_leaves_the_memo_alone(eigvalsh_calls):
+    # a call that does not name its step neither reads nor fills the memo
+    err = ErrorModel(1e-6, seed=0)
+    gd._NORM_MEMO.clear()
+    blocks = [err.sample(np.random.default_rng(0), 16, 32) for _ in range(2)]
+    assert len(eigvalsh_calls) == 2 and gd._NORM_MEMO == {}
+    blocks.append(err.sample(np.random.default_rng(0), 16, 32, at=1))
+    blocks.append(err.sample(np.random.default_rng(0), 16, 32))
+    assert len(eigvalsh_calls) == 4 and len(_memo_norms(err, 16)) == 32
+    assert all(_same_bits(block, blocks[0]) for block in blocks)
+
+
 def test_error_sample_memo_misses_another_draw(eigvalsh_calls):
+    # After steps 1..32 of seed 0 at n = 16, a block of another seed or
+    # order, or one that runs past the kept steps, misses; only the last
+    # extends the stream.  Every block is bitwise its draw without the memo.
+    def draw(seed, n, k, at):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal((at - 1, n, n))
+        return ErrorModel(1e-6, seed=seed).sample(rng, n, k, at)
+
     gd._NORM_MEMO.clear()
-    err = ErrorModel(1e-6)
-    advanced = np.random.default_rng(0)
-    advanced.standard_normal(1)
-    draws = [
-        (np.random.default_rng(0), 16, 32),
-        (np.random.default_rng(0), 16, 31),
-        (np.random.default_rng(0), 15, 32),
-        (np.random.default_rng(1), 16, 32),
-        (advanced, 16, 32),
-        (np.random.Generator(np.random.PCG64DXSM(0)), 16, 32),
-    ]
-    for i, (rng, n, k) in enumerate(draws, 1):
-        err.sample(rng, n, k)
-        assert len(eigvalsh_calls) == len(_memo_entries()) == i
-    err.sample(np.random.default_rng(0), 16, 32)
-    assert len(eigvalsh_calls) == len(draws)
+    draw(0, 16, 32, 1)
+    for seed, n, k, at, solves, kept in [
+        (0, 16, 8, 5, 0, 32),
+        (1, 16, 8, 5, 1, 32),
+        (0, 15, 8, 5, 1, 32),
+        (0, 16, 8, 30, 1, 37),
+        (0, 16, 37, 1, 0, 37),
+    ]:
+        eigvalsh_calls.clear()
+        block = draw(seed, n, k, at)
+        assert len(eigvalsh_calls) == solves and len(gd._NORM_MEMO[0, 16]) == kept
+        rng = np.random.default_rng(seed)
+        rng.standard_normal((at - 1, n, n))
+        assert _same_bits(block, ErrorModel(1e-6, seed=seed).sample(rng, n, k))
 
 
-def test_error_sample_memo_is_bypassed_without_a_bit_generator(eigvalsh_calls):
+def test_norm_memo_interleaved_seeds_match_the_reference_loop():
+    # each stream's first block replaces the other stream, of another seed
+    # or another order
+    Ms = {n: random_spd(SpdInstanceSpec(n=n, kappa=10.0, seed=8)) for n in (5, 16)}
+    cfg = GdConfig(c_step=1.0, tol=1e-8, max_iters=100)
     gd._NORM_MEMO.clear()
-    draws = np.random.default_rng(7).standard_normal((2, 5, 5))
-
-    class Stream:
-        def standard_normal(self, shape):
-            return draws.copy()
-
-    err = ErrorModel(1e-6)
-    assert _same_bits(err.sample(Stream(), 5, 2), err.sample(Stream(), 5, 2))
-    assert len(eigvalsh_calls) == 2 and _memo_entries() == []
+    for seed, n in [(4, 16), (5, 16), (4, 16), (4, 5), (4, 16)]:
+        err = ErrorModel(1e-7, "every-step", seed=seed)
+        _assert_matches_reference(Ms[n], cfg, err)
+        assert list(gd._NORM_MEMO) == [(seed, n)] and len(_memo_norms(err, n)) == 100
 
 
-def test_norm_memo_evicts_the_oldest_block_within_its_cap(monkeypatch, eigvalsh_calls):
-    k = 8
-    monkeypatch.setattr(gd, "NORM_MEMO_SLICES", 3 * (k + gd.NORM_MEMO_BLOCK_SLICES))
+def test_norm_memo_longer_cap_after_shorter_matches_cold_runs(eigvalsh_calls):
+    # A cap of 45 draws blocks of 32 and 13 slices, one of 100 draws 32,
+    # 32, 32 and 4: the truncated block meets a full one at step 33.  The
+    # longer run finds the first block, misses the second and extends the
+    # stream by its last 19 slices, then by each later block.
+    M = random_spd(SpdInstanceSpec(n=16, kappa=4.0, seed=16))
+    err = ErrorModel(1e-7, "every-step", seed=5)
+    cold = {cap: _memo_run(M, cap, err, eigvalsh_calls, cold=True) for cap in (45, 100)}
     gd._NORM_MEMO.clear()
-    err = ErrorModel(1e-6)
-    for seed in range(5):
-        err.sample(np.random.default_rng(seed), 4, k)
-        _assert_memo_within_cap()
-    assert len(_memo_entries()) == 3 and len(eigvalsh_calls) == 5
-    for seed in (4, 3, 2):  # hits, which do not reorder the memo
-        err.sample(np.random.default_rng(seed), 4, k)
-    assert len(eigvalsh_calls) == 5
-    err.sample(np.random.default_rng(0), 4, k)  # a miss evicts seed 2
-    err.sample(np.random.default_rng(3), 4, k)
-    assert len(eigvalsh_calls) == 6
-    err.sample(np.random.default_rng(2), 4, k)
-    assert len(eigvalsh_calls) == 7
+    for cap, hits, kept in [(45, 0, 45), (100, 1, 100), (100, 4, 100), (45, 2, 100)]:
+        trace, solves = _memo_run(M, cap, err, eigvalsh_calls)
+        _assert_same_trace(trace, cold[cap][0])
+        assert solves == cold[cap][1] - hits and len(_memo_norms(err, 16)) == kept
+    _assert_matches_reference(M, GdConfig(eta=0.01, tol=1e-300, max_iters=100), err)
+
+
+def test_norm_memo_serves_first_step_only_after_every_step(eigvalsh_calls):
+    # a first-step-only run draws the stream's first slice, which an
+    # every-step run of the same seed left in the memo
+    M = random_spd(SpdInstanceSpec(n=16, kappa=4.0, seed=16))
+    every = ErrorModel(1e-7, "every-step", seed=6)
+    first = ErrorModel(1e-7, "first-step-only", seed=6)
+    cold, cold_solves = _memo_run(M, 50, first, eigvalsh_calls, cold=True)
+    _memo_run(M, 50, every, eigvalsh_calls, cold=True)
+    trace, solves = _memo_run(M, 50, first, eigvalsh_calls)
+    _assert_same_trace(trace, cold)
+    assert solves == cold_solves - 1
+    _assert_matches_reference(M, GdConfig(eta=0.01, tol=1e-300, max_iters=50), first)
+
+
+def test_norm_memo_keeps_a_longer_run_within_its_cap(monkeypatch, eigvalsh_calls):
+    # with a cap of 40 slices the stream keeps steps 1..40: a warm run
+    # finds its first block of 32 and solves the rest afresh
+    monkeypatch.setattr(gd, "NORM_MEMO_SLICES", 40)
+    M = random_spd(SpdInstanceSpec(n=16, kappa=4.0, seed=16))
+    err = ErrorModel(1e-7, "every-step", seed=7)
+    cold, cold_solves = _memo_run(M, 100, err, eigvalsh_calls, cold=True)
+    for _ in range(2):
+        trace, solves = _memo_run(M, 100, err, eigvalsh_calls)
+        _assert_same_trace(trace, cold)
+        assert solves == cold_solves - 1 and len(_memo_norms(err, 16)) == 40
     _assert_memo_within_cap()
-    # a block over the cap on its own is not kept
-    err.sample(np.random.default_rng(9), 4, 3 * k + 2 * gd.NORM_MEMO_BLOCK_SLICES + 1)
-    assert _memo_entries() == []
-    _assert_memo_within_cap()
-
-
-def test_norm_memo_ignores_a_block_drawn_after_another_thread_drew(monkeypatch):
-    # Another thread that draws from the same generator between the state
-    # read and the draw leaves a block of another state under the key; a
-    # clean draw from that state must not take its norms.
-    shared = np.random.default_rng(21)
-    state = shared.bit_generator.state
-    dumps = pickle.dumps
-
-    class Interleaved:
-        @staticmethod
-        def dumps(obj):
-            shared.standard_normal(1)
-            return dumps(obj)
-
-    err = ErrorModel(1e-6)
-    gd._NORM_MEMO.clear()
-    monkeypatch.setattr(gd, "pickle", Interleaved)
-    err.sample(shared, 6, 4)
-    monkeypatch.undo()
-    assert len(_memo_entries()) == 1
-    clean = np.random.default_rng(0)
-    clean.bit_generator.state = state
-    ref_rng = np.random.default_rng(0)
-    ref_rng.bit_generator.state = state
-    ref = np.stack([_ref_sample(err, ref_rng, 6) for _ in range(4)])
-    assert _same_bits(err.sample(clean, 6, 4), ref)
+    _assert_matches_reference(M, GdConfig(eta=0.01, tol=1e-300, max_iters=100), err)
 
 
 def test_perturbed_traces_equal_cold_and_warm(eigvalsh_calls):
@@ -1230,27 +1274,31 @@ def test_perturbed_traces_equal_cold_and_warm(eigvalsh_calls):
             assert _same_bits(getattr(trace, name), getattr(traces[0], name)), name
 
 
-def test_norm_memo_under_racing_threads(monkeypatch):
-    # more threads than cores, switching every microsecond, on a cap of
-    # three blocks: every block stays bitwise its reference, nothing
-    # raises, and the memo's count matches its entries
-    n, k, seeds = 6, 4, range(8)
-    err = ErrorModel(1e-6)
-    refs = {}
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        refs[seed] = np.stack([_ref_sample(err, rng, n) for _ in range(k)])
-    monkeypatch.setattr(gd, "NORM_MEMO_SLICES", 3 * (k + gd.NORM_MEMO_BLOCK_SLICES))
+def test_norm_memo_under_racing_threads():
+    # more threads than cores, switching every microsecond, running three
+    # seeds at caps of 37 and 100 steps, so that streams replace each other
+    # and truncated blocks meet full ones: every trace stays bitwise its
+    # cold run, nothing raises, and the memo stays within its cap
+    M = random_spd(SpdInstanceSpec(n=16, kappa=4.0, seed=16))
+    runs = [(ErrorModel(1e-7, "every-step", seed=s), cap) for s in (1, 2, 3) for cap in (37, 100)]
+    cfgs = {cap: GdConfig(eta=0.01, tol=1e-300, max_iters=cap) for cap in (37, 100)}
+    refs = []
+    for err, cap in runs:
+        gd._NORM_MEMO.clear()
+        refs.append(run_perturbed(M, cfgs[cap], err)[1])
     gd._NORM_MEMO.clear()
     failures = []
 
     def work(offset):
         try:
-            for i in range(200):
-                seed = (i + offset) % len(seeds)
-                block = err.sample(np.random.default_rng(seed), n, k)
-                if not _same_bits(block, refs[seed]):
-                    failures.append(seed)
+            for j in np.random.default_rng(offset).integers(len(runs), size=3 * len(runs)):
+                err, cap = runs[j]
+                trace = run_perturbed(M, cfgs[cap], err)[1]
+                if not all(
+                    _same_bits(getattr(trace, name), getattr(refs[j], name))
+                    for name in TraceRecord._fields
+                ):
+                    failures.append(j)
         except Exception as exc:  # reported by the main thread
             failures.append(exc)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -153,10 +154,10 @@ def test_norms_are_python_floats():
         assert type(value) is float
 
 
-# Two of the tests below keep the ids they had under the Jacobi solver
-# that LAPACK's eigh replaced (the round-robin pair); they now check eigh
-# against eigvalsh and against mpmath's 50-digit eigenvalues, and the
-# widened bounds against the latter.
+# One of the tests below keeps the id it had under the Jacobi solver that
+# LAPACK's eigh replaced (the round-robin one on kappa = 2 inputs); they
+# check eigh against eigvalsh and against mpmath's 50-digit eigenvalues,
+# and the widened bounds against the latter.
 
 
 def assert_matches_oracles(A):
@@ -178,7 +179,7 @@ def assert_matches_oracles(A):
 
 
 @pytest.mark.parametrize("n", ORACLE_SIZES + [33, 64])
-def test_round_robin_matches_cyclic_and_lapack_on_random_symmetric(n):
+def test_eigh_matches_eigvalsh_and_mpmath_on_random_symmetric(n):
     assert_matches_oracles(random_symmetric(n, 1000 + n))
 
 
@@ -288,6 +289,39 @@ def test_solve_dimension_mismatch():
 def test_symmetrize_is_exact_for_symmetric():
     A = random_symmetric(4, 3)
     assert np.array_equal(symmetrize(A), A)
+
+
+def test_symmetrize_halves_first_only_where_the_sum_overflows():
+    # (A + A^T) / 2 keeps its bits wherever A + A^T is finite
+    A = np.array([[1.7e308, 1e308, 3.0], [-1e308, 5e-324, 1.0], [1.0, 2.5, 1e-300]])
+    with np.errstate(over="ignore"):
+        plain = (A + A.T) / 2.0
+    S = symmetrize(A)
+    finite = np.isfinite(plain)
+    assert not finite[0, 0] and np.all(finite[1:, 1:])
+    assert np.array_equal(S[finite], plain[finite])
+    assert S[0, 0] == 1.7e308 and S[0, 1] == S[1, 0] == 0.0
+    assert np.array_equal(S, S.T)
+    G = random_symmetric(5, 4) + np.triu(np.ones((5, 5)))
+    assert np.array_equal(symmetrize(G), (G + G.T) / 2.0)
+
+
+def test_spd_of_entries_above_half_the_largest_double():
+    # an entry above half the largest double used to overflow in A + A^T:
+    # diag(1e308, 1) was accepted holding inf with NaN bounds
+    S = SpdMatrix(np.diag([1e308, 1e300]))
+    assert np.array_equal(S.values, np.diag([1e308, 1e300]))
+    lo, smin, op = S.bounds
+    assert 0.0 < lo == smin <= 1e300 and 1e308 <= op < math.inf
+    assert SpdMatrix([[1.7e308]]).values[0, 0] == 1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # kappa = 1e308 is past SPD_RTOL; the second norm overflows, and so
+        # does the widened norm of the largest double
+        big = [[1.7e308, 1e308], [1e308, 1.7e308]]
+        for A in (np.diag([1e308, 1.0]), big, [[np.finfo(float).max]]):
+            with pytest.raises(NotPositiveDefiniteError):
+                SpdMatrix(A)
 
 
 def test_spd_symmetrizes_input():
