@@ -1,8 +1,8 @@
 """Reference square-root algorithms used to cross-check the solver.
 
-Two baselines: Newton's iteration X <- (X + X^{-1} M) / 2, quadratically
-convergent from commuting starts, and the direct eigendecomposition root.
-Both produce SPD results or raise.
+Two baselines: Newton's method, in the stable product form of the
+Denman-Beavers iteration, and the direct eigendecomposition root.  Both
+produce SPD results or raise.
 """
 
 from __future__ import annotations
@@ -41,27 +41,40 @@ def scalar_newton(m: float, u0: float, iters: int) -> list:
     return out
 
 
-def newton_sqrt(M, cfg: NewtonConfig = NewtonConfig()):
-    """Matrix square root by Newton's iteration.
+def frobenius_scale(M) -> float:
+    """||M||_F, the scale of Newton's tolerance; a :class:`LinalgError` past the doubles."""
+    with np.errstate(over="ignore"):
+        fro = linalg.frobenius_norm(M)
+    if fro < np.inf:
+        return fro
+    raise linalg.LinalgError(f"||M||_F = {fro:.6e} overflows; Newton's tol is relative to it")
 
-    Starts from M itself, which commutes with M, so the iteration stays in
-    the commutative polynomial algebra of M and converges to the SPD root.
-    Returns (root, iterations); the count is 0 when the start already meets
-    tolerance.
+
+def newton_sqrt(M, cfg: NewtonConfig = NewtonConfig()):
+    """Matrix square root by Newton's method in Denman-Beavers product form.
+
+    From Y = P = M, each step makes one ``linalg.solve`` for P^{-1} and sets
+    Y <- Y (I + P^{-1}) / 2, P <- (I + (P + P^{-1}) / 2) / 2 (Cheng, Higham,
+    Kenney and Laub, SIMAX 2001).  Y is Newton's iterate from M in exact
+    arithmetic, but unlike X <- (X + X^{-1} M) / 2 it does not amplify
+    rounding once kappa(M) > 9.  Returns (root, iterations) once
+    ||M - Y^2||_F <= tol ||M||_F; the count is 0 when M already meets it.
     """
-    M_spd = linalg.as_spd(M)
-    A = M_spd.values
-    m_fro = linalg.frobenius_norm(A)
-    X = A.copy()
+    A = linalg.as_spd(M).values
+    m_fro = frobenius_scale(A)
+    I = np.eye(A.shape[0])
+    Y, P = A, A
     for k in range(cfg.max_iters + 1):
-        R = A - X @ X
-        if linalg.frobenius_norm(R) <= cfg.tol * m_fro:
-            return linalg.SpdMatrix(X), k
+        # an early Y^2 may overflow; its residual then reads inf and fails the test
+        with np.errstate(over="ignore"):
+            residual = linalg.frobenius_norm(A - Y @ Y)
+        if residual <= cfg.tol * m_fro:
+            return linalg.SpdMatrix(Y), k
         if k == cfg.max_iters:
             break
-        # X <- (X + X^{-1} A) / 2, with the inverse applied through a solve
-        Y = linalg.solve(X, A)
-        X = linalg.symmetrize((X + Y) / 2.0)
+        P_inv = linalg.solve(P, I)
+        Y = Y @ (I + P_inv) / 2.0
+        P = (I + (P + P_inv) / 2.0) / 2.0
     raise NewtonConvergenceError(
         f"no convergence to {cfg.tol:g} * ||M||_F within {cfg.max_iters} iterations"
     )

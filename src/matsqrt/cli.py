@@ -128,7 +128,7 @@ def cmd_sqrt(args) -> int:
         io.write_matrix(_output(args.output), U)
         return EXIT_OK
     if args.method == "newton":
-        rel = args.tol / linalg.frobenius_norm(M_spd.values)
+        rel = args.tol / baselines.frobenius_scale(M_spd)
         ncfg = baselines.NewtonConfig(tol=rel)
         _echo([("method", "newton"), ("seed", seed), ("tol-rel", rel)])
         U, _ = baselines.newton_sqrt(M_spd, ncfg)

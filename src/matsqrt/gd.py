@@ -385,19 +385,22 @@ def stability_tolerance(eta: float, rate: RateParams) -> float:
 
 
 def rate_cube(x: float, u_op: float, m_op: float) -> float:
-    """x ** 3 for a rate parameter; a :class:`GdError` if it overflows.
+    """x ** 3 for a rate parameter; a :class:`GdError` if it is not finite.
 
     Python's float power raises ``OverflowError`` past the largest double,
-    as it does for a start like 1e200 I; the error names the start's and
-    the matrix's spectral norms instead.
+    as for a start like 1e200 I, but cubes an infinite x to inf; either
+    way the error names the start's and the matrix's spectral norms.
     """
     try:
-        return x**3
+        cube = x**3
     except OverflowError:
-        raise GdError(
-            f"rate parameters overflow for a start of spectral norm {u_op:.6e} "
-            f"and a matrix of spectral norm {m_op:.6e}"
-        ) from None
+        cube = math.inf
+    if cube < math.inf:
+        return cube
+    raise GdError(
+        f"rate parameters overflow for a start of spectral norm {u_op:.6e} "
+        f"and a matrix of spectral norm {m_op:.6e}"
+    )
 
 
 def initial_iterate(M, cfg: GdConfig) -> SpdMatrix:

@@ -4,10 +4,10 @@ Everything in this module operates on plain float64 numpy arrays wrapped in
 thin validated types.  Spectra come from LAPACK: ``eigvalsh`` for the
 extreme eigenvalues, ``eigh`` where eigenvectors are needed.  The norms
 and lower bounds derived from them are widened outward by twice
-``eigvalsh``'s error bound, so they bracket the exact values.  The linear
-solver is Gaussian elimination with partial pivoting, and the operator
-norm estimator is a power iteration; each carries explicit convergence
-contracts and fails loudly instead of returning silently degraded results.
+``eigvalsh``'s error bound, so they bracket the exact values.  Linear
+systems go to LAPACK's LU solver.  The operator norm estimator is a power
+iteration with an explicit convergence contract; it fails loudly instead
+of returning a silently degraded result.
 
 All functions are pure: inputs are never mutated, wrapped arrays are frozen
 at construction, and every random choice takes an explicit seed.
@@ -21,8 +21,6 @@ import numpy as np
 
 # Machine epsilon as a Python float, like every round-off constant derived from it.
 EPS = float(np.finfo(float).eps)
-# Relative threshold below which a pivot is treated as exactly singular.
-PIVOT_RTOL = 1e-14
 # Power iteration stops once successive Rayleigh quotients agree to this.
 POWER_RTOL = 1e-3
 POWER_MAX_ITERS = 1000
@@ -83,9 +81,9 @@ class SpdMatrix:
     values[j, i]`` holds bitwise, and freezes it; operations return new
     objects.  Positive definiteness is verified at construction by one
     ``eigvalsh``: the smallest eigenvalue must exceed ``SPD_RTOL`` times
-    the largest, and its widened lower bound must be positive.
-    Construction is the only gate; downstream code may rely on the
-    invariant without rechecking.
+    the largest, its widened lower bound must be positive, and its
+    widened norm finite.  Construction is the only gate; downstream code
+    may rely on the invariant without rechecking.
 
     ``bounds`` keeps that spectrum as (lambda_min, sigma_min, ||A||_2)
     widened outward (see :func:`spectral_bounds`), so every norm of the
@@ -102,10 +100,14 @@ class SpdMatrix:
         lam_min, lam_max = float(w[0]), float(w[-1])
         bounds = _widened(w)
         # not (x > y): a NaN or infinite spectrum fails too
-        if not (lam_min > SPD_RTOL * abs(lam_max) and bounds[0] > 0.0 and bounds[2] < np.inf):
+        if not (lam_min > SPD_RTOL * abs(lam_max) and bounds[0] > 0.0):
             raise NotPositiveDefiniteError(
                 f"matrix is not positive definite: lambda_min={lam_min:.6e}, "
                 f"lambda_max={lam_max:.6e}"
+            )
+        if not bounds[2] < np.inf:
+            raise NotPositiveDefiniteError(
+                f"matrix norm overflows: lambda_max={lam_max:.6e} plus eigvalsh's error bound"
             )
         object.__setattr__(self, "values", A)
         object.__setattr__(self, "bounds", bounds)
@@ -260,41 +262,22 @@ def spectral_extremes(A):
 
 
 def solve(A, B) -> np.ndarray:
-    """Solve A X = B by Gaussian elimination with partial pivoting.
+    """Solve A X = B by LAPACK's LU factorization with partial pivoting.
 
-    Raises :class:`SingularMatrixError` when the selected pivot falls below
-    ``PIVOT_RTOL * ||A||_F``.
+    Raises :class:`SingularMatrixError` when LAPACK meets an exactly zero pivot.
     """
-    A = _as_square_array(A, "coefficient matrix").copy()
-    B = np.array(B, dtype=float)
-    squeeze = B.ndim == 1
-    if squeeze:
-        B = B[:, None]
-    n = A.shape[0]
-    if B.shape[0] != n:
+    A = _as_square_array(A, "coefficient matrix")
+    B = np.asarray(B, dtype=float)
+    if B.shape[0] != A.shape[0]:
         raise DimensionMismatchError(
-            f"right-hand side has {B.shape[0]} rows, expected {n}"
+            f"right-hand side has {B.shape[0]} rows, expected {A.shape[0]}"
         )
     if not np.all(np.isfinite(B)):
         raise LinalgError("right-hand side contains non-finite entries")
-    threshold = PIVOT_RTOL * float(np.linalg.norm(A))
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(A[k:, k])))
-        if abs(A[piv, k]) <= threshold:
-            raise SingularMatrixError(
-                f"pivot {abs(A[piv, k]):.3e} at column {k} is below "
-                f"threshold {threshold:.3e}"
-            )
-        if piv != k:
-            A[[k, piv], :] = A[[piv, k], :]
-            B[[k, piv], :] = B[[piv, k], :]
-        factors = A[k + 1 :, k] / A[k, k]
-        A[k + 1 :, k:] -= np.outer(factors, A[k, k:])
-        B[k + 1 :, :] -= np.outer(factors, B[k, :])
-    X = np.empty_like(B)
-    for k in range(n - 1, -1, -1):
-        X[k, :] = (B[k, :] - A[k, k + 1 :] @ X[k + 1 :, :]) / A[k, k]
-    return X[:, 0] if squeeze else X
+    try:
+        return np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("coefficient matrix is singular") from None
 
 
 def estimate_opnorm_bound(M, seed: int = 0) -> float:

@@ -91,3 +91,38 @@ def test_evd_sqrt_diagonal_exact():
 def test_newton_rejects_non_spd():
     with pytest.raises(linalg.NotPositiveDefiniteError):
         newton_sqrt(np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("kappa", [1e4, 1e6])
+def test_newton_converges_past_the_simplified_iterations_instability(n, kappa):
+    # X <- (X + X^{-1} M) / 2 amplified rounding here and raised after 100
+    # iterations; the Denman-Beavers product form converges
+    M = random_spd(SpdInstanceSpec(n=n, kappa=kappa, seed=3))
+    X, iters = newton_sqrt(M)
+    Y = np.asarray(evd_sqrt(M))
+    assert iters <= 15
+    assert np.linalg.norm(np.asarray(X) - Y) <= 1e-9 * np.linalg.norm(Y)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_newton_raises_at_kappa_1e8(n):
+    # the residual stalls above NewtonConfig.tol relative to ||M||_F
+    M = random_spd(SpdInstanceSpec(n=n, kappa=1e8, seed=3))
+    with pytest.raises(NewtonConvergenceError):
+        newton_sqrt(M)
+
+
+def test_newton_refuses_a_matrix_whose_frobenius_norm_overflows():
+    # the tolerance is relative to ||M||_F; no numpy warning on the way
+    with pytest.raises(linalg.LinalgError, match="_F = inf overflows"):
+        newton_sqrt(np.diag([1e308, 1e300]))
+
+
+def test_newton_residual_may_overflow_on_the_way():
+    # the first residual's entries are about 1e200, and its squared norm is
+    # past the doubles; it reads inf, with no numpy warning, until Y shrinks
+    M = 1e100 * np.diag([1.0, 0.1])
+    X, iters = newton_sqrt(M, NewtonConfig(max_iters=200))
+    assert iters > 100
+    assert np.allclose(np.asarray(X), np.asarray(evd_sqrt(M)), rtol=1e-12, atol=0.0)

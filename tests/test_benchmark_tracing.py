@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from matsqrt import gd
+from matsqrt import baselines, gd
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -35,3 +35,13 @@ def test_benchmark_tracer_wraps_every_layer_and_restores_it():
     assert tracer.calls["gd.ErrorModel.sample"] == 2
     assert tracer.calls["gd.run_perturbed"] == 1 and tracer.steps == 600
     assert [getattr(owner, attr) for owner, attr, _, _ in tracing.LAYERS] == originals
+
+
+def test_benchmark_tracer_counts_one_solve_per_newton_iteration():
+    # newton_sqrt reaches linalg.solve through the module, so the traced
+    # layer measures the baseline
+    tracing = _load_tracing()
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        _, iters = baselines.newton_sqrt(np.diag([4.0, 3.0, 2.0, 1.0]))
+    assert iters > 0 and tracer.calls["linalg.solve"] == iters
+    assert tracer.calls["baselines.newton_sqrt"] == 1

@@ -290,6 +290,26 @@ def test_exit_diverged_on_a_start_whose_norms_overflow(capsys, tmp_path, eta):
     )
 
 
+def test_newton_refuses_a_matrix_whose_frobenius_norm_overflows(capsys, matrix_file):
+    # the relative tolerance divides by ||M||_F, which overflows here; no
+    # numpy warning reaches stderr
+    path = matrix_file(np.diag([1e308, 1e300]))
+    code, out, err = run_cli(capsys, "sqrt", path, "--method", "newton")
+    assert (code, out) == (cli.EXIT_DIVERGED, "")
+    assert err == "error: ||M||_F = inf overflows; Newton's tol is relative to it\n"
+
+
+def test_exit_diverged_on_a_corridor_bound_that_overflows(capsys, matrix_file):
+    # sqrt(3 ||M||) is inf, and the automatic step size cubes it
+    path = matrix_file(np.diag([1e308, 1e300]))
+    code, out, err = run_cli(capsys, "sqrt", path, "--init", "sqrt-opnorm")
+    assert (code, out) == (cli.EXIT_DIVERGED, "")
+    assert err == (
+        "error: rate parameters overflow for a start of spectral norm "
+        "1.000000e+154 and a matrix of spectral norm 1.000000e+308\n"
+    )
+
+
 def test_exit_iteration_cap(capsys, spd_file):
     code, out, err = run_cli(
         capsys, "sqrt", spd_file, "--eta", "1e-5", "--max-iters", "10"

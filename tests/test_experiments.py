@@ -303,6 +303,13 @@ def test_convergence_benchmark_grid():
     assert len(astuple(rows[0])) == len(BENCHMARK_HEADER)
 
 
+def test_convergence_benchmark_newton_row_converges_at_kappa_1e4():
+    # the row read error:NewtonConvergenceError before the stable iteration
+    rows = convergence_benchmark([SpdInstanceSpec(n=16, kappa=1e4, seed=1)], methods=("newton",))
+    assert [(r.method, r.status) for r in rows] == [("newton", "converged")]
+    assert rows[0].iterations <= 15 and rows[0].final_residual <= 1e-10
+
+
 def test_convergence_benchmark_records_per_row_failure():
     specs = [SpdInstanceSpec(n=4, kappa=16.0, seed=5)]
     cfg = GdConfig(eta=0.9, tol=1e-8, max_iters=1000)  # far past stability

@@ -1362,6 +1362,17 @@ def test_rate_parameters_of_an_overflowing_start_raise_gd_error():
     assert rate.alpha == ratio**3
 
 
+def test_an_infinite_rate_cube_raises_gd_error():
+    # sqrt(3 ||M||) is inf for ||M|| = 1e308, so the corridor bound cubes
+    # inf; Python's power returns it without an OverflowError
+    U0, M = 1e154 * np.eye(2), np.diag([1e308, 1e300])
+    with pytest.raises(GdError, match="start of spectral norm 1.000000e\\+154"):
+        step_size_policy(U0, M, GdConfig())
+    for x in (math.inf, math.nan):
+        with pytest.raises(GdError):
+            gd.rate_cube(x, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("delta", [math.nan, math.inf])
 def test_error_model_rejects_non_finite_delta(delta):
     with pytest.raises(ValueError, match="finite"):

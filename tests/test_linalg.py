@@ -154,12 +154,6 @@ def test_norms_are_python_floats():
         assert type(value) is float
 
 
-# One of the tests below keeps the id it had under the Jacobi solver that
-# LAPACK's eigh replaced (the round-robin one on kappa = 2 inputs); they
-# check eigh against eigvalsh and against mpmath's 50-digit eigenvalues,
-# and the widened bounds against the latter.
-
-
 def assert_matches_oracles(A):
     n = A.shape[0]
     dec = sym_eig(A)
@@ -184,7 +178,7 @@ def test_eigh_matches_eigvalsh_and_mpmath_on_random_symmetric(n):
 
 
 @pytest.mark.parametrize("n", ORACLE_SIZES + [33, 64])
-def test_round_robin_matches_cyclic_and_lapack_on_kappa_2_spd(n):
+def test_eigh_matches_eigvalsh_and_mpmath_on_kappa_2_spd(n):
     assert_matches_oracles(spd_with_spectrum(np.geomspace(1.0, 0.5, n), n))
 
 
@@ -322,6 +316,18 @@ def test_spd_of_entries_above_half_the_largest_double():
         for A in (np.diag([1e308, 1.0]), big, [[np.finfo(float).max]]):
             with pytest.raises(NotPositiveDefiniteError):
                 SpdMatrix(A)
+
+
+def test_spd_names_an_overflowing_norm_as_the_cause():
+    # the largest double is positive definite, but its widened norm is not
+    # a double; a matrix that is not positive definite keeps its message
+    with pytest.raises(NotPositiveDefiniteError) as exc_info:
+        SpdMatrix([[np.finfo(float).max]])
+    assert str(exc_info.value) == (
+        "matrix norm overflows: lambda_max=1.797693e+308 plus eigvalsh's error bound"
+    )
+    with pytest.raises(NotPositiveDefiniteError, match="^matrix is not positive definite"):
+        SpdMatrix(np.diag([1e308, 1.0]))
 
 
 def test_spd_symmetrizes_input():
