@@ -157,6 +157,8 @@ def _report(name: str, samples: int, floor: float, results) -> CertificateReport
     The certificate passes when that margin reaches ``floor``, its
     round-off allowance, and no sample gave a witness.
     """
+    if samples < 1:
+        raise ValueError(f"{name} needs at least 1 sample, got {samples}")
     worst = math.inf
     witnesses = []
     for margin, witness in results:

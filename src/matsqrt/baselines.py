@@ -20,13 +20,13 @@ class NewtonConvergenceError(linalg.LinalgError):
 @dataclass(frozen=True)
 class NewtonConfig:
     max_iters: int = 100
-    tol: float = 1e-11  # relative to ||M||_F
+    tol: float = 1e-11  # relative to ||M||_F, and may exceed 1
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if not 0.0 < self.tol < 1.0:
-            raise ValueError("tol must be in (0, 1)")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
 
 
 def scalar_newton(m: float, u0: float, iters: int) -> list:

@@ -30,7 +30,7 @@ EXIT_DIVERGED = 2
 EXIT_ITER_CAP = 3
 EXIT_CERT_FAILED = 4
 
-INIT_FLAG_CHOICES = ("auto-lambda", "sqrt-opnorm")
+INIT_FLAGS = {"auto-lambda": "scaled-identity", "sqrt-opnorm": "sqrt-opnorm-identity"}
 # Horizon for the certification run; corridor checking does not require
 # convergence, so the run is capped rather than open-ended.
 CERTIFY_MAX_ITERS = 200_000
@@ -116,7 +116,7 @@ def _echo_gd_config(M_spd, cfg: GdConfig, seed: int):
             ("max-iters", cfg.max_iters),
         ]
     )
-    return dataclasses.replace(cfg, eta=eta, init="explicit", init_matrix=U0), rate
+    return dataclasses.replace(cfg, eta=eta, init=U0), rate
 
 
 def cmd_sqrt(args) -> int:
@@ -135,21 +135,18 @@ def cmd_sqrt(args) -> int:
         io.write_matrix(_output(args.output), U)
         return EXIT_OK
 
-    init, init_matrix = "scaled-identity", None
-    if args.init == "sqrt-opnorm":
-        init = "sqrt-opnorm-identity"
-    elif args.init.startswith("file:"):
-        init, init_matrix = "explicit", io.read_matrix(args.init[5:])
-    elif args.init != "auto-lambda":
+    init = INIT_FLAGS.get(args.init)
+    if args.init.startswith("file:"):
+        init = io.read_matrix(args.init[5:])
+    elif init is None:
         raise CliUsageError(
-            f"--init must be one of {INIT_FLAG_CHOICES} or file:PATH, got {args.init!r}"
+            f"--init must be one of {tuple(INIT_FLAGS)} or file:PATH, got {args.init!r}"
         )
     cfg = GdConfig(
         eta=args.eta,
         max_iters=args.max_iters,
         tol=args.tol,
         init=init,
-        init_matrix=init_matrix,
         seed=seed,
     )
     cfg, _ = _echo_gd_config(M_spd, cfg, seed)
@@ -173,6 +170,8 @@ def cmd_sqrt(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.samples < 1:
+        raise CliUsageError(f"--samples must be at least 1, got {args.samples}")
     M_spd = _read_spd(args.matrix)
     seed = _resolve_seed(args)
     samples = args.samples
@@ -205,7 +204,7 @@ def cmd_bench(args) -> int:
     seed = _resolve_seed(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
-        if m not in ("gd", "newton", "evd"):
+        if m not in experiments.METHODS:
             raise CliUsageError(f"unknown method {m!r}")
     specs = []
     for i, (n, kappa) in enumerate(
@@ -279,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sqrt", help="compute an SPD square root")
     p.add_argument("matrix", help="input matrix file")
-    p.add_argument("--method", choices=("gd", "newton", "evd"), default="gd")
+    p.add_argument("--method", choices=experiments.METHODS, default="gd")
     p.add_argument("--eta", type=_eta_arg, default="auto")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iters", type=int, default=10_000_000)

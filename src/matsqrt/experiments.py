@@ -362,7 +362,7 @@ def robustness_sweep(M, deltas, cfg: GdConfig, seed: int = 0) -> list:
     if any(d < 0.0 for d in deltas):
         raise ValueError("deltas must be nonnegative")
     M_spd, U0, eta = resolve(M, cfg)
-    cfg = replace(cfg, eta=eta, init="explicit", init_matrix=U0)
+    cfg = replace(cfg, eta=eta, init=U0)
     rate = analysis.rate_params(U0, M_spd)
     rows = []
     for delta in deltas:
@@ -403,6 +403,7 @@ class BenchmarkRow:
 
 
 BENCHMARK_HEADER = tuple(f.name for f in fields(BenchmarkRow))
+METHODS = ("gd", "newton", "evd")
 
 
 def _bench_gd(M, cfg):
@@ -411,16 +412,15 @@ def _bench_gd(M, cfg):
     r0 = residual_fro(U0, M)
     predicted = rate.alpha * math.log(max(r0 / cfg.tol, 1.0))
     try:
-        _, trace = run(M, replace(cfg, eta=eta, init="explicit", init_matrix=U0))
-        status = "converged" if trace.converged else "max-iters"
-        return trace.steps, predicted, trace.final_residual, status
+        _, trace = run(M, replace(cfg, eta=eta, init=U0))
+        return trace.steps, predicted, trace.final_residual, trace.stop_reason
     except GdError as exc:
         steps = exc.trace.steps if exc.trace is not None else None
         resid = exc.trace.final_residual if exc.trace is not None else None
         return steps, predicted, resid, "diverged"
 
 
-def convergence_benchmark(specs, methods=("gd", "newton", "evd"), cfg: GdConfig = None) -> list:
+def convergence_benchmark(specs, methods=METHODS, cfg: GdConfig = None) -> list:
     """Iteration counts, wall time, and final residual per (instance, method).
 
     GD rows carry the alpha log(r0/tol) iteration prediction.  Per-row

@@ -33,7 +33,7 @@ import numpy as np
 from . import linalg
 from .linalg import SpdMatrix
 
-INIT_CHOICES = ("scaled-identity", "sqrt-opnorm-identity", "explicit")
+INIT_CHOICES = ("scaled-identity", "sqrt-opnorm-identity")
 SCHEDULE_CHOICES = ("every-step", "first-step-only")
 
 # Residual growth beyond this factor over its initial value aborts the run.
@@ -78,19 +78,18 @@ class GdConfig:
 
     ``eta`` is either a positive number, stored as a float, or ``"auto"``,
     in which case :func:`step_size_policy` picks the step size.  ``init``
-    selects the starting iterate: ``"scaled-identity"`` uses
-    sqrt(lambda) I with lambda the power-iteration estimate
-    :func:`linalg.estimate_opnorm_bound` of ||M||_2,
-    ``"sqrt-opnorm-identity"`` uses sqrt(||M||_2) I, and
-    ``"explicit"`` takes ``init_matrix`` as given.  ``c_step`` scales the
-    automatic step size; the defaults are pinned by the acceptance tests.
+    is the start: ``"scaled-identity"`` uses sqrt(lambda) I with lambda
+    the power-iteration estimate :func:`linalg.estimate_opnorm_bound` of
+    ||M||_2, ``"sqrt-opnorm-identity"`` uses sqrt(||M||_2) I, and a
+    matrix (an array, a nested list or an :class:`SpdMatrix`) is the start
+    itself.  ``c_step`` scales the automatic step size; the defaults are
+    pinned by the acceptance tests.
     """
 
     eta: float | str = "auto"
     max_iters: int = 10_000_000
     tol: float = 1e-8
-    init: str = "scaled-identity"
-    init_matrix: object | None = None
+    init: object = "scaled-identity"
     c_step: float = 0.01
     seed: int = 0
 
@@ -107,10 +106,9 @@ class GdConfig:
             raise ValueError("max_iters must be >= 1")
         if not (self.tol > 0.0):
             raise ValueError("tol must be positive")
-        if self.init not in INIT_CHOICES:
-            raise ValueError(f"init must be one of {INIT_CHOICES}, got {self.init!r}")
-        if (self.init == "explicit") != (self.init_matrix is not None):
-            raise ValueError("init='explicit' requires init_matrix, and no other init takes one")
+        # a start matrix cannot be compared with ``in``
+        if self.init is None or (isinstance(self.init, str) and self.init not in INIT_CHOICES):
+            raise ValueError(f"init must be one of {INIT_CHOICES} or a matrix, got {self.init!r}")
         if not (self.c_step > 0.0):
             raise ValueError("c_step must be positive")
 
@@ -150,8 +148,16 @@ class ErrorModel:
         except TypeError:
             raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
 
-    def active_at(self, t: int) -> bool:
-        return self.schedule == "every-step" or t == 1
+    def errors(self, n: int, cap: int) -> Iterator[np.ndarray]:
+        """E_1, E_2, ... of a run of order ``n``: ``cap`` errors every step, or E_1 alone.
+
+        Each block is one :meth:`sample`, drawn when its first error is taken.
+        """
+        rng = np.random.default_rng(self.seed)
+        steps = cap if self.schedule == "every-step" else 1
+        k = max(1, ERROR_BLOCK_BYTES // (8 * n * n))
+        for at in range(1, steps + 1, k):
+            yield from self.sample(rng, n, min(k, steps + 1 - at), at=at)
 
     def sample(self, rng, n: int, k: int, at: int | None = None) -> np.ndarray:
         """The errors of the next ``k`` scheduled steps, a (k, n, n) stack.
@@ -236,18 +242,21 @@ class IterationTrace:
     """
 
     MEASURED = ("residual_fro", "sigma_min", "opnorm")
-    __slots__ = MEASURED + ("drawn_fro", "step_size", "delta", "converged", "stop_reason")
+    __slots__ = MEASURED + ("drawn_fro", "step_size", "delta", "stop_reason")
 
-    def __init__(self, columns, step_size, converged, stop_reason, delta=0.0, drawn_fro=()):
+    def __init__(self, columns, step_size, stop_reason, delta=0.0, drawn_fro=()):
         # an array.array("d") column becomes a view of its buffer, not a copy
         for name, column in zip(self.MEASURED, columns):
             setattr(self, name, np.asarray(column, dtype=float))
         self.drawn_fro = np.asarray(drawn_fro, dtype=float)
-        self.step_size, self.delta = step_size, delta
-        self.converged, self.stop_reason = converged, stop_reason
+        self.step_size, self.delta, self.stop_reason = step_size, delta, stop_reason
 
     def __len__(self) -> int:
         return len(self.residual_fro)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     @property
     def t(self) -> np.ndarray:
@@ -405,21 +414,21 @@ def rate_cube(x: float, u_op: float, m_op: float) -> float:
 
 def initial_iterate(M, cfg: GdConfig) -> SpdMatrix:
     """Resolve the starting iterate prescribed by ``cfg``."""
+    if not isinstance(cfg.init, str):
+        return linalg.as_spd(cfg.init)
     M_arr = np.asarray(M, dtype=float)
-    n = M_arr.shape[0]
     if cfg.init == "scaled-identity":
         lam = linalg.estimate_opnorm_bound(M_arr, seed=cfg.seed)
-        return SpdMatrix(math.sqrt(lam) * np.eye(n))
-    if cfg.init == "sqrt-opnorm-identity":
-        return SpdMatrix(math.sqrt(linalg.spectral_norm(M)) * np.eye(n))
-    return linalg.as_spd(cfg.init_matrix)
+    else:
+        lam = linalg.spectral_norm(M)
+    return SpdMatrix(math.sqrt(lam) * np.eye(M_arr.shape[0]))
 
 
 def resolve(M, cfg: GdConfig) -> tuple[SpdMatrix, SpdMatrix, float]:
     """(M, U0, eta) of a run: M validated, the start and the step size resolved.
 
-    A run on ``dataclasses.replace(cfg, eta=eta, init="explicit",
-    init_matrix=U0)`` resolves to the same objects without recomputing them.
+    A run on ``dataclasses.replace(cfg, eta=eta, init=U0)`` resolves to the
+    same objects without recomputing them.
     """
     M_spd = linalg.as_spd(M)
     U0 = initial_iterate(M_spd, cfg)
@@ -460,14 +469,9 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     n = M_spd.n
     tol, cap = cfg.tol, cfg.max_iters
 
-    rng = None
     draw = err is not None and err.delta != 0.0
-    block, j = (), 0
     if draw:
-        rng = np.random.default_rng(err.seed)
-        per_block = 1
-        if err.schedule == "every-step":
-            per_block = max(1, ERROR_BLOCK_BYTES // (8 * n * n))
+        errors = err.errors(n, cap)
         tolerance = stability_tolerance(eta, rate_params(U0, M_spd))
         if err.delta >= tolerance:
             warnings.warn(
@@ -482,9 +486,8 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     residuals, smins, opnorms, drawn = (array("d") for _ in range(4))
     delta = err.delta if draw else 0.0
 
-    def trace(converged, stop_reason):
-        columns = (residuals, smins, opnorms)
-        return IterationTrace(columns, eta, converged, stop_reason, delta, drawn)
+    def trace(stop_reason):
+        return IterationTrace((residuals, smins, opnorms), eta, stop_reason, delta, drawn)
 
     # One iterate U is updated in place; three more n x n buffers carry the
     # loop: D = U^2 - M, the product G = D U and the step H = eta (G + G^T),
@@ -543,7 +546,6 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     rounding = 2.0 * eps * root_n
     down, up = 1.0 - eps, 1.0 + 2.0 * eps
     lo, hi, limit, slack = 0.0, 0.0, 0.0, math.inf
-    converged = False
     dot, add, multiply, subtract, sqrt = np.dot, np.add, np.multiply, np.subtract, math.sqrt
     hdot, ddot = h.dot, d.dot
     add_r, add_smin, add_opn = residuals.append, smins.append, opnorms.append
@@ -566,7 +568,7 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                     raise DivergenceError(
                         f"residual {r} at step {t} is not finite",
                         step=t,
-                        trace=trace(False, "diverged"),
+                        trace=trace("diverged"),
                     )
                 lam, smin, opn = linalg.spectral_extremes(U)
                 add_smin(smin)
@@ -576,20 +578,19 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                         f"iterate lost positive definiteness at step {t} "
                         f"(lambda_min={lam:.6e})",
                         step=t,
-                        trace=trace(False, "lost-positive-definiteness"),
+                        trace=trace("lost-positive-definiteness"),
                     )
                 pad = linalg.eigvalsh_pad(n, opn)
                 lo, hi, slack = lam - pad, opn + pad, 0.0
                 limit = BRACKET_RTOL * lo
                 if r <= tol:
-                    converged = True
                     break
                 if r > r_div:
                     raise DivergenceError(
                         f"residual {r:.6e} at step {t} exceeds {DIVERGENCE_FACTOR:g}x "
                         f"its initial value {r0:.6e}",
                         step=t,
-                        trace=trace(False, "diverged"),
+                        trace=trace("diverged"),
                     )
                 if t == cap:
                     break
@@ -598,12 +599,7 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
             multiply(eta_h, H, H)
             subtract(U, H, U)
             e = 0.0
-            if draw and err.active_at(t + 1):
-                if j == len(block):
-                    block = err.sample(rng, n, min(per_block, cap - t), at=t + 1)
-                    j = 0
-                E = block[j]
-                j += 1
+            if draw and (E := next(errors, None)) is not None:
                 add(U, E, U)
                 # bitwise np.linalg.norm(E): the dot of the raveled slice
                 f = E.reshape(-1)
@@ -615,4 +611,4 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
             dot(U, U, D)
             subtract(D, M_arr, D)
             r = sqrt(ddot(d))
-    return SpdMatrix(U), trace(converged, "converged" if converged else "max-iters")
+    return SpdMatrix(U), trace("converged" if r <= tol else "max-iters")

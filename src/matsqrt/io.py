@@ -12,6 +12,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .gd import TraceRecord
+
 FLOAT_FMT = "%.17g"
 
 
@@ -85,7 +87,7 @@ def write_matrix(path_or_file, A) -> None:
             f.write("\n")
 
 
-TRACE_HEADER = ("t", "residual_fro", "objective", "sigma_min", "opnorm", "eta", "err_norm")
+TRACE_HEADER = tuple(name for name in TraceRecord._fields if name != "err_fro")
 
 
 def write_trace_csv(path_or_file, trace) -> None:

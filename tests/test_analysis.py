@@ -178,6 +178,19 @@ def test_sampled_certificates_fail_on_a_nan_margin(monkeypatch):
         assert not rep.passed and len(rep.witnesses) == 3, rep.property_name
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampled_certificates_refuse_fewer_than_one_sample(samples):
+    # with no sample the worst margin would stay inf and the check pass
+    M = np.diag([4.0, 2.0])
+    for check in (
+        lambda: smoothness_certificate(M, 16.0, samples, seed=0),
+        lambda: gradient_dominance_certificate(M, 1.0, samples, seed=0),
+        lambda: saddle_location_check(M, samples, seed=0),
+    ):
+        with pytest.raises(ValueError, match=f"needs at least 1 sample, got {samples}$"):
+            check()
+
+
 @pytest.mark.parametrize(
     "top, fro", [(1e100, "1.118034e\\+100"), (1e200, "inf")], ids=["1e100", "1e200"]
 )
@@ -287,7 +300,7 @@ def test_corridor_check_on_real_run():
 def test_corridor_check_flags_violation():
     M = np.diag([4.0, 1.0])
     U0 = math.sqrt(4.0) * np.eye(2)
-    cfg = GdConfig(eta=0.02, init="explicit", init_matrix=U0, tol=1e-6)
+    cfg = GdConfig(eta=0.02, init=U0, tol=1e-6)
     rate = rate_params(U0, M)
     _, trace = run(M, cfg)
     trace.sigma_min[3] = rate.corridor_low / 2.0  # doctor one record

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -70,8 +72,11 @@ def test_newton_iteration_cap():
 def test_newton_config_validation():
     with pytest.raises(ValueError):
         NewtonConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        NewtonConfig(tol=0.0)
+    for tol in (0.0, -1e-8, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            NewtonConfig(tol=tol)
+    # relative to ||M||_F, so an absolute tolerance above ||M||_F exceeds 1
+    assert NewtonConfig(tol=50.0).tol == 50.0
 
 
 def test_evd_sqrt_squares_back():

@@ -299,6 +299,23 @@ def test_newton_refuses_a_matrix_whose_frobenius_norm_overflows(capsys, matrix_f
     assert err == "error: ||M||_F = inf overflows; Newton's tol is relative to it\n"
 
 
+def test_newton_takes_a_matrix_of_norm_below_tol(capsys, matrix_file):
+    # tol / ||M||_F is above 1 here, and the root must still meet the
+    # absolute tolerance
+    M = np.diag([1e-10, 2e-10])
+    code, out, err = run_cli(capsys, "sqrt", matrix_file(M), "--method", "newton")
+    assert (code, err) == (0, "")
+    Y = parse_stdout_matrix(out)
+    assert np.linalg.norm(M - Y @ Y) <= 1e-8
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1e-8", "inf"])
+def test_newton_refuses_a_tolerance_that_is_not_positive_and_finite(capsys, spd_file, tol):
+    code, out, err = run_cli(capsys, "sqrt", spd_file, "--method", "newton", f"--tol={tol}")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: tol must be positive and finite\n"
+
+
 def test_exit_diverged_on_a_corridor_bound_that_overflows(capsys, matrix_file):
     # sqrt(3 ||M||) is inf, and the automatic step size cubes it
     path = matrix_file(np.diag([1e308, 1e300]))
@@ -361,6 +378,15 @@ def test_certify_refuses_a_matrix_whose_margins_overflow(capsys, matrix_file, to
     assert (code, out) == (cli.EXIT_DIVERGED, "")
     fro = math.hypot(top, top / 2.0)
     assert err == f"error: certificate margins overflow for a matrix of Frobenius norm {fro:.6e}\n"
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("self_test", [(), ("--self-test",)], ids=["plain", "self-test"])
+def test_certify_refuses_fewer_than_one_sample(capsys, spd_file, samples, self_test):
+    # no sample would leave each margin at inf and pass vacuously
+    code, out, err = run_cli(capsys, "certify", spd_file, "--samples", samples, *self_test)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == f"error: --samples must be at least 1, got {samples}\n"
 
 
 def test_certify_eigendecomposes_m_once_and_sqrt_never(capsys, tmp_path, sym_eig_calls):

@@ -204,8 +204,7 @@ def test_lower_bound_report_rows_match_header():
 def _fake_trace(residuals, converged=False):
     k = len(residuals)
     columns = (residuals, np.ones(k), np.ones(k))
-    reason = "converged" if converged else "max-iters"
-    return IterationTrace(columns, 1e-3, converged, reason)
+    return IterationTrace(columns, 1e-3, "converged" if converged else "max-iters")
 
 
 def test_residual_floor_converged_run():

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -45,6 +46,9 @@ def test_config_defaults_pinned():
     assert cfg.c_step == 0.01
     assert gd.C_RATE == 1.0 / 50.0
     assert cfg.seed == 0
+    fields = [f.name for f in dataclasses.fields(GdConfig)]
+    assert fields == ["eta", "max_iters", "tol", "init", "c_step", "seed"]
+    assert gd.INIT_CHOICES == ("scaled-identity", "sqrt-opnorm-identity")
 
 
 @pytest.mark.parametrize(
@@ -59,8 +63,7 @@ def test_config_defaults_pinned():
         dict(init="explicit"),
         dict(tol=math.nan),
         dict(c_step=0.0),
-        # a start given without init="explicit" would be silently ignored
-        dict(init_matrix=5.0 * np.eye(2)),
+        dict(init=None),
     ],
 )
 def test_config_rejects_invalid(kwargs):
@@ -222,7 +225,7 @@ def test_initial_iterate_sqrt_opnorm():
 
 def test_initial_iterate_explicit():
     W = np.diag([3.0, 2.0])
-    U0 = initial_iterate(np.diag([4.0, 1.0]), GdConfig(init="explicit", init_matrix=W))
+    U0 = initial_iterate(np.diag([4.0, 1.0]), GdConfig(init=W))
     assert np.array_equal(U0.values, W)
 
 
@@ -231,7 +234,7 @@ def test_initial_iterate_explicit():
 
 def test_run_converges_to_root():
     M = np.diag([4.0, 1.0])
-    U, trace = run(M, GdConfig(init="explicit", init_matrix=math.sqrt(4.0) * np.eye(2)))
+    U, trace = run(M, GdConfig(init=math.sqrt(4.0) * np.eye(2)))
     assert trace.converged
     assert trace.stop_reason == "converged"
     assert np.allclose(U.values, np.diag([2.0, 1.0]), atol=1e-8)
@@ -240,7 +243,7 @@ def test_run_converges_to_root():
 
 def test_run_already_converged_at_start():
     M = np.eye(3)
-    cfg = GdConfig(init="explicit", init_matrix=np.eye(3))
+    cfg = GdConfig(init=np.eye(3))
     _, trace = run(M, cfg)
     assert trace.converged and trace.steps == 0
 
@@ -263,7 +266,7 @@ def test_run_matches_evd_root(seed):
 
 def test_run_eta_column_constant():
     M = np.diag([4.0, 1.0])
-    cfg = GdConfig(eta=0.02, tol=1e-6, init="explicit", init_matrix=math.sqrt(4.0) * np.eye(2))
+    cfg = GdConfig(eta=0.02, tol=1e-6, init=math.sqrt(4.0) * np.eye(2))
     _, trace = run(M, cfg)
     assert np.all(trace.eta == 0.02)
 
@@ -271,7 +274,7 @@ def test_run_eta_column_constant():
 def test_run_max_iters_returns_unconverged_trace():
     M = np.diag([4.0, 1.0])
     U0 = math.sqrt(4.0) * np.eye(2)
-    _, trace = run(M, GdConfig(eta=1e-6, max_iters=50, init="explicit", init_matrix=U0))
+    _, trace = run(M, GdConfig(eta=1e-6, max_iters=50, init=U0))
     assert not trace.converged
     assert trace.stop_reason == "max-iters"
     assert trace.steps == 50
@@ -281,7 +284,7 @@ def test_run_divergence_carries_partial_trace():
     # starting far below the root with a large step overshoots upward and
     # the residual blows past ten times its initial value within two steps
     M = np.array([[100.0]])
-    cfg = GdConfig(eta=0.05, init="explicit", init_matrix=np.array([[0.5]]))
+    cfg = GdConfig(eta=0.05, init=np.array([[0.5]]))
     with pytest.raises(DivergenceError) as exc_info:
         run(M, cfg)
     exc = exc_info.value
@@ -294,21 +297,21 @@ def test_run_detects_loss_of_positive_definiteness():
     # eta large enough to push the top eigenvalue of U through zero while
     # the residual stays within the divergence guard
     M = np.diag([4.0, 1.0])
-    cfg = GdConfig(eta=0.1, init="explicit", init_matrix=np.diag([2.0, 3.0]))
+    cfg = GdConfig(eta=0.1, init=np.diag([2.0, 3.0]))
     with pytest.raises(LostPositiveDefinitenessError) as exc_info:
         run(M, cfg)
     assert exc_info.value.trace.stop_reason == "lost-positive-definiteness"
 
 
 def test_run_1x1():
-    U, trace = run(np.array([[4.0]]), GdConfig(init="explicit", init_matrix=[[math.sqrt(4.0)]]))
+    U, trace = run(np.array([[4.0]]), GdConfig(init=[[math.sqrt(4.0)]]))
     assert trace.converged
     assert U.values[0, 0] == pytest.approx(2.0, abs=1e-8)
 
 
 def test_trace_records_iterates_all_columns():
     M = np.diag([4.0, 1.0])
-    cfg = GdConfig(eta=0.02, tol=1e-6, init="explicit", init_matrix=math.sqrt(4.0) * np.eye(2))
+    cfg = GdConfig(eta=0.02, tol=1e-6, init=math.sqrt(4.0) * np.eye(2))
     _, trace = run(M, cfg)
     recs = list(trace.records())
     assert recs[0].t == 0
@@ -340,10 +343,14 @@ def test_error_model_takes_integer_seeds_only():
 
 
 def test_error_model_schedules():
+    # an every-step stream yields one error per step up to the cap, a
+    # first-step-only stream E_1 alone, the first error of the same stream
     every = ErrorModel(delta=1.0, schedule="every-step")
     first = ErrorModel(delta=1.0, schedule="first-step-only")
-    assert [every.active_at(t) for t in (1, 2, 9)] == [True, True, True]
-    assert [first.active_at(t) for t in (1, 2, 9)] == [True, False, False]
+    errors = list(every.errors(3, 9))
+    assert len(errors) == 9 and all(E.shape == (3, 3) for E in errors)
+    [E1] = first.errors(3, 9)
+    assert _same_bits(E1, errors[0])
 
 
 def test_error_sample_norm_and_symmetry():
@@ -508,7 +515,7 @@ def test_explicit_eta_perturbed_run_on_a_raw_array_makes_no_decomposition(sym_ei
     # the stability warning reads the spectra of M and U0 from their
     # constructors' eigvalsh
     M = np.array(random_spd(SpdInstanceSpec(n=16, kappa=2.0, seed=4)).values)
-    cfg = GdConfig(eta=0.01, init="explicit", init_matrix=np.eye(16), max_iters=5)
+    cfg = GdConfig(eta=0.01, init=np.eye(16), max_iters=5)
     with pytest.warns(UserWarning, match="stability tolerance"):
         run_perturbed(M, cfg, ErrorModel(delta=1e-3))
     assert sym_eig_calls == []
@@ -554,7 +561,7 @@ PINNED_PERTURBED_TRACES = {
 @pytest.mark.parametrize("schedule", sorted(PINNED_PERTURBED_TRACES))
 def test_run_perturbed_trace_pinned(schedule):
     M = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 2.0]])
-    cfg = GdConfig(eta=0.01, max_iters=6, init="explicit", init_matrix=2.0 * np.eye(3))
+    cfg = GdConfig(eta=0.01, max_iters=6, init=2.0 * np.eye(3))
     _, trace = run_perturbed(M, cfg, ErrorModel(1e-5, schedule, seed=7))
     pinned = PINNED_PERTURBED_TRACES[schedule]
     for name in TraceRecord._fields:
@@ -683,7 +690,7 @@ def _ref_run_loop(M, cfg, err):
         U = _ref_update(U, S, M_arr, eta)
         err_norm = 0.0
         err_fro = 0.0
-        if err is not None and err.active_at(t):
+        if err is not None and (err.schedule == "every-step" or t == 1):
             E = _ref_sample(err, rng, n)
             U = U + E
             err_norm = err.delta
@@ -789,7 +796,7 @@ def test_run_bitwise_matches_reference_loop(n, non_commuting, explicit_eta):
     start = {}
     if non_commuting:
         spec = SpdInstanceSpec(n=n, kappa=2.0 if n > 1 else 1.0, opnorm=1.5, seed=50 + n)
-        start = dict(init="explicit", init_matrix=random_spd(spec))
+        start = dict(init=random_spd(spec))
     auto = GdConfig(c_step=1.0, tol=1e-9, max_iters=300, **start)
     cfg = auto
     if explicit_eta:
@@ -811,12 +818,12 @@ def test_run_perturbed_bitwise_matches_reference_loop(delta, schedule):
 def test_divergence_and_cap_bitwise_match_reference_loop():
     diverged = _assert_matches_reference(
         np.array([[100.0]]),
-        GdConfig(eta=0.05, init="explicit", init_matrix=np.array([[0.5]])),
+        GdConfig(eta=0.05, init=np.array([[0.5]])),
     )
     assert diverged.stop_reason == "diverged"
     lost = _assert_matches_reference(
         np.diag([4.0, 1.0]),
-        GdConfig(eta=0.1, init="explicit", init_matrix=np.diag([2.0, 3.0])),
+        GdConfig(eta=0.1, init=np.diag([2.0, 3.0])),
     )
     assert lost.stop_reason == "lost-positive-definiteness"
     capped = _assert_matches_reference(
@@ -829,7 +836,7 @@ def test_divergence_and_cap_bitwise_match_reference_loop():
 def _guard_edge(case):
     if case == "start-at-root":
         root = np.diag([1.0, 2.0, 3.0, 4.0])
-        return root @ root, GdConfig(init="explicit", init_matrix=root)
+        return root @ root, GdConfig(init=root)
     M = random_spd(SpdInstanceSpec(n=4, kappa=10.0, seed=9))
     r0 = gd.residual_fro(initial_iterate(M, GdConfig()), M)
     if case == "tol-at-r1":
@@ -946,7 +953,7 @@ def test_brackets_hold_at_the_rounding_floor(monkeypatch, seed):
     # the stop; a fraction of 1e-14 makes it refresh every few dozen steps.
     M = random_spd(SpdInstanceSpec(n=16, kappa=10.0, seed=seed))
     cfg = GdConfig(
-        eta=1e-3, tol=1e-300, max_iters=3000, init="explicit", init_matrix=evd_sqrt(M)
+        eta=1e-3, tol=1e-300, max_iters=3000, init=evd_sqrt(M)
     )
     monkeypatch.setattr(gd, "BRACKET_RTOL", 1e-14)
     trace = _assert_matches_reference(M, cfg)
@@ -962,7 +969,7 @@ def test_brackets_count_the_rounding_of_each_update():
     u0 = 1.5
     m = (u0 - 1e-10) ** 2
     eta = 0.6 * np.spacing(u0) / (2.0 * (u0 * u0 - m) * u0)
-    cfg = GdConfig(eta=eta, tol=1e-300, max_iters=400, init="explicit", init_matrix=[[u0]])
+    cfg = GdConfig(eta=eta, tol=1e-300, max_iters=400, init=[[u0]])
     trace = _assert_matches_reference(np.array([[m]]), cfg)
     assert trace.steps == 400
     assert trace.sigma_min[-1] == u0 - 400 * np.spacing(u0)
@@ -974,7 +981,7 @@ def test_brackets_hold_under_injected_errors(schedule):
     # by up to delta = 2e-6, so the bracket must count delta
     M = random_spd(SpdInstanceSpec(n=16, kappa=4.0, seed=2))
     U0 = np.asarray(evd_sqrt(M)) * (1.0 + 1e-6)
-    cfg = GdConfig(eta=0.01, tol=1e-300, max_iters=200, init="explicit", init_matrix=U0)
+    cfg = GdConfig(eta=0.01, tol=1e-300, max_iters=200, init=U0)
     trace = _assert_matches_reference(M, cfg, ErrorModel(2e-6, schedule, seed=2))
     assert trace.stop_reason == "max-iters" and trace.steps == 200
 
@@ -999,7 +1006,7 @@ def test_loss_of_definiteness_at_step_21_matches_reference_loop(n, max_iters):
     u0 = np.ones(n)
     u0[1] = 1e-6
     cfg = GdConfig(
-        eta=0.01, init="explicit", init_matrix=np.diag(u0), max_iters=max_iters
+        eta=0.01, init=np.diag(u0), max_iters=max_iters
     )
     lost = _assert_matches_reference(np.diag(m), cfg)
     assert lost.stop_reason == "lost-positive-definiteness"
@@ -1026,7 +1033,7 @@ def test_loss_of_definiteness_at_step_25_reported_before_non_finite_residual(mon
                 non_finite_at = t
                 break
     assert (lost_at, non_finite_at) == (25, 28)
-    cfg = GdConfig(eta=eta, init="explicit", init_matrix=U0)
+    cfg = GdConfig(eta=eta, init=U0)
     lost = _assert_matches_reference(M, cfg)
     assert lost.stop_reason == "lost-positive-definiteness"
     assert lost.steps == 25
@@ -1317,6 +1324,47 @@ def test_norm_memo_under_racing_threads():
     _assert_memo_within_cap()
 
 
+def test_norm_memo_lock_keeps_racing_fills_of_one_stream_apart(monkeypatch):
+    # Each extend of a kept stream sleeps before it appends: two threads
+    # that fill one cold stream both find it shorter than it is unless the
+    # lock orders the length check and the extend.  A doubled block would
+    # give later steps the wrong norms.
+    M = random_spd(SpdInstanceSpec(n=16, kappa=4.0, seed=16))
+    cfg = GdConfig(eta=0.01, tol=1e-300, max_iters=100)
+    err = ErrorModel(1e-7, "every-step", seed=9)
+    gd._NORM_MEMO.clear()
+    ref = run_perturbed(M, cfg, err)[1]
+    ref_norms = _memo_norms(err, 16)
+    gd._NORM_MEMO.clear()
+
+    class SlowExtend(gd.array):
+        def extend(self, values):
+            time.sleep(0.05)
+            super().extend(values)
+
+    monkeypatch.setattr(gd, "array", SlowExtend)
+    traces, failures = [None, None], []
+    start = threading.Barrier(2, timeout=60)
+
+    def work(i):
+        try:
+            start.wait()
+            traces[i] = run_perturbed(M, cfg, err)[1]
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert _memo_norms(err, 16) == ref_norms
+    for trace in traces:
+        _assert_same_trace(trace, ref)
+
+
 # ------------------------------------------------------- input hygiene
 
 
@@ -1326,12 +1374,12 @@ def test_config_user_eta_is_used_whatever_its_number_type(eta):
     assert type(cfg.eta) is float and cfg.eta == float(eta)
     M = np.diag([0.04, 0.01])
     U0 = math.sqrt(0.04) * np.eye(2)
-    _, trace = run(M, GdConfig(eta=eta, init="explicit", init_matrix=U0, max_iters=3))
+    _, trace = run(M, GdConfig(eta=eta, init=U0, max_iters=3))
     assert np.all(trace.eta == float(eta))
 
 
 def test_run_non_finite_residual_raises_divergence():
-    cfg = GdConfig(init="explicit", init_matrix=1e200 * np.eye(2), eta=1e-3)
+    cfg = GdConfig(init=1e200 * np.eye(2), eta=1e-3)
     with pytest.raises(DivergenceError, match="not finite") as exc_info:
         run(np.eye(2), cfg)
     exc = exc_info.value
@@ -1342,7 +1390,7 @@ def test_run_non_finite_residual_raises_divergence():
 
 def test_run_non_finite_residual_caught_before_growth_guard():
     # U_1 = diag(-1.2e301, 1) squares to inf at the first step
-    cfg = GdConfig(init="explicit", init_matrix=np.diag([2.0, 1.0]), eta=1e300)
+    cfg = GdConfig(init=np.diag([2.0, 1.0]), eta=1e300)
     with pytest.raises(DivergenceError, match="not finite") as exc_info:
         run(np.eye(2), cfg)
     exc = exc_info.value

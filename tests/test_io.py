@@ -66,7 +66,7 @@ def test_read_matrix_rejects_malformed(text):
 def test_trace_csv_header_and_shape():
     from matsqrt import GdConfig, run
 
-    cfg = GdConfig(eta=0.02, tol=1e-6, init="explicit", init_matrix=math.sqrt(4.0) * np.eye(2))
+    cfg = GdConfig(eta=0.02, tol=1e-6, init=math.sqrt(4.0) * np.eye(2))
     _, trace = run(np.diag([4.0, 1.0]), cfg)
     buf = std_io.StringIO()
     io.write_trace_csv(buf, trace)
@@ -87,7 +87,6 @@ def test_trace_csv_golden_bytes():
     trace = IterationTrace(
         ([0.1, 1e-17, nan], [5e-324, -0.0, -inf], [1.5, 2.0, inf]),
         0.25,
-        converged=False,
         stop_reason="diverged",
         delta=1e-7,
         drawn_fro=[3e-7],
@@ -119,7 +118,6 @@ def _traces_for_the_csv_writer():
     yield IterationTrace(
         ([nan, inf, -0.0, 0.0, 5e-324], [-inf, nan, -0.0, 1e300, 0.5], [inf, -0.0, nan, 2.0, 3.0]),
         -0.0,
-        converged=False,
         stop_reason="diverged",
         delta=inf,
         drawn_fro=[nan, -0.0],
