@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
-from . import analysis, baselines, experiments, gd, io, linalg
+# The certificates and experiments are imported by the commands that run them,
+# so that ``sqrt`` starts without loading them.
+from . import baselines, gd, io, linalg
 from .gd import (
     DivergenceError,
     GdConfig,
@@ -102,7 +105,7 @@ def _read_spd(path) -> linalg.SpdMatrix:
 def _echo_gd_config(M_spd, cfg: GdConfig, seed: int):
     """Echo the resolved gd settings; return the resolved config and the rate parameters."""
     _, U0, eta = gd.resolve(M_spd, cfg)
-    rate = analysis.rate_params(U0, M_spd)
+    rate = gd.rate_params(U0, M_spd)
     _echo(
         [
             ("method", "gd"),
@@ -128,7 +131,10 @@ def cmd_sqrt(args) -> int:
         io.write_matrix(_output(args.output), U)
         return EXIT_OK
     if args.method == "newton":
-        rel = args.tol / baselines.frobenius_scale(M_spd)
+        m_fro = baselines.frobenius_scale(M_spd)
+        rel = args.tol / m_fro
+        if rel == math.inf and args.tol < math.inf:
+            raise CliUsageError(f"--tol {args.tol:g} divided by ||M||_F = {m_fro:.6e} overflows")
         ncfg = baselines.NewtonConfig(tol=rel)
         _echo([("method", "newton"), ("seed", seed), ("tol-rel", rel)])
         U, _ = baselines.newton_sqrt(M_spd, ncfg)
@@ -170,6 +176,8 @@ def cmd_sqrt(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import analysis
+
     if args.samples < 1:
         raise CliUsageError(f"--samples must be at least 1, got {args.samples}")
     M_spd = _read_spd(args.matrix)
@@ -201,10 +209,12 @@ def cmd_certify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import experiments
+
     seed = _resolve_seed(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
-        if m not in experiments.METHODS:
+        if m not in gd.METHODS:
             raise CliUsageError(f"unknown method {m!r}")
     specs = []
     for i, (n, kappa) in enumerate(
@@ -237,6 +247,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_lowerbound(args) -> int:
+    from . import experiments
+
     report = experiments.run_lower_bound(args.kappa, args.eta, args.case, args.steps)
     _echo(
         [
@@ -255,6 +267,8 @@ def cmd_lowerbound(args) -> int:
 
 
 def cmd_robustness(args) -> int:
+    from . import experiments
+
     M_spd = _read_spd(args.matrix)
     seed = _resolve_seed(args)
     cfg = GdConfig(
@@ -267,6 +281,8 @@ def cmd_robustness(args) -> int:
 
 
 def cmd_landscape(args) -> int:
+    from . import experiments
+
     rows = experiments.landscape_grid(args.grid_min, args.grid_max, args.steps)
     io.write_table_csv(_output(args.output), experiments.LANDSCAPE_HEADER, rows)
     return EXIT_OK
@@ -278,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sqrt", help="compute an SPD square root")
     p.add_argument("matrix", help="input matrix file")
-    p.add_argument("--method", choices=experiments.METHODS, default="gd")
+    p.add_argument("--method", choices=gd.METHODS, default="gd")
     p.add_argument("--eta", type=_eta_arg, default="auto")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iters", type=int, default=10_000_000)
@@ -305,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=_int_list, default=[4, 16])
     p.add_argument("--kappas", type=_float_list, default=[1.0, 10.0, 100.0])
     p.add_argument("--methods", default="gd,newton,evd")
-    p.add_argument("--spectrum", choices=experiments.SPECTRUM_CHOICES, default="geometric")
+    p.add_argument("--spectrum", choices=gd.SPECTRUM_CHOICES, default="geometric")
     p.add_argument("--opnorm", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--c-step", type=float, default=1.0)
@@ -351,7 +367,7 @@ EXIT_CODES = (
     (linalg.NotPositiveDefiniteError, EXIT_USAGE),
     (linalg.DimensionMismatchError, EXIT_USAGE),
     (baselines.NewtonConvergenceError, EXIT_ITER_CAP),
-    (experiments.LowerBoundError, EXIT_CERT_FAILED),
+    (gd.LowerBoundError, EXIT_CERT_FAILED),
     (GdError, EXIT_DIVERGED),
     (linalg.LinalgError, EXIT_DIVERGED),
     (ValueError, EXIT_USAGE),

@@ -22,17 +22,18 @@ import numpy as np
 
 from . import analysis, baselines, linalg
 from .gd import (
+    METHODS,
+    SPECTRUM_CHOICES,
     GdConfig,
     ErrorModel,
     GdError,
+    LowerBoundError,
     gd_step,
     resolve,
     residual_fro,
     run,
     run_perturbed,
 )
-
-SPECTRUM_CHOICES = ("geometric", "linear", "two-point")
 
 LANDSCAPE_HEADER = ("x", "y", "f", "neggrad_x", "neggrad_y")
 
@@ -51,10 +52,6 @@ _LANDMARKS = (
     (0.0, _SQRT2, 16.0, 0.0, 0.0),
     (2.0, _SQRT2, 0.0, 0.0, 0.0),
 )
-
-
-class LowerBoundError(RuntimeError):
-    """The hard-instance run contradicted its certified bound."""
 
 
 @dataclass(frozen=True)
@@ -403,7 +400,6 @@ class BenchmarkRow:
 
 
 BENCHMARK_HEADER = tuple(f.name for f in fields(BenchmarkRow))
-METHODS = ("gd", "newton", "evd")
 
 
 def _bench_gd(M, cfg):

@@ -35,6 +35,10 @@ from .linalg import SpdMatrix
 
 INIT_CHOICES = ("scaled-identity", "sqrt-opnorm-identity")
 SCHEDULE_CHOICES = ("every-step", "first-step-only")
+# The root methods and random spectra of the experiments, kept here so that
+# the command line offers them without loading :mod:`matsqrt.experiments`.
+METHODS = ("gd", "newton", "evd")
+SPECTRUM_CHOICES = ("geometric", "linear", "two-point")
 
 # Residual growth beyond this factor over its initial value aborts the run.
 DIVERGENCE_FACTOR = 10.0
@@ -70,6 +74,10 @@ class DivergenceError(GdError):
 
 class LostPositiveDefinitenessError(GdError):
     pass
+
+
+class LowerBoundError(RuntimeError):
+    """The hard-instance run contradicted its certified bound."""
 
 
 @dataclass(frozen=True)
@@ -527,10 +535,11 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     # residual, then a refresh, a loss of definiteness, convergence,
     # divergence and the cap.  t = 0 always takes it: its slack is infinite.
     # At n <= 16 the interpreter's bookkeeping costs as much as the BLAS
-    # calls, so the callables and ``G.T`` are bound once, ``np.dot`` makes
-    # the BLAS call of ``@`` with less dispatch, and eta is held in a 0-d
-    # array, which ``multiply`` takes without converting a Python float:
-    # the product is the same IEEE product.
+    # calls, so the callables and ``G.T`` are bound once, the bound
+    # ``ndarray.dot`` of U and of D makes the BLAS call of ``@`` with the
+    # least dispatch (it and ``np.dot`` both call PyArray_MatrixProduct2),
+    # and eta is held in a 0-d array, which ``multiply`` takes without
+    # converting a Python float: the product is the same IEEE product.
     U = np.array(U0.values, order="C")
     D = np.empty_like(U)
     d = D.reshape(-1)
@@ -546,12 +555,13 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     rounding = 2.0 * eps * root_n
     down, up = 1.0 - eps, 1.0 + 2.0 * eps
     lo, hi, limit, slack = 0.0, 0.0, 0.0, math.inf
-    dot, add, multiply, subtract, sqrt = np.dot, np.add, np.multiply, np.subtract, math.sqrt
+    add, multiply, subtract, sqrt = np.add, np.multiply, np.subtract, math.sqrt
+    u_times, d_times = U.dot, D.dot
     hdot, ddot = h.dot, d.dot
     add_r, add_smin, add_opn = residuals.append, smins.append, opnorms.append
 
     with np.errstate(over="ignore", invalid="ignore"):
-        dot(U, U, D)
+        u_times(U, D)
         subtract(D, M_arr, D)
         r = r0 = sqrt(ddot(d))
         r_div = DIVERGENCE_FACTOR * r0
@@ -594,7 +604,7 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                     )
                 if t == cap:
                     break
-            dot(D, U, G)
+            d_times(U, G)
             add(G, GT, H)
             multiply(eta_h, H, H)
             subtract(U, H, U)
@@ -608,7 +618,7 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
             a = sqrt(hdot(h)) * grow + tiny
             rnd = min(a + root_n * e, rounding * (hi + slack + a + e))
             slack = (slack + a + e + rnd) * up
-            dot(U, U, D)
+            u_times(U, D)
             subtract(D, M_arr, D)
             r = sqrt(ddot(d))
     return SpdMatrix(U), trace("converged" if r <= tol else "max-iters")

@@ -6,7 +6,6 @@ round-trip exactly and repeated runs produce byte-identical files.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from typing import Iterable, Sequence
 
@@ -113,6 +112,8 @@ def write_trace_csv(path_or_file, trace) -> None:
 
 def report_json_line(report) -> str:
     """One-line JSON for a certificate report."""
+    import json  # here, so that the commands that write no report do not load it
+
     payload = {
         "property": report.property_name,
         "samples": report.samples,

@@ -124,6 +124,13 @@ def test_newton_refuses_a_matrix_whose_frobenius_norm_overflows():
         newton_sqrt(np.diag([1e308, 1e300]))
 
 
+def test_newton_refuses_a_matrix_whose_frobenius_norm_underflows():
+    # ||M||_F and ||M - M^2||_F both read 0, so a tolerance relative to
+    # ||M||_F would take M itself for its root
+    with pytest.raises(linalg.LinalgError, match="_F = 0.000000e[+]00 underflows"):
+        newton_sqrt(np.diag([1e-300, 2e-300]))
+
+
 def test_newton_residual_may_overflow_on_the_way():
     # the first residual's entries are about 1e200, and its squared norm is
     # past the doubles; it reads inf, with no numpy warning, until Y shrinks

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matsqrt import cli, io, linalg
+from matsqrt import cli, experiments, io, linalg
 from matsqrt.baselines import NewtonConvergenceError, evd_sqrt
 from matsqrt.experiments import LowerBoundError, SpdInstanceSpec, random_spd
 from matsqrt.gd import DivergenceError
@@ -309,6 +309,23 @@ def test_newton_takes_a_matrix_of_norm_below_tol(capsys, matrix_file):
     assert np.linalg.norm(M - Y @ Y) <= 1e-8
 
 
+def test_newton_refuses_a_matrix_whose_frobenius_norm_underflows(capsys, matrix_file):
+    # the squares of the entries underflow and ||M||_F reads 0; the absolute
+    # --tol is divided by it
+    path = matrix_file(np.diag([1e-300, 2e-300]))
+    code, out, err = run_cli(capsys, "sqrt", path, "--method", "newton")
+    assert (code, out) == (cli.EXIT_DIVERGED, "")
+    assert err == "error: ||M||_F = 0.000000e+00 underflows; Newton's tol is relative to it\n"
+
+
+def test_newton_names_a_relative_tolerance_that_overflows(capsys, matrix_file):
+    # --tol is finite, but --tol / ||M||_F is not
+    path = matrix_file(np.diag([1e-10, 2e-10]))
+    code, out, err = run_cli(capsys, "sqrt", path, "--method", "newton", "--tol", "1e300")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: --tol 1e+300 divided by ||M||_F = 2.236068e-10 overflows\n"
+
+
 @pytest.mark.parametrize("tol", ["nan", "0", "-1e-8", "inf"])
 def test_newton_refuses_a_tolerance_that_is_not_positive_and_finite(capsys, spd_file, tol):
     code, out, err = run_cli(capsys, "sqrt", spd_file, "--method", "newton", f"--tol={tol}")
@@ -434,7 +451,7 @@ def test_lowerbound_stdout(capsys):
     assert code == 0
     assert "# certified true" in out
     lines = [l for l in out.splitlines() if not l.startswith("#")]
-    assert lines[0] == ",".join(cli.experiments.LOWER_BOUND_HEADER)
+    assert lines[0] == ",".join(experiments.LOWER_BOUND_HEADER)
     assert len(lines) == 1 + 4 + 1  # header plus t = 0..4
     row1 = lines[2].split(",")
     assert float(row1[3]) == 0.2734375
@@ -480,7 +497,7 @@ def test_robustness_table(capsys, spd_file):
     )
     assert code == 0
     lines = [l for l in out.splitlines() if not l.startswith("#")]
-    assert lines[0] == ",".join(cli.experiments.ROBUSTNESS_HEADER)
+    assert lines[0] == ",".join(experiments.ROBUSTNESS_HEADER)
     assert len(lines) == 3
     first, second = lines[1].split(","), lines[2].split(",")
     assert float(first[2]) > float(second[2])  # floors shrink with delta
@@ -503,7 +520,7 @@ def test_bench_table(capsys):
     )
     assert code == 0
     lines = [l for l in out.splitlines() if not l.startswith("#")]
-    assert lines[0] == ",".join(cli.experiments.BENCHMARK_HEADER)
+    assert lines[0] == ",".join(experiments.BENCHMARK_HEADER)
     assert len(lines) == 1 + 2 * 3
     assert all(l.endswith("converged") for l in lines[1:])
 
@@ -524,7 +541,7 @@ def test_bench_deterministic_modulo_wall_time(capsys):
     argv = ["bench", "--sizes", "2", "--kappas", "4", "--seed", "0"]
     _, out1, _ = run_cli(capsys, *argv)
     _, out2, _ = run_cli(capsys, *argv)
-    wall = cli.experiments.BENCHMARK_HEADER.index("wall_time_s")
+    wall = experiments.BENCHMARK_HEADER.index("wall_time_s")
     for a, b in zip(out1.splitlines(), out2.splitlines()):
         if a.startswith("#") or "," not in a:
             assert a == b
@@ -541,7 +558,7 @@ def test_landscape_csv(capsys):
     code, out, _ = run_cli(capsys, "landscape", "--steps", "4")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == ",".join(cli.experiments.LANDSCAPE_HEADER)
+    assert lines[0] == ",".join(experiments.LANDSCAPE_HEADER)
     assert len(lines) == 1 + 25 + 3
 
 
@@ -550,8 +567,8 @@ def test_readme_batch_runs(capsys, monkeypatch, tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("\n## Batch runs\n", 1)[1].split("\n## ", 1)[0]
     headers = {
-        "lowerbound": cli.experiments.LOWER_BOUND_HEADER,
-        "landscape": cli.experiments.LANDSCAPE_HEADER,
+        "lowerbound": experiments.LOWER_BOUND_HEADER,
+        "landscape": experiments.LANDSCAPE_HEADER,
     }
     lines = [
         shlex.split(line)
@@ -575,7 +592,7 @@ def test_readme_python_blocks_run(capsys, monkeypatch, tmp_path):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
     header = (tmp_path / "robustness_sweep.csv").read_text().splitlines()[0]
-    assert header == ",".join(cli.experiments.ROBUSTNESS_HEADER)
+    assert header == ",".join(experiments.ROBUSTNESS_HEADER)
 
 
 # ----------------------------------------------------------- determinism

@@ -1,0 +1,112 @@
+"""What the package exports, and what a command of its CLI loads."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import matsqrt
+
+# The public names of the package, under the module each was imported from
+# when the package imported every module up front.
+EXPORTS = {
+    "linalg": (
+        "DimensionMismatchError",
+        "EigenDecomposition",
+        "LinalgError",
+        "NotPositiveDefiniteError",
+        "PowerIterationError",
+        "SingularMatrixError",
+        "SpdMatrix",
+        "estimate_opnorm_bound",
+        "frobenius_norm",
+        "lambda_min",
+        "sigma_min",
+        "solve",
+        "spectral_norm",
+        "sym_eig",
+        "symmetrize",
+    ),
+    "gd": (
+        "DivergenceError",
+        "ErrorModel",
+        "GdConfig",
+        "GdError",
+        "IterationTrace",
+        "LostPositiveDefinitenessError",
+        "TraceRecord",
+        "gd_step",
+        "gradient",
+        "initial_iterate",
+        "objective",
+        "residual_fro",
+        "run",
+        "run_perturbed",
+        "step_size_policy",
+    ),
+    "analysis": (
+        "CertificateReport",
+        "RateParams",
+        "corridor_check",
+        "first_error_attenuation_bound",
+        "gradient_dominance_certificate",
+        "rate_params",
+        "saddle_location_check",
+        "smoothness_certificate",
+        "stability_bound",
+        "stability_bound_series",
+        "stability_tolerance",
+        "theoretical_residual_bound",
+    ),
+    "baselines": (
+        "NewtonConfig",
+        "NewtonConvergenceError",
+        "evd_sqrt",
+        "newton_sqrt",
+        "scalar_newton",
+    ),
+    "experiments": (
+        "LowerBoundError",
+        "LowerBoundInstance",
+        "LowerBoundReport",
+        "SpdInstanceSpec",
+        "convergence_benchmark",
+        "landscape_grid",
+        "lower_bound_instance",
+        "random_spd",
+        "robustness_sweep",
+        "run_lower_bound",
+    ),
+}
+
+
+def test_every_export_is_the_object_of_its_module():
+    names = []
+    for module, exported in EXPORTS.items():
+        owner = importlib.import_module(f"matsqrt.{module}")
+        for name in exported:
+            assert getattr(matsqrt, name) is getattr(owner, name), name
+            names.append(name)
+    assert sorted(matsqrt.__all__) == sorted(names)
+    assert set(names) <= set(dir(matsqrt))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        matsqrt.no_such_name
+
+
+@pytest.mark.parametrize("method", ["gd", "newton", "evd"])
+def test_sqrt_loads_no_certificate_or_experiment_module(tmp_path, method):
+    path = tmp_path / "m.txt"
+    path.write_text("2\n4 0\n0 2\n")
+    argv = ["sqrt", str(path), "--method", method, "-o", str(tmp_path / "u.txt")]
+    argv += ["--trace", str(tmp_path / "trace.csv")]
+    unused = ("matsqrt.analysis", "matsqrt.experiments", "fractions", "json")
+    script = (
+        "import sys\n"
+        "from matsqrt import cli\n"
+        f"code = cli.main({argv!r})\n"
+        f"print(code, [m for m in {unused!r} if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    # the last line follows the command's own '#' echo lines
+    assert (proc.stdout.splitlines()[-1], proc.stderr) == ("0 []", "")
