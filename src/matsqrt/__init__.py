@@ -14,7 +14,6 @@ _EXPORTS = {
         "EigenDecomposition",
         "LinalgError",
         "NotPositiveDefiniteError",
-        "PowerIterationError",
         "SingularMatrixError",
         "SpdMatrix",
         "estimate_opnorm_bound",

@@ -3,9 +3,10 @@
 Exit codes: 0 success/convergence, 1 parse or validation error, 2
 divergence or loss of positive definiteness, 3 iteration cap reached, 4
 failed certificate.  Identical invocations produce byte-identical file and
-stdout output (benchmark wall-time columns excepted).  The default seed is
-0, overridable by the MATSQRT_SEED environment variable; an explicit
---seed flag wins over the environment.
+stdout output (benchmark wall-time columns excepted).  The commands that
+draw (certify, bench, robustness) take a seed: 0 by default, overridable
+by the MATSQRT_SEED environment variable; an explicit --seed flag wins
+over the environment.
 """
 
 from __future__ import annotations
@@ -102,14 +103,14 @@ def _read_spd(path) -> linalg.SpdMatrix:
     return linalg.SpdMatrix(io.read_matrix(path))
 
 
-def _echo_gd_config(M_spd, cfg: GdConfig, seed: int):
+def _echo_gd_config(M_spd, cfg: GdConfig, seed: int | None = None):
     """Echo the resolved gd settings; return the resolved config and the rate parameters."""
     _, U0, eta = gd.resolve(M_spd, cfg)
     rate = gd.rate_params(U0, M_spd)
     _echo(
         [
             ("method", "gd"),
-            ("seed", seed),
+            *([] if seed is None else [("seed", seed)]),
             ("eta", eta),
             ("alpha", rate.alpha),
             ("beta", rate.beta),
@@ -124,9 +125,8 @@ def _echo_gd_config(M_spd, cfg: GdConfig, seed: int):
 
 def cmd_sqrt(args) -> int:
     M_spd = _read_spd(args.matrix)
-    seed = _resolve_seed(args)
     if args.method == "evd":
-        _echo([("method", "evd"), ("seed", seed)])
+        _echo([("method", "evd")])
         U = baselines.evd_sqrt(M_spd)
         io.write_matrix(_output(args.output), U)
         return EXIT_OK
@@ -136,7 +136,7 @@ def cmd_sqrt(args) -> int:
         if rel == math.inf and args.tol < math.inf:
             raise CliUsageError(f"--tol {args.tol:g} divided by ||M||_F = {m_fro:.6e} overflows")
         ncfg = baselines.NewtonConfig(tol=rel)
-        _echo([("method", "newton"), ("seed", seed), ("tol-rel", rel)])
+        _echo([("method", "newton"), ("tol-rel", rel)])
         U, _ = baselines.newton_sqrt(M_spd, ncfg)
         io.write_matrix(_output(args.output), U)
         return EXIT_OK
@@ -148,18 +148,12 @@ def cmd_sqrt(args) -> int:
         raise CliUsageError(
             f"--init must be one of {tuple(INIT_FLAGS)} or file:PATH, got {args.init!r}"
         )
-    cfg = GdConfig(
-        eta=args.eta,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        init=init,
-        seed=seed,
-    )
-    cfg, _ = _echo_gd_config(M_spd, cfg, seed)
+    cfg = GdConfig(eta=args.eta, max_iters=args.max_iters, tol=args.tol, init=init)
+    cfg, _ = _echo_gd_config(M_spd, cfg)
     try:
         U, trace = run(M_spd, cfg)
     except (DivergenceError, LostPositiveDefinitenessError) as exc:
-        if args.trace and exc.trace is not None:
+        if args.trace:
             io.write_trace_csv(args.trace, exc.trace)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -186,7 +180,7 @@ def cmd_certify(args) -> int:
     constant = 1.0 if args.self_test else analysis.SMOOTHNESS_CONSTANT
     # refuse a matrix too large to certify before anything is echoed
     analysis.margin_scale(M_spd)
-    cfg = GdConfig(max_iters=CERTIFY_MAX_ITERS, tol=args.tol, seed=seed)
+    cfg = GdConfig(max_iters=CERTIFY_MAX_ITERS, tol=args.tol)
     cfg, rate = _echo_gd_config(M_spd, cfg, seed)
     cap = 4.0 * rate.m_op
     _echo([("samples", samples), ("smoothness-cap", cap), ("self-test", args.self_test)])
@@ -200,8 +194,6 @@ def cmd_certify(args) -> int:
     try:
         _, trace = run(M_spd, cfg)
     except GdError as exc:
-        if exc.trace is None:
-            raise
         trace = exc.trace
     reports.append(analysis.corridor_check(trace, rate))
     io.write_reports_json(_output(args.output), reports)
@@ -229,9 +221,7 @@ def cmd_bench(args) -> int:
                 seed=seed + i,
             )
         )
-    cfg = GdConfig(
-        max_iters=args.max_iters, tol=args.tol, c_step=args.c_step, seed=seed
-    )
+    cfg = GdConfig(max_iters=args.max_iters, tol=args.tol, c_step=args.c_step)
     _echo(
         [
             ("seed", seed),
@@ -271,9 +261,7 @@ def cmd_robustness(args) -> int:
 
     M_spd = _read_spd(args.matrix)
     seed = _resolve_seed(args)
-    cfg = GdConfig(
-        max_iters=args.max_iters, tol=args.tol, c_step=args.c_step, seed=seed
-    )
+    cfg = GdConfig(max_iters=args.max_iters, tol=args.tol, c_step=args.c_step)
     cfg, _ = _echo_gd_config(M_spd, cfg, seed)
     rows = map(dataclasses.astuple, experiments.robustness_sweep(M_spd, args.deltas, cfg, seed))
     io.write_table_csv(_output(args.output), experiments.ROBUSTNESS_HEADER, rows)
@@ -300,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=10_000_000)
     p.add_argument("--init", default="auto-lambda", metavar="{auto-lambda,sqrt-opnorm,file:PATH}")
     p.add_argument("--trace", help="write the iteration trace CSV here")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", default=None, help="output matrix file (default stdout)")
     p.set_defaults(func=cmd_sqrt)
 

@@ -411,9 +411,7 @@ def _bench_gd(M, cfg):
         _, trace = run(M, replace(cfg, eta=eta, init=U0))
         return trace.steps, predicted, trace.final_residual, trace.stop_reason
     except GdError as exc:
-        steps = exc.trace.steps if exc.trace is not None else None
-        resid = exc.trace.final_residual if exc.trace is not None else None
-        return steps, predicted, resid, "diverged"
+        return exc.trace.steps, predicted, exc.trace.final_residual, "diverged"
 
 
 def convergence_benchmark(specs, methods=METHODS, cfg: GdConfig = None) -> list:

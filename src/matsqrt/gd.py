@@ -51,6 +51,10 @@ C_RATE = 1.0 / 50.0
 # slack accumulated since the last exact value exceeds this fraction of
 # lambda_min there.
 BRACKET_RTOL = 1.0 / 16.0
+# A residual sqrt(d . d) below this may be off by more than its rounding:
+# each entry of D under 2^-511 squares to a subnormal and loses up to
+# 2^-1075, which above it is far below the dot's rounding for n < 2^30.
+TINY_RESIDUAL = 2.0**-480
 # A perturbed run draws its every-step errors in blocks of about this many
 # bytes: 32 matrices at n = 16, 2 at n = 64 and one from n = 65 up.
 ERROR_BLOCK_BYTES = 64 * 1024
@@ -86,12 +90,13 @@ class GdConfig:
 
     ``eta`` is either a positive number, stored as a float, or ``"auto"``,
     in which case :func:`step_size_policy` picks the step size.  ``init``
-    is the start: ``"scaled-identity"`` uses sqrt(lambda) I with lambda
-    the power-iteration estimate :func:`linalg.estimate_opnorm_bound` of
-    ||M||_2, ``"sqrt-opnorm-identity"`` uses sqrt(||M||_2) I, and a
-    matrix (an array, a nested list or an :class:`SpdMatrix`) is the start
-    itself.  ``c_step`` scales the automatic step size; the defaults are
-    pinned by the acceptance tests.
+    is the start: ``"scaled-identity"`` uses sqrt(lambda) I with lambda =
+    1.5 ||M||_2 (:func:`linalg.estimate_opnorm_bound`),
+    ``"sqrt-opnorm-identity"`` uses sqrt(||M||_2) I, both from the norm
+    the matrix keeps, and a matrix (an array, a nested list or an
+    :class:`SpdMatrix`) is the start itself.  ``c_step`` scales the
+    automatic step size; the defaults are pinned by the acceptance tests.
+    Nothing in a run is random but an :class:`ErrorModel`'s errors.
     """
 
     eta: float | str = "auto"
@@ -99,7 +104,6 @@ class GdConfig:
     tol: float = 1e-8
     init: object = "scaled-identity"
     c_step: float = 0.01
-    seed: int = 0
 
     def __post_init__(self):
         if isinstance(self.eta, str):
@@ -132,10 +136,11 @@ class ErrorModel:
     ``delta = 0`` injects nothing; ``seed`` is an integer.  The errors are
     drawn in blocks of consecutive steps, one stacked draw per block,
     bitwise those of one draw per step, so the slice of step t depends only
-    on the seed, n and t.  A process memoizes the slice norms of one such
-    stream from step 1, keyed by (seed, n), at most ``NORM_MEMO_SLICES`` of
-    them: a run that redraws a stream, such as each positive delta of a
-    ladder under one seed, makes no eigensolve for the steps it finds.
+    on the seed, n and t.  A process memoizes the slice norms of one stream
+    that :meth:`errors` draws, from step 1, keyed by (seed, n), at most
+    ``NORM_MEMO_SLICES`` of them: a run that redraws a stream, such as each
+    positive delta of a ladder under one seed, makes no eigensolve for the
+    steps it finds.
     """
 
     delta: float = 0.0
@@ -160,21 +165,23 @@ class ErrorModel:
         """E_1, E_2, ... of a run of order ``n``: ``cap`` errors every step, or E_1 alone.
 
         Each block is one :meth:`sample`, drawn when its first error is taken.
+        Only this stream, ``default_rng(seed)`` opened here, reads and
+        extends the memo of slice norms.
         """
         rng = np.random.default_rng(self.seed)
         steps = cap if self.schedule == "every-step" else 1
         k = max(1, ERROR_BLOCK_BYTES // (8 * n * n))
         for at in range(1, steps + 1, k):
-            yield from self.sample(rng, n, min(k, steps + 1 - at), at=at)
+            yield from self.sample(rng, n, min(k, steps + 1 - at), _at=at)
 
-    def sample(self, rng, n: int, k: int, at: int | None = None) -> np.ndarray:
+    def sample(self, rng, n: int, k: int, *, _at: int | None = None) -> np.ndarray:
         """The errors of the next ``k`` scheduled steps, a (k, n, n) stack.
 
         A slice whose symmetric part is zero stays zero.  With ``delta = 0``
         every slice is zero, and the generator still advances by the draw.
-        ``at`` is the step of the first slice when ``rng`` is
-        ``default_rng(seed)`` advanced to it: such a call reads and extends
-        the memo of slice norms; a call without it does neither.
+        A call neither reads nor fills the memo of slice norms.  Only
+        :meth:`errors` passes the private ``_at``, the step of the first
+        slice of its own stream, which makes the call use the memo.
         """
         if self.delta == 0.0:
             rng.standard_normal((k, n, n))
@@ -183,14 +190,14 @@ class ErrorModel:
         E = (G + G.transpose(0, 2, 1)) / 2.0
         key, s = (self.seed, n), None
         norms = _NORM_MEMO.get(key, ())
-        if at is not None and at - 1 + k <= len(norms):
-            s = np.frombuffer(norms[at - 1 : at - 1 + k])
+        if _at is not None and _at - 1 + k <= len(norms):
+            s = np.frombuffer(norms[_at - 1 : _at - 1 + k])
         if s is None:
             w = np.linalg.eigvalsh(E)
             s = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
             s[s == 0.0] = 1.0  # a zero slice stays zero
-            if at is not None:
-                _remember_norms(key, at, s)
+            if _at is not None:
+                _remember_norms(key, _at, s)
         # One scaling suffices: s is within n eps ||E||_2 of the norm, the
         # scale rounds twice and each entry's product by sqrt(n) eps / 2 of
         # it, and 4 n eps is at least twice their sum (n = 1: eigvalsh is
@@ -402,21 +409,22 @@ def stability_tolerance(eta: float, rate: RateParams) -> float:
 
 
 def rate_cube(x: float, u_op: float, m_op: float) -> float:
-    """x ** 3 for a rate parameter; a :class:`GdError` if it is not finite.
+    """x ** 3 for a rate parameter; a :class:`GdError` if it is not a normal double.
 
     Python's float power raises ``OverflowError`` past the largest double,
-    as for a start like 1e200 I, but cubes an infinite x to inf; either
-    way the error names the start's and the matrix's spectral norms.
+    as for a start like 1e200 I, but cubes an infinite x to inf, and a
+    tiny one, as for ||M|| = 1e-300, to a subnormal or 0 without a word;
+    either way the error names the start's and the matrix's spectral norms.
     """
     try:
         cube = x**3
     except OverflowError:
         cube = math.inf
-    if cube < math.inf:
+    if 2.0**-1022 <= cube < math.inf:
         return cube
     raise GdError(
-        f"rate parameters overflow for a start of spectral norm {u_op:.6e} "
-        f"and a matrix of spectral norm {m_op:.6e}"
+        f"rate parameters {'overflow' if cube > 1.0 else 'underflow'} for a start "
+        f"of spectral norm {u_op:.6e} and a matrix of spectral norm {m_op:.6e}"
     )
 
 
@@ -424,12 +432,11 @@ def initial_iterate(M, cfg: GdConfig) -> SpdMatrix:
     """Resolve the starting iterate prescribed by ``cfg``."""
     if not isinstance(cfg.init, str):
         return linalg.as_spd(cfg.init)
-    M_arr = np.asarray(M, dtype=float)
     if cfg.init == "scaled-identity":
-        lam = linalg.estimate_opnorm_bound(M_arr, seed=cfg.seed)
+        lam = linalg.estimate_opnorm_bound(M)
     else:
         lam = linalg.spectral_norm(M)
-    return SpdMatrix(math.sqrt(lam) * np.eye(M_arr.shape[0]))
+    return SpdMatrix(math.sqrt(lam) * np.eye(np.shape(M)[0]))
 
 
 def resolve(M, cfg: GdConfig) -> tuple[SpdMatrix, SpdMatrix, float]:
@@ -469,6 +476,20 @@ def run_perturbed(M, cfg: GdConfig, err: ErrorModel) -> tuple[SpdMatrix, Iterati
     the residual floor guarantee no longer applies.
     """
     return _run_loop(M, cfg, err=err)
+
+
+def _rescaled_norm(d) -> float:
+    """sqrt(d . d) of a finite vector, taken with its top entry scaled into [1/2, 1).
+
+    The scale is a power of two, so where no square underflows the value
+    is bitwise that of the unscaled dot.
+    """
+    top = float(np.max(np.abs(d)))
+    if top == 0.0:
+        return 0.0
+    k = math.frexp(top)[1]
+    x = np.ldexp(d, -k)
+    return math.ldexp(math.sqrt(x.dot(x)), k)
 
 
 def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
@@ -534,6 +555,8 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     # the rare branch, which tests in the order of the guards: a non-finite
     # residual, then a refresh, a loss of definiteness, convergence,
     # divergence and the cap.  t = 0 always takes it: its slack is infinite.
+    # A residual under TINY_RESIDUAL is taken again by ``_rescaled_norm``
+    # there and before the loop, so no underflowed square stops a run.
     # At n <= 16 the interpreter's bookkeeping costs as much as the BLAS
     # calls, so the callables and ``G.T`` are bound once, the bound
     # ``ndarray.dot`` of U and of D makes the BLAS call of ``@`` with the
@@ -563,7 +586,8 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     with np.errstate(over="ignore", invalid="ignore"):
         u_times(U, D)
         subtract(D, M_arr, D)
-        r = r0 = sqrt(ddot(d))
+        r = sqrt(ddot(d))
+        r = r0 = _rescaled_norm(d) if r < TINY_RESIDUAL else r
         r_div = DIVERGENCE_FACTOR * r0
         for t in range(cap + 1):
             if tol < r <= r_div and t != cap and slack <= limit:
@@ -571,6 +595,8 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                 add_smin((lo - slack) * down)
                 add_opn((hi + slack) * up)
             else:
+                if r < TINY_RESIDUAL:
+                    r = _rescaled_norm(d)
                 add_r(r)
                 if not math.isfinite(r):
                     add_smin(math.nan)

@@ -5,12 +5,10 @@ thin validated types.  Spectra come from LAPACK: ``eigvalsh`` for the
 extreme eigenvalues, ``eigh`` where eigenvectors are needed.  The norms
 and lower bounds derived from them are widened outward by twice
 ``eigvalsh``'s error bound, so they bracket the exact values.  Linear
-systems go to LAPACK's LU solver.  The operator norm estimator is a power
-iteration with an explicit convergence contract; it fails loudly instead
-of returning a silently degraded result.
+systems go to LAPACK's LU solver.
 
 All functions are pure: inputs are never mutated, wrapped arrays are frozen
-at construction, and every random choice takes an explicit seed.
+at construction, and every random choice takes an explicit generator.
 """
 
 from __future__ import annotations
@@ -21,9 +19,6 @@ import numpy as np
 
 # Machine epsilon as a Python float, like every round-off constant derived from it.
 EPS = float(np.finfo(float).eps)
-# Power iteration stops once successive Rayleigh quotients agree to this.
-POWER_RTOL = 1e-3
-POWER_MAX_ITERS = 1000
 # An SPD wrapper refuses matrices whose smallest eigenvalue is below this
 # times the largest; anything closer to singular is not usefully PD in
 # double precision.
@@ -39,10 +34,6 @@ class DimensionMismatchError(LinalgError):
 
 
 class SingularMatrixError(LinalgError):
-    pass
-
-
-class PowerIterationError(LinalgError):
     pass
 
 
@@ -280,36 +271,15 @@ def solve(A, B) -> np.ndarray:
         raise SingularMatrixError("coefficient matrix is singular") from None
 
 
-def estimate_opnorm_bound(M, seed: int = 0) -> float:
-    """Cheap upper-bound estimate of the operator norm of an SPD matrix.
+def estimate_opnorm_bound(M) -> float:
+    """1.5 times :func:`spectral_norm`: an upper bound on ||M||_2 of an SPD matrix.
 
-    Runs power iteration from a seeded random unit vector until successive
-    Rayleigh quotients agree to ``POWER_RTOL`` relative, then returns 1.5
-    times the final quotient.  For SPD input the quotient never exceeds the
-    true norm, so the scaled value lands in [||M||_2, 2 ||M||_2] once the
-    iteration has converged.  It raises PowerIterationError if ||A v|| overflows.
+    The widened norm is at least ||M||_2 and above it by a few n eps
+    relative, so the value lands in [||M||_2, 2 ||M||_2].  It raises
+    LinalgError where the product overflows.
     """
-    A = np.asarray(M, dtype=float)
-    n = A.shape[0]
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    ray_prev = None
-    with np.errstate(over="ignore"):
-        for _ in range(POWER_MAX_ITERS):
-            w = A @ v
-            ray = float(v @ w)
-            norm_w = float(np.linalg.norm(w))
-            if not norm_w < np.inf:
-                raise PowerIterationError("power iteration overflows: ||A v|| is not finite")
-            if norm_w == 0.0:
-                raise PowerIterationError("matrix maps the start vector to zero")
-            v = w / norm_w
-            if ray_prev is not None and abs(ray - ray_prev) < POWER_RTOL * abs(ray):
-                break
-            ray_prev = ray
-        else:
-            raise PowerIterationError(
-                f"Rayleigh quotient did not settle in {POWER_MAX_ITERS} iterations"
-            )
-    return 1.5 * ray
+    opnorm = spectral_norm(M)
+    bound = 1.5 * opnorm
+    if not bound < np.inf:
+        raise LinalgError(f"1.5 ||M||_2 overflows for ||M||_2 = {opnorm:.6e}")
+    return bound

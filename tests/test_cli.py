@@ -260,17 +260,27 @@ def test_diverging_run_writes_only_the_error_line(tmp_path):
     assert proc.stderr == "error: residual nan at step 1 is not finite\n"
 
 
-def test_power_iteration_overflow_writes_only_the_error_line(tmp_path):
-    # ||M v|| of the start vector overflows for diag(1e200, 5e199), a valid
-    # SPD matrix; the power iteration names the overflow, and no numpy
-    # warning reaches stderr
+def test_residual_overflow_at_the_start_writes_only_the_error_line(tmp_path):
+    # the start sqrt(1.5 ||M||) I of diag(1e200, 5e199), a valid SPD
+    # matrix, is finite, but the squares of its residual overflow; the loop
+    # names the residual, and no numpy warning reaches stderr
     path = tmp_path / "big.txt"
     io.write_matrix(path, np.diag([1e200, 5e199]))
     proc = subprocess.run(
         [sys.executable, "-m", "matsqrt.cli", "sqrt", str(path)], capture_output=True, text=True
     )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: power iteration overflows: ||A v|| is not finite\n"
+    assert proc.returncode == 2
+    assert all(line.startswith("# ") for line in proc.stdout.splitlines())
+    assert proc.stderr == "error: residual inf at step 0 is not finite\n"
+
+
+def test_a_start_norm_that_overflows_writes_one_true_error_line(capsys, matrix_file):
+    # 1.5 ||M||_2 overflows for diag(1.7e308, 1e308), whose entries are
+    # finite; the error says so, and a RuntimeWarning would fail this test
+    path = matrix_file(np.diag([1.7e308, 1e308]))
+    code, out, err = run_cli(capsys, "sqrt", path)
+    assert (code, out) == (cli.EXIT_DIVERGED, "")
+    assert err == "error: 1.5 ||M||_2 overflows for ||M||_2 = 1.700000e+308\n"
 
 
 @pytest.mark.parametrize("eta", ["1e-3", "auto"])
@@ -288,6 +298,17 @@ def test_exit_diverged_on_a_start_whose_norms_overflow(capsys, tmp_path, eta):
         "error: rate parameters overflow for a start of spectral norm "
         "1.000000e+200 and a matrix of spectral norm 1.000000e+00\n"
     )
+
+
+@pytest.mark.parametrize("init", ["auto-lambda", "sqrt-opnorm"])
+def test_exit_diverged_on_a_corridor_bound_whose_cube_underflows(capsys, matrix_file, init):
+    # corridor_high^3 is below the doubles for ||M|| = 2e-300 and a start
+    # of its scale; the step size used to divide by that 0
+    path = matrix_file(np.diag([1e-300, 2e-300]))
+    code, out, err = run_cli(capsys, "sqrt", path, "--init", init)
+    assert (code, out) == (cli.EXIT_DIVERGED, "")
+    assert err.startswith("error: rate parameters underflow for a start of spectral norm ")
+    assert err.endswith(" and a matrix of spectral norm 2.000000e-300\n")
 
 
 def test_newton_refuses_a_matrix_whose_frobenius_norm_overflows(capsys, matrix_file):
@@ -422,7 +443,7 @@ def test_certify_eigendecomposes_m_once_and_sqrt_never(capsys, tmp_path, sym_eig
 def test_sqrt_and_robustness_resolve_their_start_once(
     capsys, matrix_file, sym_eig_calls, opnorm_bound_calls
 ):
-    # one power iteration for the auto-lambda start, and no decomposition
+    # one norm bound for the auto-lambda start, and no decomposition
     # beyond the constructors' spectra, however many runs follow
     path = matrix_file(np.diag([6.0, 5.0, 4.0, 3.0, 2.0, 1.0]) + 0.1)
     assert run_cli(capsys, "sqrt", path)[0] == 0
@@ -466,9 +487,15 @@ def test_lowerbound_horizon_past_window(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [("lowerbound", "--kappa", "4", "--eta", "0.25"), ("landscape", "--steps", "4")]
+    "argv",
+    [
+        ("lowerbound", "--kappa", "4", "--eta", "0.25"),
+        ("landscape", "--steps", "4"),
+        ("sqrt", "MAT"),
+    ],
 )
-def test_commands_without_randomness_take_no_seed(capsys, argv):
+def test_commands_without_randomness_take_no_seed(capsys, spd_file, argv):
+    argv = [spd_file if a == "MAT" else a for a in argv]
     assert run_cli(capsys, *argv)[0] == cli.EXIT_OK
     code, out, err = run_cli(capsys, *argv, "--seed", "3")
     assert (code, out) == (cli.EXIT_USAGE, "")
@@ -676,7 +703,12 @@ PINNED_TRACE_CSV = (
 def test_sqrt_trace_csv_pinned(capsys, tmp_path):
     matrix, trace = tmp_path / "m.txt", tmp_path / "t.csv"
     io.write_matrix(matrix, [[4.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 2.0]])
+    # the start the trace was recorded from: a power-iteration estimate of
+    # ||M||, which the default start no longer makes
+    start = tmp_path / "u0.txt"
+    io.write_matrix(start, 2.6639630924655968 * np.eye(3))
     argv = ["sqrt", str(matrix), "--eta", "0.01", "--max-iters", "40", "--trace", str(trace)]
+    argv += ["--init", f"file:{start}"]
     code, _, err = run_cli(capsys, *argv)
     assert code == cli.EXIT_ITER_CAP
     assert err == "error: tolerance 1e-08 not reached within 40 iterations\n"
@@ -687,7 +719,7 @@ _GD_ECHO_KAPPA_10 = (
     '# method gd\n'
     '# seed 0\n'
     '# eta {eta}\n'
-    '# alpha 58.04230155806713\n'
+    '# alpha 58.094750193114194\n'
     '# beta 0.31622776601683383\n'
     '# corridor-low 0.031622776601683382\n'
     '# corridor-high 1.7320508075688794\n'
@@ -696,7 +728,8 @@ _GD_ECHO_KAPPA_10 = (
 )
 
 # (argv, exit code, stdout, written file) of three commands on seeded n = 6
-# files, recorded before the rate parameters and certificates were rewritten.
+# files, recorded before the rate parameters and certificates were rewritten,
+# and again when the default start came to read 1.5 ||M||_2 from the matrix.
 GOLDEN_RUNS = {
     "certify": (
         ["certify", "KAPPA10", "--samples", "40"],
@@ -708,7 +741,7 @@ GOLDEN_RUNS = {
         '{"property": "smoothness", "samples": 40, "worst_margin": 9.191767909282188, "pass": true}\n'
         '{"property": "gradient-dominance", "samples": 40, "worst_margin": 8.673617379884035e-19, "pass": true}\n'
         '{"property": "saddle-location", "samples": 40, "worst_margin": -1.5881867761018131e-22, "pass": true}\n'
-        '{"property": "eigenvalue-corridor", "samples": 120359, "worst_margin": 0.28441105429942865, "pass": true}\n',
+        '{"property": "eigenvalue-corridor", "samples": 120360, "worst_margin": 0.2844110353179382, "pass": true}\n',
     ),
     "certify-self-test": (
         ["certify", "KAPPA100", "--samples", "40", "--self-test"],
@@ -716,7 +749,7 @@ GOLDEN_RUNS = {
         '# method gd\n'
         '# seed 0\n'
         '# eta 0.00019245008972984906\n'
-        '# alpha 1836.946353803881\n'
+        '# alpha 1837.1173070881348\n'
         '# beta 0.099999999999986752\n'
         '# corridor-low 0.0099999999999986749\n'
         '# corridor-high 1.7320508075688794\n'
@@ -728,16 +761,16 @@ GOLDEN_RUNS = {
         '{"property": "smoothness", "samples": 40, "worst_margin": -34.10747663791386, "pass": false}\n'
         '{"property": "gradient-dominance", "samples": 40, "worst_margin": -1.0842021724855044e-19, "pass": true}\n'
         '{"property": "saddle-location", "samples": 40, "worst_margin": -3.298382692555198e-23, "pass": true}\n'
-        '{"property": "eigenvalue-corridor", "samples": 200001, "worst_margin": 0.10233880200554084, "pass": true}\n',
+        '{"property": "eigenvalue-corridor", "samples": 200001, "worst_margin": 0.10233880774869632, "pass": true}\n',
     ),
     "robustness": (
         ["robustness", "KAPPA10", "--deltas", "1e-6,1e-7,0"],
         cli.EXIT_OK,
         _GD_ECHO_KAPPA_10.format(eta="0.033333333333333257", max_iters=20000),
         'delta,plateau_step,floor_residual,max_bound_ratio,bound_satisfied\n'
-        '9.9999999999999995e-07,893,6.3393537078298896e-06,1,true\n'
-        '9.9999999999999995e-08,1024,6.6854098686110032e-07,1,true\n'
-        '0,1194,9.9382043978026956e-09,1,true\n',
+        '9.9999999999999995e-07,893,6.3393718010324764e-06,1,true\n'
+        '9.9999999999999995e-08,1024,6.6854628850362273e-07,1,true\n'
+        '0,1194,9.9385654119172863e-09,1,true\n',
     ),
 }
 

@@ -5,6 +5,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,9 +46,8 @@ def test_config_defaults_pinned():
     assert cfg.init == "scaled-identity"
     assert cfg.c_step == 0.01
     assert gd.C_RATE == 1.0 / 50.0
-    assert cfg.seed == 0
     fields = [f.name for f in dataclasses.fields(GdConfig)]
-    assert fields == ["eta", "max_iters", "tol", "init", "c_step", "seed"]
+    assert fields == ["eta", "max_iters", "tol", "init", "c_step"]
     assert gd.INIT_CHOICES == ("scaled-identity", "sqrt-opnorm-identity")
 
 
@@ -215,7 +215,7 @@ def test_initial_iterate_scaled_identity_estimates_lambda():
     M = np.diag([4.0, 1.0])
     U0 = initial_iterate(M, GdConfig())
     lam = U0.values[0, 0] ** 2
-    assert 4.0 <= lam <= 8.0  # power-iteration bracket [||M||, 2||M||]
+    assert 4.0 <= lam <= 8.0  # the bound's bracket [||M||, 2||M||]
 
 
 def test_initial_iterate_sqrt_opnorm():
@@ -431,7 +431,7 @@ def test_run_perturbed_zero_delta_matches_run():
 
 
 def test_run_perturbed_zero_delta_draws_no_error(monkeypatch):
-    def draw(self, rng, n, k, at=None):
+    def draw(self, rng, n, k, _at=None):
         raise AssertionError("an error was drawn with delta = 0")
 
     monkeypatch.setattr(ErrorModel, "sample", draw)
@@ -447,8 +447,8 @@ def _record_samples(monkeypatch) -> list:
     calls = []
     sample = ErrorModel.sample
 
-    def recorded(self, rng, n, k, at=None):
-        calls.append((rng, sample(self, rng, n, k, at)))
+    def recorded(self, rng, n, k, _at=None):
+        calls.append((rng, sample(self, rng, n, k, _at=_at)))
         return calls[-1][1]
 
     monkeypatch.setattr(ErrorModel, "sample", recorded)
@@ -1043,6 +1043,25 @@ def test_loss_of_definiteness_at_step_25_reported_before_non_finite_residual(mon
     assert refreshed == list(range(26))
 
 
+@pytest.mark.parametrize("k", [-255, -260])
+def test_a_converged_run_meets_its_tol_where_the_residual_squares_underflow(k):
+    # At 4^k M the entries of U^2 - M near the stop are about 1e-162, and
+    # their squares underflow: sqrt(d . d) read 2.2e-162 and 0.0 where the
+    # true residual was above tol.  The true residual here is exact.
+    M = np.ldexp(random_spd(SpdInstanceSpec(n=4, kappa=10.0, seed=5)).values, 2 * k)
+    tol = 1e-8 * 4.0**k
+    U, trace = run(M, GdConfig(tol=tol))
+    assert trace.converged
+    X = [[Fraction(x) for x in row] for row in U.values]
+    R = [[sum(X[i][l] * X[l][j] for l in range(4)) - Fraction(M[i, j]) for j in range(4)]
+         for i in range(4)]
+    true_sq = sum(x * x for row in R for x in row)
+    assert true_sq <= Fraction(tol) ** 2
+    # the stop row records that residual, not the underflowed one
+    true_unscaled = math.sqrt(true_sq * Fraction(2) ** (-4 * k))
+    assert math.ldexp(trace.final_residual, -2 * k) == pytest.approx(true_unscaled, rel=1e-12)
+
+
 def test_run_perturbed_every_step_100_steps_matches_reference_loop():
     M = random_spd(SpdInstanceSpec(n=16, kappa=10.0, seed=8))
     cfg = GdConfig(c_step=1.0, tol=1e-8, max_iters=100)
@@ -1156,7 +1175,7 @@ def test_error_sample_warm_equals_cold_at_every_delta():
     # the norms do not depend on delta: a ladder's second rung reads them
     # from its first rung's draw
     def draw(delta):
-        return ErrorModel(delta, seed=8).sample(np.random.default_rng(8), 16, 32, at=1)
+        return ErrorModel(delta, seed=8).sample(np.random.default_rng(8), 16, 32, _at=1)
 
     for delta in (1e-6, 1e-9, 1e-300):
         gd._NORM_MEMO.clear()
@@ -1174,10 +1193,24 @@ def test_error_sample_without_a_step_leaves_the_memo_alone(eigvalsh_calls):
     gd._NORM_MEMO.clear()
     blocks = [err.sample(np.random.default_rng(0), 16, 32) for _ in range(2)]
     assert len(eigvalsh_calls) == 2 and gd._NORM_MEMO == {}
-    blocks.append(err.sample(np.random.default_rng(0), 16, 32, at=1))
+    blocks.append(err.sample(np.random.default_rng(0), 16, 32, _at=1))
     blocks.append(err.sample(np.random.default_rng(0), 16, 32))
     assert len(eigvalsh_calls) == 4 and len(_memo_norms(err, 16)) == 32
     assert all(_same_bits(block, blocks[0]) for block in blocks)
+
+
+def test_only_the_stream_of_errors_fills_the_norm_memo():
+    # sample(rng, n, k, at=1) with a generator other than default_rng(seed)
+    # used to put its block's norms at step 1 of the seed's stream, and every
+    # later seed-0, n = 16 stream then drew errors of up to 1.334 delta
+    err = ErrorModel(1e-6, seed=0)
+    gd._NORM_MEMO.clear()
+    with pytest.raises(TypeError):
+        err.sample(np.random.default_rng(99), 16, 32, at=1)
+    err.sample(np.random.default_rng(99), 16, 32)
+    norms = [np.abs(np.linalg.eigvalsh(E)).max() for E in err.errors(16, 32)]
+    assert len(norms) == 32 and len(_memo_norms(err, 16)) == 32
+    assert 1e-6 * (1.0 - 1e-12) <= min(norms) and max(norms) <= 1e-6 * (1.0 + 1e-12)
 
 
 def test_error_sample_memo_misses_another_draw(eigvalsh_calls):
@@ -1187,7 +1220,7 @@ def test_error_sample_memo_misses_another_draw(eigvalsh_calls):
     def draw(seed, n, k, at):
         rng = np.random.default_rng(seed)
         rng.standard_normal((at - 1, n, n))
-        return ErrorModel(1e-6, seed=seed).sample(rng, n, k, at)
+        return ErrorModel(1e-6, seed=seed).sample(rng, n, k, _at=at)
 
     gd._NORM_MEMO.clear()
     draw(0, 16, 32, 1)

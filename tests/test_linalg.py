@@ -414,22 +414,22 @@ def test_frobenius_matches_reference():
     assert frobenius_norm(A) == pytest.approx(np.linalg.norm(A), rel=1e-15)
 
 
-# ------------------------------------------------- power iteration bound
+# ------------------------------------------------------ opnorm bound
 
 
 def test_opnorm_bound_brackets_norm():
     for seed in range(10):
         M = random_pd(6, seed)
-        est = estimate_opnorm_bound(M, seed=seed)
+        est = estimate_opnorm_bound(M)
         op = spectral_norm(M)
         assert op <= est <= 2.0 * op
 
 
 def test_opnorm_bound_deterministic():
     M = random_pd(5, 42)
-    assert estimate_opnorm_bound(M, seed=1) == estimate_opnorm_bound(M, seed=1)
+    assert estimate_opnorm_bound(M) == estimate_opnorm_bound(M)
 
 
 def test_opnorm_bound_scaled_identity():
-    est = estimate_opnorm_bound(np.diag([4.0, 1.0]), seed=0)
+    est = estimate_opnorm_bound(np.diag([4.0, 1.0]))
     assert 4.0 <= est <= 8.0
