@@ -20,13 +20,7 @@ import sys
 # The certificates and experiments are imported by the commands that run them,
 # so that ``sqrt`` starts without loading them.
 from . import baselines, gd, io, linalg
-from .gd import (
-    DivergenceError,
-    GdConfig,
-    GdError,
-    LostPositiveDefinitenessError,
-    run,
-)
+from .gd import GdConfig, GdError, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -35,6 +29,15 @@ EXIT_ITER_CAP = 3
 EXIT_CERT_FAILED = 4
 
 INIT_FLAGS = {"auto-lambda": "scaled-identity", "sqrt-opnorm": "sqrt-opnorm-identity"}
+# The flags of ``sqrt`` that some method does not read, each with the
+# methods that do; ``sqrt`` refuses one given to any other method.
+SQRT_METHOD_FLAGS = (
+    ("eta", ("gd",)),
+    ("tol", ("gd", "newton")),
+    ("max_iters", ("gd",)),
+    ("init", ("gd",)),
+    ("trace", ("gd",)),
+)
 # Horizon for the certification run; corridor checking does not require
 # convergence, so the run is capped rather than open-ended.
 CERTIFY_MAX_ITERS = 200_000
@@ -124,6 +127,10 @@ def _echo_gd_config(M_spd, cfg: GdConfig, seed: int | None = None):
 
 
 def cmd_sqrt(args) -> int:
+    for name, methods in SQRT_METHOD_FLAGS:
+        if getattr(args, name) is not None and args.method not in methods:
+            flag = "--" + name.replace("_", "-")
+            raise CliUsageError(f"{flag} applies to --method {' and '.join(methods)} only")
     M_spd = _read_spd(args.matrix)
     if args.method == "evd":
         _echo([("method", "evd")])
@@ -131,32 +138,37 @@ def cmd_sqrt(args) -> int:
         io.write_matrix(_output(args.output), U)
         return EXIT_OK
     if args.method == "newton":
+        # newton's --tol defaults to gd's: one residual tolerance for both
+        tol = GdConfig.tol if args.tol is None else args.tol
         m_fro = baselines.frobenius_scale(M_spd)
-        rel = args.tol / m_fro
-        if rel == math.inf and args.tol < math.inf:
-            raise CliUsageError(f"--tol {args.tol:g} divided by ||M||_F = {m_fro:.6e} overflows")
+        rel = tol / m_fro
+        if rel == math.inf and tol < math.inf:
+            raise CliUsageError(f"--tol {tol:g} divided by ||M||_F = {m_fro:.6e} overflows")
         ncfg = baselines.NewtonConfig(tol=rel)
         _echo([("method", "newton"), ("tol-rel", rel)])
         U, _ = baselines.newton_sqrt(M_spd, ncfg)
         io.write_matrix(_output(args.output), U)
         return EXIT_OK
 
-    init = INIT_FLAGS.get(args.init)
-    if args.init.startswith("file:"):
-        init = io.read_matrix(args.init[5:])
-    elif init is None:
-        raise CliUsageError(
-            f"--init must be one of {tuple(INIT_FLAGS)} or file:PATH, got {args.init!r}"
-        )
-    cfg = GdConfig(eta=args.eta, max_iters=args.max_iters, tol=args.tol, init=init)
+    init = args.init
+    if init is not None:
+        init = INIT_FLAGS.get(args.init)
+        if args.init.startswith("file:"):
+            init = io.read_matrix(args.init[5:])
+        elif init is None:
+            raise CliUsageError(
+                f"--init must be one of {tuple(INIT_FLAGS)} or file:PATH, got {args.init!r}"
+            )
+    # a flag left out takes GdConfig's default
+    given = {"eta": args.eta, "tol": args.tol, "max_iters": args.max_iters, "init": init}
+    cfg = GdConfig(**{k: v for k, v in given.items() if v is not None})
     cfg, _ = _echo_gd_config(M_spd, cfg)
     try:
         U, trace = run(M_spd, cfg)
-    except (DivergenceError, LostPositiveDefinitenessError) as exc:
+    except GdError as exc:
         if args.trace:
             io.write_trace_csv(args.trace, exc.trace)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        raise
     if args.trace:
         io.write_trace_csv(args.trace, trace)
     io.write_matrix(_output(args.output), U)
@@ -283,11 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sqrt", help="compute an SPD square root")
     p.add_argument("matrix", help="input matrix file")
     p.add_argument("--method", choices=gd.METHODS, default="gd")
-    p.add_argument("--eta", type=_eta_arg, default="auto")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=10_000_000)
-    p.add_argument("--init", default="auto-lambda", metavar="{auto-lambda,sqrt-opnorm,file:PATH}")
-    p.add_argument("--trace", help="write the iteration trace CSV here")
+    # None marks a per-method flag left out (see SQRT_METHOD_FLAGS)
+    p.add_argument("--eta", type=_eta_arg, help="gd only")
+    p.add_argument("--tol", type=float, help="gd and newton")
+    p.add_argument("--max-iters", type=int, help="gd only")
+    p.add_argument("--init", metavar="{auto-lambda,sqrt-opnorm,file:PATH}", help="gd only")
+    p.add_argument("--trace", help="gd only: write the iteration trace CSV here")
     p.add_argument("-o", "--output", default=None, help="output matrix file (default stdout)")
     p.set_defaults(func=cmd_sqrt)
 

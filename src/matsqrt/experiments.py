@@ -129,10 +129,10 @@ def lower_bound_instance(kappa: float, eta: float, case: int | None = None) -> L
     The case defaults to 1 exactly when eta >= 1/(4 ||M||_2) = 1/4; passing
     ``case`` overrides the classification (useful at the boundary).
     """
-    if kappa < 1.0:
-        raise ValueError("kappa must be at least 1")
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
+    if not 1.0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and at least 1, got {kappa}")
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be finite and positive, got {eta}")
     if case is None:
         case = 1 if eta >= 0.25 else 2
     elif case not in (1, 2):
@@ -273,7 +273,7 @@ def run_lower_bound(
     scalar_max_diff = max(
         float(np.max(np.abs(top - s_top))), float(np.max(np.abs(bot - s_bot)))
     )
-    if scalar_max_diff > 1e-12:
+    if not scalar_max_diff <= 1e-12:
         raise LowerBoundError(
             f"matrix iterates drift from the scalar recurrence by {scalar_max_diff:.3e}"
         )
@@ -282,7 +282,7 @@ def run_lower_bound(
     if inst.case == 2:
         alpha = np.array(case2_alpha_trace(inst.eta, sigma, T))
         alpha_max_diff = float(np.max(np.abs(bot - alpha * math.sqrt(sigma))))
-        if alpha_max_diff > 1e-12:
+        if not alpha_max_diff <= 1e-12:
             raise LowerBoundError(
                 f"bottom coordinate drifts from alpha_t sqrt(sigma) by {alpha_max_diff:.3e}"
             )
@@ -404,14 +404,13 @@ BENCHMARK_HEADER = tuple(f.name for f in fields(BenchmarkRow))
 
 def _bench_gd(M, cfg):
     M, U0, eta = resolve(M, cfg)
-    rate = analysis.rate_params(U0, M)
-    r0 = residual_fro(U0, M)
-    predicted = rate.alpha * math.log(max(r0 / cfg.tol, 1.0))
     try:
         _, trace = run(M, replace(cfg, eta=eta, init=U0))
-        return trace.steps, predicted, trace.final_residual, trace.stop_reason
     except GdError as exc:
-        return exc.trace.steps, predicted, exc.trace.final_residual, "diverged"
+        trace = exc.trace
+    r0 = trace.residual_fro[0]
+    predicted = analysis.rate_params(U0, M).alpha * math.log(max(r0 / cfg.tol, 1.0))
+    return trace.steps, predicted, trace.final_residual, trace.stop_reason
 
 
 def convergence_benchmark(specs, methods=METHODS, cfg: GdConfig = None) -> list:
@@ -473,8 +472,8 @@ def landscape_grid(grid_min: float = 0.0, grid_max: float = 3.0, steps: int = 10
     their closed-form values whenever they fall inside the range but not on
     the grid (their irrational coordinates are labeled by nearest doubles).
     """
-    if not 0.0 <= grid_min < grid_max:
-        raise ValueError("need 0 <= grid_min < grid_max")
+    if not 0.0 <= grid_min < grid_max < math.inf:
+        raise ValueError("need 0 <= grid_min < grid_max, both finite")
     if steps < 1:
         raise ValueError("steps must be positive")
     pts = np.linspace(grid_min, grid_max, steps + 1)

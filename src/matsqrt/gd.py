@@ -88,14 +88,15 @@ class LowerBoundError(RuntimeError):
 class GdConfig:
     """Solver configuration.
 
-    ``eta`` is either a positive number, stored as a float, or ``"auto"``,
-    in which case :func:`step_size_policy` picks the step size.  ``init``
-    is the start: ``"scaled-identity"`` uses sqrt(lambda) I with lambda =
-    1.5 ||M||_2 (:func:`linalg.estimate_opnorm_bound`),
+    ``eta`` is either a positive finite number, stored as a float, or
+    ``"auto"``, in which case :func:`step_size_policy` picks the step size.
+    ``init`` is the start: ``"scaled-identity"`` uses sqrt(lambda) I with
+    lambda = 1.5 ||M||_2 (:func:`linalg.estimate_opnorm_bound`),
     ``"sqrt-opnorm-identity"`` uses sqrt(||M||_2) I, both from the norm
     the matrix keeps, and a matrix (an array, a nested list or an
-    :class:`SpdMatrix`) is the start itself.  ``c_step`` scales the
-    automatic step size; the defaults are pinned by the acceptance tests.
+    :class:`SpdMatrix`) is the start itself.  ``c_step``, positive and
+    finite, scales the automatic step size; the defaults are pinned by the
+    acceptance tests.
     Nothing in a run is random but an :class:`ErrorModel`'s errors.
     """
 
@@ -112,8 +113,8 @@ class GdConfig:
         else:
             # an int or numpy scalar step size must not fall through to "auto"
             object.__setattr__(self, "eta", float(self.eta))
-            if not (self.eta > 0.0):
-                raise ValueError(f"eta must be positive, got {self.eta}")
+            if not 0.0 < self.eta < math.inf:
+                raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not (self.tol > 0.0):
@@ -121,8 +122,8 @@ class GdConfig:
         # a start matrix cannot be compared with ``in``
         if self.init is None or (isinstance(self.init, str) and self.init not in INIT_CHOICES):
             raise ValueError(f"init must be one of {INIT_CHOICES} or a matrix, got {self.init!r}")
-        if not (self.c_step > 0.0):
-            raise ValueError("c_step must be positive")
+        if not 0.0 < self.c_step < math.inf:
+            raise ValueError("c_step must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -461,8 +462,8 @@ def run(M, cfg: GdConfig = GdConfig()) -> tuple[SpdMatrix, IterationTrace]:
     Returns the final iterate and the full per-step trace.  Raises
     :class:`DivergenceError` when the residual is not finite or exceeds ten
     times its initial value and :class:`LostPositiveDefinitenessError` when
-    an iterate stops being positive definite; both carry the partial trace
-    and step index.
+    an iterate, or the last one as an :class:`SpdMatrix`, is not positive
+    definite; both carry the trace, which names the stop, and the step.
     """
     return _run_loop(M, cfg, err=None)
 
@@ -546,17 +547,17 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     # BRACKET_RTOL lo or is not finite, so lo - slack >= (15/16) lo > 0
     # certifies definiteness in between and a loss is found at its own step.
     #
-    # Each pass of the loop records row t, then steps to t + 1.  A row is
-    # common when tol < r <= r_div = 10 r0, t is not the cap and the slack
-    # is within its limit: it appends its bracket and nothing else.  NaN
-    # fails every comparison, and r_div is finite, since a finite r0 is the
-    # root of a ddot that did not overflow, so r0^2 and 10 r0 are finite: a
-    # non-finite residual fails the chain too.  Every other row takes
-    # the rare branch, which tests in the order of the guards: a non-finite
-    # residual, then a refresh, a loss of definiteness, convergence,
-    # divergence and the cap.  t = 0 always takes it: its slack is infinite.
-    # A residual under TINY_RESIDUAL is taken again by ``_rescaled_norm``
-    # there and before the loop, so no underflowed square stops a run.
+    # Each pass takes the residual r of row t, records the row, then steps.
+    # A row is common when tol < r <= r_div = 10 r0, t is not the cap and
+    # the slack is within its limit: it appends its bracket and nothing
+    # else.  NaN fails every comparison, and r_div is finite, since a finite
+    # r0 is the root of a ddot that did not overflow, so r0^2 and 10 r0 are
+    # finite: a non-finite residual fails the chain too.  Every other row
+    # takes the rare branch, which tests in the order of the guards: a
+    # non-finite residual, then a refresh, a loss of definiteness,
+    # convergence, divergence and the cap; t = 0 always does, with infinite
+    # slack, and sets r_div.  It takes a residual under TINY_RESIDUAL again
+    # by ``_rescaled_norm``, so no underflowed square stops a run.
     # At n <= 16 the interpreter's bookkeeping costs as much as the BLAS
     # calls, so the callables and ``G.T`` are bound once, the bound
     # ``ndarray.dot`` of U and of D makes the BLAS call of ``@`` with the
@@ -583,13 +584,12 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     hdot, ddot = h.dot, d.dot
     add_r, add_smin, add_opn = residuals.append, smins.append, opnorms.append
 
+    r_div = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        u_times(U, D)
-        subtract(D, M_arr, D)
-        r = sqrt(ddot(d))
-        r = r0 = _rescaled_norm(d) if r < TINY_RESIDUAL else r
-        r_div = DIVERGENCE_FACTOR * r0
         for t in range(cap + 1):
+            u_times(U, D)
+            subtract(D, M_arr, D)
+            r = sqrt(ddot(d))
             if tol < r <= r_div and t != cap and slack <= limit:
                 add_r(r)
                 add_smin((lo - slack) * down)
@@ -606,6 +606,8 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                         step=t,
                         trace=trace("diverged"),
                     )
+                if t == 0:
+                    r_div = DIVERGENCE_FACTOR * r
                 lam, smin, opn = linalg.spectral_extremes(U)
                 add_smin(smin)
                 add_opn(opn)
@@ -624,7 +626,7 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                 if r > r_div:
                     raise DivergenceError(
                         f"residual {r:.6e} at step {t} exceeds {DIVERGENCE_FACTOR:g}x "
-                        f"its initial value {r0:.6e}",
+                        f"its initial value {residuals[0]:.6e}",
                         step=t,
                         trace=trace("diverged"),
                     )
@@ -644,7 +646,12 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
             a = sqrt(hdot(h)) * grow + tiny
             rnd = min(a + root_n * e, rounding * (hi + slack + a + e))
             slack = (slack + a + e + rnd) * up
-            u_times(U, D)
-            subtract(D, M_arr, D)
-            r = sqrt(ddot(d))
-    return SpdMatrix(U), trace("converged" if r <= tol else "max-iters")
+    try:
+        return SpdMatrix(U), trace("converged" if r <= tol else "max-iters")
+    except linalg.NotPositiveDefiniteError:  # lambda_min > 0, but under SPD_RTOL ||U||
+        raise LostPositiveDefinitenessError(
+            f"iterate at step {t} is too close to singular to return "
+            f"(lambda_min={lam:.6e}, lambda_max={opn:.6e})",
+            step=t,
+            trace=trace("lost-positive-definiteness"),
+        ) from None

@@ -1,3 +1,4 @@
+import importlib
 import io as std_io
 import json
 import math
@@ -246,6 +247,25 @@ def test_exit_diverged_on_non_finite_residual(capsys, tmp_path):
     ]
 
 
+def test_exit_diverged_on_a_last_iterate_too_close_to_singular(capsys, matrix_file, tmp_path):
+    # lambda_min of the step-1 iterate is about 1e-14: positive, but under
+    # the SPD wrapper's bound, so the root is refused as a failed run
+    start = matrix_file(np.diag([2.0, 1.0]), "u0.txt")
+    trace_path = tmp_path / "trace.csv"
+    argv = ["sqrt", matrix_file(np.eye(2)), "--init", f"file:{start}"]
+    argv += ["--eta", repr((2 - 1e-14) / 12), "--max-iters", "1", "--trace", str(trace_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_DIVERGED
+    assert out == (
+        "# method gd\n# eta 0.16666666666666582\n# alpha 8.0000000000000639\n"
+        "# beta 0.99999999999999822\n# corridor-low 0.09999999999999995\n"
+        "# corridor-high 2.0000000000000018\n# tol 1e-08\n# max-iters 1\n"
+    )
+    assert len(trace_path.read_text().splitlines()) == 1 + 2  # header, rows 0 and 1
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "step 1" in line and "matrix" not in line
+
+
 def test_diverging_run_writes_only_the_error_line(tmp_path):
     # in a child process numpy's floating-point warnings would reach stderr
     one = tmp_path / "one.txt"
@@ -462,6 +482,32 @@ def test_certify_env_seed_and_flag_priority(capsys, spd_file, monkeypatch):
     assert "# seed 3" in out
 
 
+@pytest.mark.parametrize(
+    "method, argv, flag",
+    [
+        ("newton", ("--eta", "0.5"), "--eta applies to --method gd only"),
+        ("newton", ("--max-iters", "1"), "--max-iters applies to --method gd only"),
+        ("newton", ("--init", "sqrt-opnorm"), "--init applies to --method gd only"),
+        ("newton", ("--trace", "t.csv"), "--trace applies to --method gd only"),
+        ("evd", ("--tol", "1e-3"), "--tol applies to --method gd and newton only"),
+        ("evd", ("--trace", "t.csv", "--eta", "auto"), "--eta applies to --method gd only"),
+    ],
+)
+def test_sqrt_refuses_a_flag_its_method_does_not_read(
+    capsys, spd_file, tmp_path, monkeypatch, method, argv, flag
+):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "sqrt", spd_file, "--method", method, *argv)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: {flag}\n")
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_sqrt_refuses_an_infinite_step_size(capsys, spd_file):
+    code, out, err = run_cli(capsys, "sqrt", spd_file, "--eta", "inf")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: eta must be positive and finite, got inf\n"
+
+
 # ------------------------------------------------------------ lowerbound
 
 
@@ -505,6 +551,20 @@ def test_commands_without_randomness_take_no_seed(capsys, spd_file, argv):
 def test_lowerbound_bad_kappa(capsys):
     code, _, _ = run_cli(capsys, "lowerbound", "--kappa", "1.2", "--eta", "0.3")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "kappa, eta, message",
+    [
+        ("10", "inf", "eta must be finite and positive, got inf"),
+        ("10", "nan", "eta must be finite and positive, got nan"),
+        ("inf", "0.3", "kappa must be finite and at least 1, got inf"),
+        ("nan", "0.3", "kappa must be finite and at least 1, got nan"),
+    ],
+)
+def test_lowerbound_refuses_a_non_finite_value(capsys, kappa, eta, message):
+    code, out, err = run_cli(capsys, "lowerbound", "--kappa", kappa, "--eta", eta)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: {message}\n")
 
 
 # ------------------------------------------------------------ robustness
@@ -587,6 +647,12 @@ def test_landscape_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == ",".join(experiments.LANDSCAPE_HEADER)
     assert len(lines) == 1 + 25 + 3
+
+
+def test_landscape_refuses_a_non_finite_bound(capsys):
+    code, out, err = run_cli(capsys, "landscape", "--grid-max", "inf")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: need 0 <= grid_min < grid_max, both finite\n"
 
 
 def test_readme_batch_runs(capsys, monkeypatch, tmp_path):
@@ -801,3 +867,16 @@ def test_installed_entry_point(spd_file):
     assert proc.returncode == 0
     U = parse_stdout_matrix(proc.stdout)
     assert np.allclose(U, np.diag([2.0, math.sqrt(2.0)]), atol=1e-10)
+
+
+@pytest.mark.parametrize("method", ["gd", "newton", "evd"])
+def test_benchmark_cli_command_lines_run(capsys, monkeypatch, tmp_path, method):
+    # the benchmark's cli-n64 workload runs these argv in child processes; a
+    # changed option fails here first, on a small matrix written over its own
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    workloads = importlib.import_module("workloads")
+    wl = workloads.CliN64(seed=0, workdir=tmp_path)
+    io.write_matrix(wl.matrix, np.diag([4.0, 3.0, 2.0, 1.0]))
+    code, _, err = run_cli(capsys, *wl.argv(method))
+    assert (code, err) == (cli.EXIT_OK, "")

@@ -314,7 +314,7 @@ def test_convergence_benchmark_records_per_row_failure():
     cfg = GdConfig(eta=0.9, tol=1e-8, max_iters=1000)  # far past stability
     rows = convergence_benchmark(specs, methods=("gd", "evd"), cfg=cfg)
     assert rows[0].method == "gd"
-    assert rows[0].status == "diverged"
+    assert rows[0].status == "lost-positive-definiteness"  # at step 1
     assert rows[1].status == "converged"  # the failure does not sink the table
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import matsqrt.experiments as experiments
 import matsqrt.gd as gd
@@ -64,6 +64,8 @@ def test_config_defaults_pinned():
         dict(tol=math.nan),
         dict(c_step=0.0),
         dict(init=None),
+        dict(eta=math.inf),
+        dict(c_step=math.inf),
     ],
 )
 def test_config_rejects_invalid(kwargs):
@@ -301,6 +303,50 @@ def test_run_detects_loss_of_positive_definiteness():
     with pytest.raises(LostPositiveDefinitenessError) as exc_info:
         run(M, cfg)
     assert exc_info.value.trace.stop_reason == "lost-positive-definiteness"
+
+
+def test_run_refuses_a_last_iterate_too_close_to_singular():
+    # lambda_min of the step-1 iterate is about 1e-14: positive, which the
+    # loop lets through, but under SPD_RTOL ||U||, which SpdMatrix refuses
+    cfg = GdConfig(eta=(2 - 1e-14) / 12, max_iters=1, init=np.diag([2.0, 1.0]))
+    with pytest.raises(LostPositiveDefinitenessError) as exc_info:
+        run(np.eye(2), cfg)
+    exc = exc_info.value
+    assert exc.step == exc.trace.steps == 1
+    assert exc.trace.stop_reason == "lost-positive-definiteness"
+
+
+@st.composite
+def _instances(draw):
+    """(M, U0): random SPD matrices of one order n <= 4, norms from 1e-2 to 1e2."""
+    n = draw(st.integers(1, 4))
+    kappas = st.floats(1.0, 100.0) if n > 1 else st.just(1.0)
+    seed = draw(st.integers(0, 2**16))
+    scales = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+    M = random_spd(SpdInstanceSpec(n, draw(kappas), draw(scales), seed=seed))
+    U0 = random_spd(SpdInstanceSpec(n, draw(kappas), draw(scales), seed=seed + 1))
+    return M.values, U0.values
+
+
+STOP_REASONS = {
+    DivergenceError: "diverged",
+    LostPositiveDefinitenessError: "lost-positive-definiteness",
+}
+
+
+# user step sizes from 1e-4 to about 3: each stop and failure occurs
+@given(_instances(), st.floats(-4.0, 0.5).map(lambda e: 10.0**e), st.integers(1, 50))
+@example((np.eye(2), np.diag([2.0, 1.0])), (2 - 1e-14) / 12, 1)
+def test_run_returns_a_root_or_raises_a_traced_error(instance, eta, max_iters):
+    M, U0 = instance
+    try:
+        U, trace = run(M, GdConfig(eta=eta, max_iters=max_iters, init=U0))
+    except GdError as exc:
+        assert exc.trace.stop_reason == STOP_REASONS[type(exc)]
+        assert exc.step == exc.trace.steps
+    else:
+        assert isinstance(U, linalg.SpdMatrix)
+        assert trace.stop_reason in ("converged", "max-iters")
 
 
 def test_run_1x1():
