@@ -16,6 +16,7 @@ import dataclasses
 import math
 import os
 import sys
+import warnings
 
 # The certificates and experiments are imported by the commands that run them,
 # so that ``sqrt`` starts without loading them.
@@ -108,13 +109,13 @@ def _read_spd(path) -> linalg.SpdMatrix:
 
 def _echo_gd_config(M_spd, cfg: GdConfig, seed: int | None = None):
     """Echo the resolved gd settings; return the resolved config and the rate parameters."""
-    _, U0, eta = gd.resolve(M_spd, cfg)
-    rate = gd.rate_params(U0, M_spd)
+    _, cfg = gd.resolve(M_spd, cfg)
+    rate = gd.rate_params(cfg.init, M_spd)
     _echo(
         [
             ("method", "gd"),
             *([] if seed is None else [("seed", seed)]),
-            ("eta", eta),
+            ("eta", cfg.eta),
             ("alpha", rate.alpha),
             ("beta", rate.beta),
             ("corridor-low", rate.corridor_low),
@@ -123,7 +124,7 @@ def _echo_gd_config(M_spd, cfg: GdConfig, seed: int | None = None):
             ("max-iters", cfg.max_iters),
         ]
     )
-    return dataclasses.replace(cfg, eta=eta, init=U0), rate
+    return cfg, rate
 
 
 def cmd_sqrt(args) -> int:
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="run the property certificates on a matrix")
     p.add_argument("matrix")
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=GdConfig.tol)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--self-test",
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="gd,newton,evd")
     p.add_argument("--spectrum", choices=gd.SPECTRUM_CHOICES, default="geometric")
     p.add_argument("--opnorm", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=GdConfig.tol)
     p.add_argument("--c-step", type=float, default=1.0)
     p.add_argument("--max-iters", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=None)
@@ -341,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("robustness", help="residual floors under injected errors")
     p.add_argument("matrix")
     p.add_argument("--deltas", type=_float_list, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=GdConfig.tol)
     p.add_argument("--c-step", type=float, default=1.0)
     p.add_argument("--max-iters", type=int, default=20_000)
     p.add_argument("--seed", type=int, default=None)
@@ -375,14 +376,23 @@ EXIT_CODES = (
 )
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except tuple(cls for cls, _ in EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
+    # A warning shows as one line that names no source file.  The filters in
+    # force still decide which warnings show; catch_warnings restores them
+    # and the display on return.
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except tuple(cls for cls, _ in EXIT_CODES) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 def entry() -> None:

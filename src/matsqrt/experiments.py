@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -138,9 +138,18 @@ def lower_bound_instance(kappa: float, eta: float, case: int | None = None) -> L
     elif case not in (1, 2):
         raise ValueError("case must be 1 or 2")
     sigma = 1.0 / kappa
+    # diag(1, sigma) and case 1's start are SpdMatrix only while their
+    # eigenvalue ratio exceeds SPD_RTOL
+    if not sigma > linalg.SPD_RTOL:
+        raise ValueError(f"kappa must be below {1.0 / linalg.SPD_RTOL:g}, got {kappa:g}")
     M = linalg.SpdMatrix(np.diag([1.0, sigma]))
     if case == 1:
         beta = 1.0 / (2.0 * eta) + 1.0
+        if not math.sqrt(sigma) > linalg.SPD_RTOL * math.sqrt(beta):
+            least = 0.5 / (sigma / linalg.SPD_RTOL**2 - 1.0)
+            raise ValueError(
+                f"case 1 at kappa {kappa:g} needs eta above about {least:.3g}, got {eta:g}"
+            )
         U0 = np.diag([math.sqrt(beta), math.sqrt(sigma)])
     else:
         U0 = np.diag([1.0, 0.5 * math.sqrt(sigma)])
@@ -358,9 +367,8 @@ def robustness_sweep(M, deltas, cfg: GdConfig, seed: int = 0) -> list:
         raise ValueError("deltas must be nonincreasing")
     if any(d < 0.0 for d in deltas):
         raise ValueError("deltas must be nonnegative")
-    M_spd, U0, eta = resolve(M, cfg)
-    cfg = replace(cfg, eta=eta, init=U0)
-    rate = analysis.rate_params(U0, M_spd)
+    M_spd, cfg = resolve(M, cfg)
+    rate = analysis.rate_params(cfg.init, M_spd)
     rows = []
     for delta in deltas:
         err = ErrorModel(delta=delta, schedule="every-step", seed=seed)
@@ -403,13 +411,13 @@ BENCHMARK_HEADER = tuple(f.name for f in fields(BenchmarkRow))
 
 
 def _bench_gd(M, cfg):
-    M, U0, eta = resolve(M, cfg)
+    M, cfg = resolve(M, cfg)
     try:
-        _, trace = run(M, replace(cfg, eta=eta, init=U0))
+        _, trace = run(M, cfg)
     except GdError as exc:
         trace = exc.trace
     r0 = trace.residual_fro[0]
-    predicted = analysis.rate_params(U0, M).alpha * math.log(max(r0 / cfg.tol, 1.0))
+    predicted = analysis.rate_params(cfg.init, M).alpha * math.log(max(r0 / cfg.tol, 1.0))
     return trace.steps, predicted, trace.final_residual, trace.stop_reason
 
 

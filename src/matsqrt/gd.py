@@ -10,7 +10,7 @@ first, U D = (D U)^T, so the update is computed as U - eta (G + G^T) with
 the one product G = D U; G + G^T is exactly symmetric, so every iterate of
 a symmetric start is too.  ``gradient`` returns the same G + G^T, which is
 half the Euclidean gradient of f; the factor is absorbed into the step
-size.  The automatic step size is the smallest of three safeguards, each
+size.  The automatic step size is the smaller of two safeguards, each
 keeping the iterates inside the region where the certified eigenvalue
 corridor, smoothness, and gradient dominance bounds of
 :mod:`matsqrt.analysis` apply.  The trace's ``sigma_min`` and ``opnorm``
@@ -25,7 +25,7 @@ import operator
 import threading
 import warnings
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -64,12 +64,16 @@ NORM_MEMO_SLICES = 1 << 17
 
 
 class GdError(Exception):
-    """Base class for solver failures."""
+    """Base class for solver failures; a failed run carries its trace."""
 
-    def __init__(self, message: str, step: int | None = None, trace=None):
+    def __init__(self, message: str, trace=None):
         super().__init__(message)
-        self.step = step
         self.trace = trace
+
+    @property
+    def step(self) -> int | None:
+        """The step at which the run stopped, the trace's last row; None without one."""
+        return None if self.trace is None else self.trace.steps
 
 
 class DivergenceError(GdError):
@@ -117,8 +121,8 @@ class GdConfig:
                 raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (self.tol > 0.0):
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         # a start matrix cannot be compared with ``in``
         if self.init is None or (isinstance(self.init, str) and self.init not in INIT_CHOICES):
             raise ValueError(f"init must be one of {INIT_CHOICES} or a matrix, got {self.init!r}")
@@ -388,11 +392,11 @@ def corridor_top(u_op: float, m_op: float) -> float:
 def step_size_policy(U0, M, cfg: GdConfig) -> float:
     """Automatic step size.
 
-    Returns ``c_step`` times the smallest of three bounds: an operator-norm
-    safeguard 1 / (10 max(||U0||^2, 3 ||M||)), a corridor safeguard
-    beta / corridor_high^3, and the rate-parameter safeguard
-    1 / (alpha beta^2).  With ``c_step <= 1`` the iterates provably stay in
-    the certified corridor.  Every quantity comes from :func:`rate_params`.
+    Returns ``c_step`` times the smaller of an operator-norm safeguard
+    1 / (10 max(||U0||^2, 3 ||M||)) and a corridor safeguard
+    beta / corridor_high^3, which is at most 1 / (alpha beta^2).  With
+    ``c_step <= 1`` the iterates provably stay in the certified corridor.
+    Every quantity comes from :func:`rate_params`.
 
     The value scales like 1 / ||M|| under (M, U0) -> (s^2 M, s U0).
     """
@@ -400,8 +404,7 @@ def step_size_policy(U0, M, cfg: GdConfig) -> float:
     u_op, m_op, beta = rate.u_op, rate.m_op, rate.beta
     bound_opnorm = 1.0 / (10.0 * max(u_op * u_op, 3.0 * m_op))
     bound_corridor = beta / rate_cube(rate.corridor_high, u_op, m_op)
-    bound_rate = 1.0 / (rate.alpha * beta * beta)
-    return cfg.c_step * min(bound_opnorm, bound_corridor, bound_rate)
+    return cfg.c_step * min(bound_opnorm, bound_corridor)
 
 
 def stability_tolerance(eta: float, rate: RateParams) -> float:
@@ -440,11 +443,11 @@ def initial_iterate(M, cfg: GdConfig) -> SpdMatrix:
     return SpdMatrix(math.sqrt(lam) * np.eye(np.shape(M)[0]))
 
 
-def resolve(M, cfg: GdConfig) -> tuple[SpdMatrix, SpdMatrix, float]:
-    """(M, U0, eta) of a run: M validated, the start and the step size resolved.
+def resolve(M, cfg: GdConfig) -> tuple[SpdMatrix, GdConfig]:
+    """(M, cfg) of a run: M validated, and the config a run reads.
 
-    A run on ``dataclasses.replace(cfg, eta=eta, init=U0)`` resolves to the
-    same objects without recomputing them.
+    Its ``init`` is the start as an :class:`SpdMatrix` and its ``eta`` the
+    step size, a float; resolving it again recomputes neither.
     """
     M_spd = linalg.as_spd(M)
     U0 = initial_iterate(M_spd, cfg)
@@ -453,7 +456,7 @@ def resolve(M, cfg: GdConfig) -> tuple[SpdMatrix, SpdMatrix, float]:
             f"initial iterate has order {U0.n}, matrix has order {M_spd.n}"
         )
     eta = cfg.eta if isinstance(cfg.eta, float) else step_size_policy(U0, M_spd, cfg)
-    return M_spd, U0, float(eta)
+    return M_spd, replace(cfg, eta=eta, init=U0)
 
 
 def run(M, cfg: GdConfig = GdConfig()) -> tuple[SpdMatrix, IterationTrace]:
@@ -463,7 +466,7 @@ def run(M, cfg: GdConfig = GdConfig()) -> tuple[SpdMatrix, IterationTrace]:
     :class:`DivergenceError` when the residual is not finite or exceeds ten
     times its initial value and :class:`LostPositiveDefinitenessError` when
     an iterate, or the last one as an :class:`SpdMatrix`, is not positive
-    definite; both carry the trace, which names the stop, and the step.
+    definite; both carry the trace, which names the stop and its step.
     """
     return _run_loop(M, cfg, err=None)
 
@@ -494,10 +497,10 @@ def _rescaled_norm(d) -> float:
 
 
 def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
-    M_spd, U0, eta = resolve(M, cfg)
+    M_spd, cfg = resolve(M, cfg)
     M_arr = M_spd.values
     n = M_spd.n
-    tol, cap = cfg.tol, cfg.max_iters
+    U0, eta, tol, cap = cfg.init, cfg.eta, cfg.tol, cfg.max_iters
 
     draw = err is not None and err.delta != 0.0
     if draw:
@@ -603,7 +606,6 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                     add_opn(math.nan)
                     raise DivergenceError(
                         f"residual {r} at step {t} is not finite",
-                        step=t,
                         trace=trace("diverged"),
                     )
                 if t == 0:
@@ -615,7 +617,6 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                     raise LostPositiveDefinitenessError(
                         f"iterate lost positive definiteness at step {t} "
                         f"(lambda_min={lam:.6e})",
-                        step=t,
                         trace=trace("lost-positive-definiteness"),
                     )
                 pad = linalg.eigvalsh_pad(n, opn)
@@ -627,7 +628,6 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                     raise DivergenceError(
                         f"residual {r:.6e} at step {t} exceeds {DIVERGENCE_FACTOR:g}x "
                         f"its initial value {residuals[0]:.6e}",
-                        step=t,
                         trace=trace("diverged"),
                     )
                 if t == cap:
@@ -652,6 +652,5 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
         raise LostPositiveDefinitenessError(
             f"iterate at step {t} is too close to singular to return "
             f"(lambda_min={lam:.6e}, lambda_max={opn:.6e})",
-            step=t,
             trace=trace("lost-positive-definiteness"),
         ) from None

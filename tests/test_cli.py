@@ -5,12 +5,13 @@ import math
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from matsqrt import cli, experiments, io, linalg
+from matsqrt import cli, experiments, gd, io, linalg
 from matsqrt.baselines import NewtonConvergenceError, evd_sqrt
 from matsqrt.experiments import LowerBoundError, SpdInstanceSpec, random_spd
 from matsqrt.gd import DivergenceError
@@ -508,6 +509,12 @@ def test_sqrt_refuses_an_infinite_step_size(capsys, spd_file):
     assert err == "error: eta must be positive and finite, got inf\n"
 
 
+def test_sqrt_refuses_an_infinite_tolerance(capsys, spd_file):
+    # row 0 would meet it and return the start as a root
+    code, out, err = run_cli(capsys, "sqrt", spd_file, "--tol", "inf")
+    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: tol must be positive and finite\n")
+
+
 # ------------------------------------------------------------ lowerbound
 
 
@@ -567,6 +574,23 @@ def test_lowerbound_refuses_a_non_finite_value(capsys, kappa, eta, message):
     assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # M = diag(1, 1/kappa) fails SpdMatrix's SPD_RTOL
+        (("--kappa", "1e12", "--eta", "0.3"), "kappa must be below 1e+12, got 1e+12"),
+        # the start diag(sqrt(1/(2 eta) + 1), sqrt(1/kappa)) fails it
+        (
+            ("--kappa", "1e6", "--eta", "1e-30", "--case", "1"),
+            "case 1 at kappa 1e+06 needs eta above about 5e-19, got 1e-30",
+        ),
+    ],
+)
+def test_lowerbound_refuses_an_instance_it_cannot_build(capsys, argv, message):
+    code, out, err = run_cli(capsys, "lowerbound", *argv)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: {message}\n")
+
+
 # ------------------------------------------------------------ robustness
 
 
@@ -589,6 +613,27 @@ def test_robustness_table(capsys, spd_file):
     first, second = lines[1].split(","), lines[2].split(",")
     assert float(first[2]) > float(second[2])  # floors shrink with delta
     assert first[4] == second[4] == "true"
+
+
+def test_robustness_shows_each_warning_as_one_line(capsys, spd_file):
+    deltas = (1e-2, 1e-3, 1e-6, 0.0)
+    argv = ("robustness", spd_file, "--deltas", ",".join(map(str, deltas)), "--max-iters", "200")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quiet = run_cli(capsys, *argv)
+    shown = warnings.showwarning
+    code, out, err = run_cli(capsys, *argv)
+    assert warnings.showwarning is shown
+    # the filters in force still apply: ignored, no line is shown
+    assert quiet == (cli.EXIT_OK, out, "")
+    M, cfg = gd.resolve(io.read_matrix(spd_file), gd.GdConfig(c_step=1.0))
+    tolerance = gd.stability_tolerance(cfg.eta, gd.rate_params(cfg.init, M))
+    above = [d for d in deltas if d >= tolerance]
+    assert len(above) == 2
+    lines = err.splitlines()
+    assert len(lines) == len(above)
+    for line, delta in zip(lines, above):
+        assert line.startswith(f"warning: error level delta={delta:.3e} is at or above")
 
 
 # ----------------------------------------------------------------- bench

@@ -66,11 +66,16 @@ def test_config_defaults_pinned():
         dict(init=None),
         dict(eta=math.inf),
         dict(c_step=math.inf),
+        dict(tol=math.inf),
     ],
 )
 def test_config_rejects_invalid(kwargs):
     with pytest.raises(ValueError):
         GdConfig(**kwargs)
+
+
+def test_error_without_a_trace_has_no_step():
+    assert GdError("x").step is None
 
 
 # ---------------------------------------------------------------- gradient
@@ -149,8 +154,8 @@ def test_gd_step_is_a_gradient_step(n):
 
 
 def test_step_size_policy_worked_example():
-    # U0 = 2I, M = diag(4,1): alpha = 8, beta = 1; the operator-norm bound
-    # 1/120 is the smallest of the three, times c_step = 0.01
+    # U0 = 2I, M = diag(4,1): beta = 1; the operator-norm bound 1/120 is
+    # the smaller of the two, times c_step = 0.01
     eta = step_size_policy(2.0 * np.eye(2), np.diag([4.0, 1.0]), GdConfig())
     assert eta == pytest.approx(0.01 / 120.0, rel=1e-14)
 
@@ -159,8 +164,8 @@ def test_step_size_and_spectra_are_python_floats():
     M, U0 = np.diag([4.0, 1.0]), 2.0 * np.eye(2)
     rate = rate_params(U0, M)
     values = [step_size_policy(U0, M, GdConfig()), *dataclasses.astuple(rate)]
-    values.append(resolve(M, GdConfig())[2])
-    values.append(resolve(M, GdConfig(eta=np.float64(0.01)))[2])
+    values.append(resolve(M, GdConfig())[1].eta)
+    values.append(resolve(M, GdConfig(eta=np.float64(0.01)))[1].eta)
     for value in values:
         assert type(value) is float
 
@@ -178,6 +183,45 @@ def test_step_size_c_step_is_linear():
     a = step_size_policy(2 * np.eye(2), M, GdConfig(c_step=0.01))
     b = step_size_policy(2 * np.eye(2), M, GdConfig(c_step=1.0))
     assert b == pytest.approx(100.0 * a, rel=1e-14)
+
+
+def test_step_size_keeps_the_corridor_bound_where_the_rate_bound_ties_it():
+    # ||U0|| = 2 >= sqrt(3 ||M||): 1 / (alpha beta^2) equals the corridor
+    # bound in exact arithmetic, and rounding no longer picks between them
+    M = random_spd(SpdInstanceSpec(n=16, kappa=100.0, seed=7))
+    U0 = linalg.SpdMatrix(2.0 * np.eye(16))
+    cfg = GdConfig()
+    rate = rate_params(U0, M)
+    assert step_size_policy(U0, M, cfg) == cfg.c_step * (rate.beta / rate.corridor_high**3)
+
+
+@pytest.mark.parametrize("init", gd.INIT_CHOICES)
+def test_step_size_is_the_smaller_of_two_safeguards(init):
+    # on a named start the rate bound 1 / (alpha beta^2) exceeds the corridor
+    # bound by (corridor_high / ||U0||)^3, 2^(3/2) or 3^(3/2) but for the
+    # few ulps by which ||U0|| is widened, so it never binds
+    cfg = GdConfig(init=init)
+    for n in (2, 4, 16):
+        for kappa in (1.0, 10.0, 1e4):
+            for seed in range(5):
+                M = random_spd(SpdInstanceSpec(n=n, kappa=kappa, seed=seed))
+                U0 = initial_iterate(M, cfg)
+                rate = rate_params(U0, M)
+                bound_opnorm = 1.0 / (10.0 * max(rate.u_op * rate.u_op, 3.0 * rate.m_op))
+                bound_corridor = rate.beta / rate.corridor_high**3
+                eta = step_size_policy(U0, M, cfg)
+                assert eta == cfg.c_step * min(bound_opnorm, bound_corridor)
+                bound_rate = 1.0 / (rate.alpha * rate.beta * rate.beta)
+                assert bound_rate >= 2.0**1.5 * (1.0 - 1e-12) * bound_corridor
+
+
+def test_resolve_returns_a_config_that_resolves_to_itself(eigvalsh_calls):
+    M, cfg = resolve(random_spd(SpdInstanceSpec(n=4, kappa=10.0, seed=1)), GdConfig())
+    assert isinstance(cfg.init, linalg.SpdMatrix) and type(cfg.eta) is float
+    eigvalsh_calls.clear()
+    M_again, again = resolve(M, cfg)
+    assert M_again is M and again.init is cfg.init and again.eta == cfg.eta
+    assert eigvalsh_calls == []
 
 
 @pytest.mark.parametrize("init", ["scaled-identity", "sqrt-opnorm-identity"])
@@ -713,7 +757,8 @@ def _ref_sample(err, rng, n):
 
 
 def _ref_run_loop(M, cfg, err):
-    M_spd, U0, eta = gd.resolve(M, cfg)
+    M_spd, cfg = gd.resolve(M, cfg)
+    U0, eta = cfg.init, cfg.eta
     M_arr = M_spd.values
     n = M_spd.n
 
@@ -749,7 +794,6 @@ def _ref_run_loop(M, cfg, err):
             raise LostPositiveDefinitenessError(
                 f"iterate lost positive definiteness at step {t} "
                 f"(lambda_min={lam_min:.6e})",
-                step=t,
                 trace=builder.finish(False, "lost-positive-definiteness"),
             )
         if r <= cfg.tol:
@@ -759,7 +803,6 @@ def _ref_run_loop(M, cfg, err):
             raise DivergenceError(
                 f"residual {r:.6e} at step {t} exceeds {gd.DIVERGENCE_FACTOR:g}x "
                 f"its initial value {r0:.6e}",
-                step=t,
                 trace=builder.finish(False, "diverged"),
             )
     trace = builder.finish(converged, "converged" if converged else "max-iters")
