@@ -243,6 +243,9 @@ class LowerBoundReport:
 
 
 LOWER_BOUND_HEADER = ("t", "residual_fro", "diag_top", "diag_bottom")
+# The longest horizon run_lower_bound runs: its arrays then take 24 MB and
+# its per-step Python loop about a minute (2-core Xeon, case 2).
+LOWER_BOUND_MAX_STEPS = 10**6
 
 
 def run_lower_bound(
@@ -255,6 +258,8 @@ def run_lower_bound(
     can leave the case-1 saddle surface through round-off, which is
     reported, not an error).  The matrix iterates must match the diagonal
     scalar recurrences to 1e-12 or :class:`LowerBoundError` is raised.
+    A horizon, ``steps`` or ceil(kappa), above ``LOWER_BOUND_MAX_STEPS`` is
+    refused before anything is allocated.
     """
     if kappa < 2.0:
         raise ValueError("kappa must be at least 2")
@@ -262,6 +267,13 @@ def run_lower_bound(
     T = math.ceil(kappa) if steps is None else int(steps)
     if T < 1:
         raise ValueError("steps must be positive")
+    if T > LOWER_BOUND_MAX_STEPS:
+        raise ValueError(
+            f"kappa must be at most {LOWER_BOUND_MAX_STEPS:g} for the default horizon "
+            f"of ceil(kappa) steps, got {kappa:g}"
+            if steps is None
+            else f"steps must be at most {LOWER_BOUND_MAX_STEPS}, got {T}"
+        )
     M = np.asarray(inst.M.values)
     sigma = float(M[1, 1])
     bound = 0.25 * sigma

@@ -167,17 +167,29 @@ class ErrorModel:
             raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
 
     def errors(self, n: int, cap: int) -> Iterator[np.ndarray]:
-        """E_1, E_2, ... of a run of order ``n``: ``cap`` errors every step, or E_1 alone.
+        """E_1, E_2, ... of a run of order ``n``: ``cap`` errors every step, or E_1 alone."""
+        return (E for E, _ in self._stream(n, cap))
 
-        Each block is one :meth:`sample`, drawn when its first error is taken.
-        Only this stream, ``default_rng(seed)`` opened here, reads and
-        extends the memo of slice norms.
+    def _stream(self, n: int, cap: int) -> Iterator[tuple[np.ndarray, float]]:
+        """(E_t, ||E_t||_F) for the steps of :meth:`errors`.
+
+        Each block is one :meth:`sample`, drawn when its first error is
+        taken, and its slices' Frobenius norms are one batched dot: numpy's
+        matmul of a 1 x n^2 by an n^2 x 1 core is the BLAS ddot of
+        ``ndarray.dot``, so each is bitwise ``np.linalg.norm`` of its slice,
+        and inf where its squares overflow.  Only this stream,
+        ``default_rng(seed)`` opened here, reads and extends the memo of
+        slice norms.
         """
         rng = np.random.default_rng(self.seed)
         steps = cap if self.schedule == "every-step" else 1
         k = max(1, ERROR_BLOCK_BYTES // (8 * n * n))
         for at in range(1, steps + 1, k):
-            yield from self.sample(rng, n, min(k, steps + 1 - at), _at=at)
+            E = self.sample(rng, n, min(k, steps + 1 - at), _at=at)
+            f = E.reshape(len(E), 1, n * n)
+            with np.errstate(over="ignore"):
+                fro = np.sqrt(np.matmul(f, f.transpose(0, 2, 1)))
+            yield from zip(E, fro.reshape(-1).tolist())
 
     def sample(self, rng, n: int, k: int, *, _at: int | None = None) -> np.ndarray:
         """The errors of the next ``k`` scheduled steps, a (k, n, n) stack.
@@ -192,7 +204,8 @@ class ErrorModel:
             rng.standard_normal((k, n, n))
             return np.zeros((k, n, n))
         G = rng.standard_normal((k, n, n))
-        E = (G + G.transpose(0, 2, 1)) / 2.0
+        E = G + G.transpose(0, 2, 1)
+        E *= 0.5  # bitwise / 2.0, in the one buffer
         key, s = (self.seed, n), None
         norms = _NORM_MEMO.get(key, ())
         if _at is not None and _at - 1 + k <= len(norms):
@@ -433,14 +446,15 @@ def rate_cube(x: float, u_op: float, m_op: float) -> float:
 
 
 def initial_iterate(M, cfg: GdConfig) -> SpdMatrix:
-    """Resolve the starting iterate prescribed by ``cfg``."""
+    """Resolve the starting iterate prescribed by ``cfg`` (a raw M is validated)."""
     if not isinstance(cfg.init, str):
         return linalg.as_spd(cfg.init)
+    M = linalg.as_spd(M)
     if cfg.init == "scaled-identity":
         lam = linalg.estimate_opnorm_bound(M)
     else:
         lam = linalg.spectral_norm(M)
-    return SpdMatrix(math.sqrt(lam) * np.eye(np.shape(M)[0]))
+    return linalg.scaled_identity(math.sqrt(lam), M.n)
 
 
 def resolve(M, cfg: GdConfig) -> tuple[SpdMatrix, GdConfig]:
@@ -504,7 +518,7 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
 
     draw = err is not None and err.delta != 0.0
     if draw:
-        errors = err.errors(n, cap)
+        errors = err._stream(n, cap)
         tolerance = stability_tolerance(eta, rate_params(U0, M_spd))
         if err.delta >= tolerance:
             warnings.warn(
@@ -637,17 +651,20 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
             multiply(eta_h, H, H)
             subtract(U, H, U)
             e = 0.0
-            if draw and (E := next(errors, None)) is not None:
+            if draw and (drawn_error := next(errors, None)) is not None:
+                E, fro = drawn_error
                 add(U, E, U)
-                # bitwise np.linalg.norm(E): the dot of the raveled slice
-                f = E.reshape(-1)
-                drawn.append(sqrt(f.dot(f)))
+                drawn.append(fro)
                 e = delta * grow
             a = sqrt(hdot(h)) * grow + tiny
             rnd = min(a + root_n * e, rounding * (hi + slack + a + e))
             slack = (slack + a + e + rnd) * up
+    # The stop row's refresh took U's extreme eigenvalues, and lam > 0
+    # there, so (lam, opn) are eigvalsh's first and last: U, exactly
+    # symmetric, needs no second eigensolve to be returned.
+    stop = trace("converged" if r <= tol else "max-iters")
     try:
-        return SpdMatrix(U), trace("converged" if r <= tol else "max-iters")
+        return SpdMatrix.with_spectrum(U, lam, opn), stop
     except linalg.NotPositiveDefiniteError:  # lambda_min > 0, but under SPD_RTOL ||U||
         raise LostPositiveDefinitenessError(
             f"iterate at step {t} is too close to singular to return "

@@ -23,6 +23,10 @@ EPS = float(np.finfo(float).eps)
 # times the largest; anything closer to singular is not usefully PD in
 # double precision.
 SPD_RTOL = 1e-12
+# LAPACK's eigvalsh rescales a matrix whose largest entry lies outside
+# [sqrt(safmin / eps), sqrt(eps / safmin)] = [2^-485, 2^485]; inside, the
+# spectrum of c I comes back as c exactly, outside, rounded by the rescaling.
+UNSCALED_RANGE = (2.0**-485, 2.0**485)
 
 
 class LinalgError(Exception):
@@ -42,12 +46,13 @@ class NotPositiveDefiniteError(LinalgError):
 
 
 def _as_square_array(values, name: str = "matrix") -> np.ndarray:
-    A = np.array(values, dtype=float)
+    """``values`` as a float array, not copied: callers write only new arrays."""
+    A = np.asarray(values, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {A.shape}")
     if A.shape[0] < 1:
         raise DimensionMismatchError(f"{name} must have order >= 1")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise LinalgError(f"{name} contains non-finite entries")
     return A
 
@@ -60,7 +65,8 @@ def symmetrize(A) -> np.ndarray:
     """
     A = _as_square_array(A)
     with np.errstate(over="ignore"):
-        S = (A + A.T) / 2.0
+        S = A + A.T
+    S *= 0.5  # bitwise / 2.0, in the one buffer
     finite = np.isfinite(S)
     return S if finite.all() else np.where(finite, S, A / 2.0 + A.T / 2.0)
 
@@ -71,10 +77,13 @@ class SpdMatrix:
     The constructor symmetrizes its argument, so ``values[i, j] ==
     values[j, i]`` holds bitwise, and freezes it; operations return new
     objects.  Positive definiteness is verified at construction by one
-    ``eigvalsh``: the smallest eigenvalue must exceed ``SPD_RTOL`` times
-    the largest, its widened lower bound must be positive, and its
-    widened norm finite.  Construction is the only gate; downstream code
-    may rely on the invariant without rechecking.
+    gate on the extreme eigenvalues: the smallest must exceed ``SPD_RTOL``
+    times the largest, its widened lower bound must be positive, and the
+    widened norm finite.  The constructor takes them from one
+    ``eigvalsh``; :meth:`with_spectrum` takes them from a caller that
+    already has them, and makes no eigensolve.  Either way the gate is the
+    only one; downstream code may rely on the invariant without
+    rechecking.
 
     ``bounds`` keeps that spectrum as (lambda_min, sigma_min, ||A||_2)
     widened outward (see :func:`spectral_bounds`), so every norm of the
@@ -86,10 +95,29 @@ class SpdMatrix:
 
     def __init__(self, values):
         A = symmetrize(values)
-        A.setflags(write=False)
         w = np.linalg.eigvalsh(A)
-        lam_min, lam_max = float(w[0]), float(w[-1])
-        bounds = _widened(w)
+        self._admit(A, w[0], w[-1])
+
+    @classmethod
+    def with_spectrum(cls, values: np.ndarray, lam_min: float, lam_max: float) -> SpdMatrix:
+        """An SpdMatrix of ``values`` whose extreme eigenvalues are known.
+
+        ``values`` must be an exactly symmetric float64 array that nothing
+        else writes, and ``lam_min`` and ``lam_max`` its smallest and
+        largest eigenvalue as ``eigvalsh`` gives them, such as c and c for
+        c I.  The array is frozen in place, not copied, and passes the
+        constructor's gate.
+        """
+        self = object.__new__(cls)
+        self._admit(values, lam_min, lam_max)
+        return self
+
+    def _admit(self, A: np.ndarray, lam_min, lam_max) -> None:
+        """The gate: freeze A and keep its widened bounds, or refuse it."""
+        lam_min, lam_max = float(lam_min), float(lam_max)
+        # Past the first test lam_min > 0, so lam_min is sigma_min and
+        # lam_max the norm: these are spectral_bounds' values, bit for bit.
+        bounds = _widen(lam_min, lam_min, lam_max, A.shape[0])
         # not (x > y): a NaN or infinite spectrum fails too
         if not (lam_min > SPD_RTOL * abs(lam_max) and bounds[0] > 0.0):
             raise NotPositiveDefiniteError(
@@ -100,6 +128,7 @@ class SpdMatrix:
             raise NotPositiveDefiniteError(
                 f"matrix norm overflows: lambda_max={lam_max:.6e} plus eigvalsh's error bound"
             )
+        A.setflags(write=False)
         object.__setattr__(self, "values", A)
         object.__setattr__(self, "bounds", bounds)
 
@@ -139,6 +168,20 @@ class SpdMatrix:
 def as_spd(A) -> SpdMatrix:
     """A itself if it is an :class:`SpdMatrix`, else A validated into one."""
     return A if isinstance(A, SpdMatrix) else SpdMatrix(A)
+
+
+def scaled_identity(c: float, n: int) -> SpdMatrix:
+    """c I of order n, bitwise ``SpdMatrix(c * np.eye(n))``.
+
+    Where ``eigvalsh`` returns c exactly (``UNSCALED_RANGE``), c is the
+    spectrum the gate reads, and no eigensolve is made.
+    """
+    U = np.zeros((n, n))
+    U.reshape(-1)[:: n + 1] = c
+    lo, hi = UNSCALED_RANGE
+    if lo <= c <= hi:
+        return SpdMatrix.with_spectrum(U, c, c)
+    return SpdMatrix(U)
 
 
 @dataclass(frozen=True)
@@ -207,8 +250,11 @@ def _extremes(w) -> tuple:
 
 def _widened(w) -> tuple:
     """:func:`_extremes` of w moved outward by :func:`eigvalsh_pad`."""
-    lam, smin, opnorm = _extremes(w)
-    pad = eigvalsh_pad(len(w), opnorm)
+    return _widen(*_extremes(w), len(w))
+
+
+def _widen(lam: float, smin: float, opnorm: float, n: int) -> tuple:
+    pad = eigvalsh_pad(n, opnorm)
     return lam - pad, max(smin - pad, 0.0), opnorm + pad
 
 

@@ -591,6 +591,26 @@ def test_lowerbound_refuses_an_instance_it_cannot_build(capsys, argv, message):
     assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("--kappa", "1e11", "--eta", "0.3"),
+            "kappa must be at most 1e+06 for the default horizon of ceil(kappa) steps, got 1e+11",
+        ),
+        (
+            ("--kappa", "10", "--eta", "0.3", "--steps", "100000000000"),
+            "steps must be at most 1000000, got 100000000000",
+        ),
+    ],
+)
+def test_lowerbound_refuses_a_horizon_above_its_cap(capsys, argv, message):
+    # three arrays of T + 1 floats, 745 GiB at T = 1e11, used to end in a
+    # numpy allocation traceback
+    code, out, err = run_cli(capsys, "lowerbound", *argv)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: {message}\n")
+
+
 # ------------------------------------------------------------ robustness
 
 

@@ -224,17 +224,108 @@ def test_resolve_returns_a_config_that_resolves_to_itself(eigvalsh_calls):
     assert eigvalsh_calls == []
 
 
-@pytest.mark.parametrize("init", ["scaled-identity", "sqrt-opnorm-identity"])
-def test_run_on_a_raw_array_eigendecomposes_m_and_u0_once_each(
-    sym_eig_calls, eigvalsh_calls, spectral_extremes_calls, init
-):
-    # one eigvalsh each in the constructors of M, U0 and the returned
-    # iterate; the step size reads them, and the loop's refreshes make the rest
+@pytest.mark.parametrize("init", gd.INIT_CHOICES)
+def test_resolve_on_a_raw_array_makes_one_eigensolve(eigvalsh_calls, init):
+    # M's constructor makes it; the named start c I is admitted with the
+    # spectrum c, c, and the step size reads the two
     M = random_spd(SpdInstanceSpec(n=6, kappa=4.0, seed=3))
     eigvalsh_calls.clear()
-    run(np.array(M.values), GdConfig(init=init, max_iters=5))
+    resolve(np.array(M.values), GdConfig(init=init))
+    assert len(eigvalsh_calls) == 1
+
+
+@pytest.mark.parametrize("init", gd.INIT_CHOICES)
+@pytest.mark.parametrize("max_iters", [5, GdConfig.max_iters])
+def test_run_on_a_raw_array_eigendecomposes_only_m_and_its_refreshes(
+    sym_eig_calls, eigvalsh_calls, spectral_extremes_calls, init, max_iters
+):
+    # one eigvalsh in M's constructor, and one in each of the loop's
+    # refreshes; the returned iterate keeps the stop row's
+    M = random_spd(SpdInstanceSpec(n=4, kappa=2.0, seed=3))
+    eigvalsh_calls.clear()
+    _, trace = run(np.array(M.values), GdConfig(init=init, max_iters=max_iters))
+    assert trace.stop_reason == ("max-iters" if max_iters == 5 else "converged")
     assert len(sym_eig_calls) == 0
-    assert len(eigvalsh_calls) - len(spectral_extremes_calls) == 3
+    assert len(eigvalsh_calls) == 1 + len(spectral_extremes_calls)
+
+
+def test_perturbed_run_on_a_warm_memo_eigendecomposes_only_m_and_its_refreshes(
+    eigvalsh_calls, spectral_extremes_calls
+):
+    M = random_spd(SpdInstanceSpec(n=16, kappa=4.0, seed=3))
+    cfg = GdConfig(c_step=1.0, tol=1e-300, max_iters=100)
+    err = ErrorModel(1e-7, "every-step", seed=4)
+    gd._NORM_MEMO.clear()
+    run_perturbed(M, cfg, err)
+    eigvalsh_calls.clear()
+    spectral_extremes_calls.clear()
+    run_perturbed(np.array(M.values), cfg, err)
+    assert len(spectral_extremes_calls) > 1
+    assert len(eigvalsh_calls) == 1 + len(spectral_extremes_calls)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 65, 100, 200])
+def test_eigvalsh_of_a_scaled_identity_is_the_scale_where_lapack_does_not_rescale(n):
+    # initial_iterate admits c I with the spectrum c, c unsolved inside
+    # UNSCALED_RANGE: there LAPACK returns c exactly in every slot.  Outside,
+    # its rescaling may round c, within eigvalsh's error bound.
+    lo, hi = linalg.UNSCALED_RANGE
+    rng = np.random.default_rng(n)
+    step = 1 if n <= 16 else 3 if n <= 65 else 11
+    for e in [*range(-1074, 1024, step), 1023]:
+        for c in (math.ldexp(1.0 + rng.random(), e), math.ldexp(1.8, e)):
+            w = np.linalg.eigvalsh(c * np.eye(n))
+            if lo <= c <= hi:
+                assert np.all(w == c), c
+            else:
+                assert np.all(np.abs(w - c) <= n * linalg.EPS * c), c
+    for c in (lo, hi, np.nextafter(lo, 1.0), np.nextafter(hi, 0.0)):
+        assert np.all(np.linalg.eigvalsh(c * np.eye(n)) == c), c
+
+
+@pytest.mark.parametrize("init", gd.INIT_CHOICES)
+def test_named_start_is_bitwise_the_eigensolved_one_at_every_scale(init):
+    # the start against SpdMatrix(c * I), which validates by eigvalsh,
+    # over every scale 4^k at which SpdMatrix accepts the seeded matrix
+    cfg = GdConfig(init=init)
+    norm = linalg.estimate_opnorm_bound if init == "scaled-identity" else linalg.spectral_norm
+    checked = 0
+    for n, kappa, seed in [(1, 1.0, 0), (4, 10.0, 5), (16, 10.0, 2)]:
+        base = random_spd(SpdInstanceSpec(n=n, kappa=kappa, seed=seed)).values
+        for k in range(-560, 541):
+            try:
+                with np.errstate(over="ignore"):
+                    M = linalg.SpdMatrix(np.ldexp(base, 2 * k))
+            except linalg.LinalgError:  # not positive definite, or not finite
+                continue
+            U0 = initial_iterate(M, cfg)
+            ref = linalg.SpdMatrix(math.sqrt(norm(M)) * np.eye(n))
+            assert _same_bits(U0.values, ref.values), (n, k)
+            assert _same_bits(np.array(U0.bounds), np.array(ref.bounds)), (n, k)
+            checked += 1
+    assert checked > 3 * 1000
+
+
+def _root_of(case):
+    M = random_spd(SpdInstanceSpec(n=4, kappa=4.0, seed=9))
+    if case == "converged":
+        U, trace = run(M, GdConfig(c_step=1.0))
+    elif case == "capped":
+        U, trace = run(M, GdConfig(max_iters=50))
+    else:
+        cfg = GdConfig(c_step=1.0, tol=1e-300, max_iters=300)
+        U, trace = run_perturbed(M, cfg, ErrorModel(1e-7, "every-step", seed=2))
+    return U, trace
+
+
+@pytest.mark.parametrize("case", ["converged", "capped", "perturbed"])
+def test_returned_root_keeps_the_bounds_of_an_eigensolve(case):
+    # the root is admitted with its stop row's eigenvalues, not solved again
+    U, trace = _root_of(case)
+    assert trace.stop_reason == ("converged" if case == "converged" else "max-iters")
+    ref = linalg.SpdMatrix(np.array(U.values))
+    assert _same_bits(np.array(U.bounds), np.array(ref.bounds))
+    assert _same_bits(U.values, ref.values) and not U.values.flags.writeable
 
 
 def test_step_size_and_rate_params_share_the_cached_spectra(sym_eig_calls, eigvalsh_calls):
@@ -1216,6 +1307,30 @@ def test_error_sample_keeps_a_zero_slice_zero():
     block = err.sample(Stream(), n, 3)
     assert _same_bits(block, ref)
     assert np.all(block[1] == 0.0) and np.all(block[0] != 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 63, 64, 65, 100])
+@pytest.mark.parametrize("delta", [1e-300, 1e-6, 1e300])
+def test_drawn_norms_are_the_norms_of_the_reference_stream(n, delta):
+    # each block's slice norms are one batched dot, bitwise np.linalg.norm
+    # of each slice; at 1e300 the squares overflow, the norm is inf, and no
+    # RuntimeWarning is raised.  That run diverges at step 1 on its error.
+    M = random_spd(SpdInstanceSpec(n=n, kappa=1.0 if n == 1 else 4.0, seed=n))
+    err = ErrorModel(delta, "every-step", seed=3)
+    cfg = GdConfig(tol=1e-300, max_iters=40)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # delta over the stability tolerance
+            trace = run_perturbed(M, cfg, err)[1]
+    except DivergenceError as exc:
+        assert delta == 1e300
+        trace = exc.trace
+    rng = np.random.default_rng(err.seed)
+    with np.errstate(over="ignore"):
+        ref = [np.linalg.norm(_ref_sample(err, rng, n)) for _ in trace.drawn_fro]
+    assert _same_bits(trace.drawn_fro, np.array(ref))
+    assert len(ref) == (1 if delta == 1e300 else 40)
+    assert np.all(np.isinf(ref)) if delta == 1e300 else np.all(np.isfinite(ref))
 
 
 # ------------------------------------------------------------ norm memo

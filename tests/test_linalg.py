@@ -330,6 +330,37 @@ def test_spd_names_an_overflowing_norm_as_the_cause():
         SpdMatrix(np.diag([1e308, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "A",
+    [
+        np.diag([2.0, 1.0]),
+        random_pd(5, 4),
+        np.diag([1.0, 1e-13]),
+        np.diag([1.0, -1.0]),
+        np.diag([1.0, 0.0]),
+        np.diag([1e308, 1e300]),
+        np.diag([1e308, 1.0]),
+        np.array([[np.finfo(float).max]]),
+    ],
+    ids=["pd", "random-pd", "under-rtol", "indefinite", "singular", "huge", "huge-kappa", "max"],
+)
+def test_a_known_spectrum_passes_the_constructors_gate(A):
+    # with the constructor's own eigvalsh, with_spectrum accepts and refuses
+    # alike, with the same bounds or message, and freezes its array in place
+    w = np.linalg.eigvalsh(A)
+    try:
+        ref = SpdMatrix(A)
+    except NotPositiveDefiniteError as exc:
+        with pytest.raises(NotPositiveDefiniteError) as exc_info:
+            SpdMatrix.with_spectrum(A, w[0], w[-1])
+        assert str(exc_info.value) == str(exc) and A.flags.writeable
+        return
+    S = SpdMatrix.with_spectrum(A, w[0], w[-1])
+    assert S.values is A and not A.flags.writeable
+    assert np.array_equal(np.array(S.bounds), np.array(ref.bounds))
+    assert all(type(x) is float for x in S.bounds)
+
+
 def test_spd_symmetrizes_input():
     # [[1, 2], [0, 1]] would symmetrize to a singular matrix
     S = SpdMatrix(np.array([[3.0, 2.0], [0.0, 3.0]]))
