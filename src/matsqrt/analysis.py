@@ -177,8 +177,7 @@ def _report(name: str, samples: int, floor: float, results) -> CertificateReport
 
 def margin_scale(M) -> float:
     """||M||_F^4, the scale of the dominance margins; a :class:`GdError` past the doubles."""
-    with np.errstate(over="ignore"):
-        fro = linalg.frobenius_norm(M)
+    fro = linalg.frobenius_norm(M)
     try:
         if fro < math.inf:
             return fro**4
@@ -238,8 +237,8 @@ def smoothness_certificate(
                 rng = _rng_for(seed, i)
                 U1 = _sample_symmetric_ball(rng, n, radius)
                 U2 = _sample_symmetric_ball(rng, n, radius)
-            dist = float(np.linalg.norm(U1 - U2))
-            observed = float(np.linalg.norm(gradient(U1, M_arr) - gradient(U2, M_arr)))
+            dist = linalg.frobenius_norm(U1 - U2)
+            observed = linalg.frobenius_norm(gradient(U1, M_arr) - gradient(U2, M_arr))
             margin = slope * dist - observed
             witness = None
             if not margin >= allowance:
@@ -275,7 +274,7 @@ def gradient_dominance_certificate(
             else:
                 U, _ = _sample_pd_interval(_rng_for(seed, i), n, lo, hi)
             margin = (
-                float(np.linalg.norm(gradient(U, M_arr))) ** 2
+                linalg.frobenius_norm(gradient(U, M_arr)) ** 2
                 - 4.0 * floor * objective(U, M_arr)
             )
             yield margin, f"sample {i}: margin {margin:.6e}" if not margin >= allowance else None
@@ -310,7 +309,7 @@ def saddle_location_check(M, num_samples: int, seed: int) -> CertificateReport:
                 U, smin = linalg.from_eig(V, lam), float(lam.min())
             else:
                 U, smin = _sample_pd_interval(_rng_for(seed, i), n, SADDLE_SIGMA_FLOOR, hi)
-            g = float(np.linalg.norm(gradient(U, M_arr)))
+            g = linalg.frobenius_norm(gradient(U, M_arr))
             f = objective(U, M_arr)
             margin = g * g - 4.0 * smin * smin * f
             witness = None

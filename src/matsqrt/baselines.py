@@ -42,17 +42,11 @@ def scalar_newton(m: float, u0: float, iters: int) -> list:
 
 
 def frobenius_scale(M) -> float:
-    """||M||_F, the scale of Newton's tolerance; a :class:`LinalgError` past the doubles.
-
-    A norm whose squares all underflow reads 0, and a tolerance relative to
-    it would accept any iterate, M itself included, so it is refused too.
-    """
-    with np.errstate(over="ignore"):
-        fro = linalg.frobenius_norm(M)
-    if 0.0 < fro < np.inf:
+    """||M||_F, the scale of Newton's tolerance; a :class:`LinalgError` past the largest double."""
+    fro = linalg.frobenius_norm(M)
+    if fro < np.inf:
         return fro
-    verb = "overflows" if fro else "underflows"
-    raise linalg.LinalgError(f"||M||_F = {fro:.6e} {verb}; Newton's tol is relative to it")
+    raise linalg.LinalgError(f"||M||_F = {fro:.6e} overflows; Newton's tol is relative to it")
 
 
 def newton_sqrt(M, cfg: NewtonConfig = NewtonConfig()):

@@ -483,6 +483,11 @@ def convergence_benchmark(specs, methods=METHODS, cfg: GdConfig = None) -> list:
     return rows
 
 
+def _landscape_row(x: float, y: float) -> tuple:
+    d1, d2 = x * x - 4.0, y * y - 2.0
+    return (x, y, d1 * d1 + d2 * d2, -2.0 * d1 * x, -2.0 * d2 * y)
+
+
 def landscape_grid(grid_min: float = 0.0, grid_max: float = 3.0, steps: int = 100) -> list:
     """Objective and negative-gradient samples of the diagonal restriction.
 
@@ -496,18 +501,14 @@ def landscape_grid(grid_min: float = 0.0, grid_max: float = 3.0, steps: int = 10
         raise ValueError("need 0 <= grid_min < grid_max, both finite")
     if steps < 1:
         raise ValueError("steps must be positive")
-    pts = np.linspace(grid_min, grid_max, steps + 1)
-    rows = []
-    for x in pts:
-        x = float(x)
-        d1 = x * x - 4.0
-        for y in pts:
-            y = float(y)
-            d2 = y * y - 2.0
-            rows.append((x, y, d1 * d1 + d2 * d2, -2.0 * d1 * x, -2.0 * d2 * y))
+    # past x = y = 2, f and |gradient| grow with x and y: the corner is the largest row
+    if not all(map(math.isfinite, _landscape_row(grid_max, grid_max))):
+        raise ValueError(f"grid_max {grid_max:g} puts inf in the corner row (grid_max, grid_max)")
+    pts = np.linspace(grid_min, grid_max, steps + 1).tolist()
+    rows = [_landscape_row(x, y) for x in pts for y in pts]
     for mark in _LANDMARKS:
         x, y = mark[0], mark[1]
         if grid_min <= x <= grid_max and grid_min <= y <= grid_max:
-            if not (np.any(pts == x) and np.any(pts == y)):
+            if not (x in pts and y in pts):
                 rows.append(mark)
     return rows

@@ -51,10 +51,6 @@ C_RATE = 1.0 / 50.0
 # slack accumulated since the last exact value exceeds this fraction of
 # lambda_min there.
 BRACKET_RTOL = 1.0 / 16.0
-# A residual sqrt(d . d) below this may be off by more than its rounding:
-# each entry of D under 2^-511 squares to a subnormal and loses up to
-# 2^-1075, which above it is far below the dot's rounding for n < 2^30.
-TINY_RESIDUAL = 2.0**-480
 # A perturbed run draws its every-step errors in blocks of about this many
 # bytes: 32 matrices at n = 16, 2 at n = 64 and one from n = 65 up.
 ERROR_BLOCK_BYTES = 64 * 1024
@@ -332,15 +328,18 @@ class IterationTrace:
 
 
 def objective(U, M) -> float:
-    """f(U) = ||M - U^2||_F^2."""
-    return residual_fro(U, M) ** 2
+    """f(U) = ||M - U^2||_F^2; inf where that passes the largest double."""
+    try:
+        return residual_fro(U, M) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def residual_fro(U, M) -> float:
-    """||M - U^2||_F."""
+    """||M - U^2||_F, by :func:`linalg.frobenius_norm`."""
     U = np.asarray(U, dtype=float)
     M = np.asarray(M, dtype=float)
-    return float(np.linalg.norm(M - U @ U))
+    return linalg.frobenius_norm(M - U @ U)
 
 
 def gradient(U, M) -> np.ndarray:
@@ -496,20 +495,6 @@ def run_perturbed(M, cfg: GdConfig, err: ErrorModel) -> tuple[SpdMatrix, Iterati
     return _run_loop(M, cfg, err=err)
 
 
-def _rescaled_norm(d) -> float:
-    """sqrt(d . d) of a finite vector, taken with its top entry scaled into [1/2, 1).
-
-    The scale is a power of two, so where no square underflows the value
-    is bitwise that of the unscaled dot.
-    """
-    top = float(np.max(np.abs(d)))
-    if top == 0.0:
-        return 0.0
-    k = math.frexp(top)[1]
-    x = np.ldexp(d, -k)
-    return math.ldexp(math.sqrt(x.dot(x)), k)
-
-
 def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     M_spd, cfg = resolve(M, cfg)
     M_arr = M_spd.values
@@ -573,8 +558,8 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     # takes the rare branch, which tests in the order of the guards: a
     # non-finite residual, then a refresh, a loss of definiteness,
     # convergence, divergence and the cap; t = 0 always does, with infinite
-    # slack, and sets r_div.  It takes a residual under TINY_RESIDUAL again
-    # by ``_rescaled_norm``, so no underflowed square stops a run.
+    # slack, and sets r_div.  It takes a residual under linalg.TINY_NORM
+    # again by ``linalg.frobenius_norm``, so no underflowed square stops a run.
     # At n <= 16 the interpreter's bookkeeping costs as much as the BLAS
     # calls, so the callables and ``G.T`` are bound once, the bound
     # ``ndarray.dot`` of U and of D makes the BLAS call of ``@`` with the
@@ -612,8 +597,8 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                 add_smin((lo - slack) * down)
                 add_opn((hi + slack) * up)
             else:
-                if r < TINY_RESIDUAL:
-                    r = _rescaled_norm(d)
+                if r < linalg.TINY_NORM:
+                    r = linalg.frobenius_norm(D)
                 add_r(r)
                 if not math.isfinite(r):
                     add_smin(math.nan)

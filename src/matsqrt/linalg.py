@@ -13,6 +13,7 @@ at construction, and every random choice takes an explicit generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,10 @@ SPD_RTOL = 1e-12
 # [sqrt(safmin / eps), sqrt(eps / safmin)] = [2^-485, 2^485]; inside, the
 # spectrum of c I comes back as c exactly, outside, rounded by the rescaling.
 UNSCALED_RANGE = (2.0**-485, 2.0**485)
+# A norm sqrt(a . a) below this may be off by more than its rounding: each
+# entry under 2^-511 squares to a subnormal and loses up to 2^-1075, which
+# above it is far below the dot's rounding for fewer than 2^60 entries.
+TINY_NORM = 2.0**-480
 
 
 class LinalgError(Exception):
@@ -209,8 +214,19 @@ def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def frobenius_norm(A) -> float:
+    """||A||_F, inf only where it passes the largest double; no numpy warning.
+
+    Where ``np.linalg.norm(A)`` lies in [``TINY_NORM``, inf) it is the
+    value, bit for bit.  Elsewhere its squares may have under- or
+    overflowed, and the norm is ``math.hypot`` of the entries, which
+    scales them before squaring.
+    """
     A = np.asarray(A, dtype=float)
-    return float(np.linalg.norm(A))
+    with np.errstate(over="ignore"):
+        fro = float(np.linalg.norm(A))
+    if TINY_NORM <= fro < math.inf:
+        return fro
+    return math.hypot(*A.ravel().tolist())
 
 
 def sym_eig(A) -> EigenDecomposition:
@@ -240,17 +256,7 @@ def eigvalsh_pad(n: int, opnorm: float) -> float:
 def _extremes(w) -> tuple:
     """(lambda_min, sigma_min, ||A||_2) from ascending eigenvalues w."""
     lo, hi = float(w[0]), float(w[-1])
-    if lo > 0.0:
-        # a positive lo is min |w| and hi is max |w|, bit for bit; the
-        # general form's two reductions cost about 3 us more a call at
-        # n = 16, a tenth of a library set-up (2-core Xeon, one BLAS thread)
-        return lo, lo, hi
     return lo, float(np.min(np.abs(w))), max(abs(lo), abs(hi))
-
-
-def _widened(w) -> tuple:
-    """:func:`_extremes` of w moved outward by :func:`eigvalsh_pad`."""
-    return _widen(*_extremes(w), len(w))
 
 
 def _widen(lam: float, smin: float, opnorm: float, n: int) -> tuple:
@@ -267,7 +273,8 @@ def spectral_bounds(A) -> tuple:
     """
     if isinstance(A, SpdMatrix):
         return A.bounds
-    return _widened(np.linalg.eigvalsh(symmetrize(A)))
+    w = np.linalg.eigvalsh(symmetrize(A))
+    return _widen(*_extremes(w), len(w))
 
 
 def spectral_norm(A) -> float:

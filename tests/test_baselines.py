@@ -9,6 +9,7 @@ from matsqrt.baselines import (
     NewtonConfig,
     NewtonConvergenceError,
     evd_sqrt,
+    frobenius_scale,
     newton_sqrt,
     scalar_newton,
 )
@@ -28,6 +29,12 @@ def test_scalar_newton_quadratic_convergence():
     for a, b in zip(errs, errs[1:]):
         if a > 1e-8:
             assert b <= a * a
+
+
+@pytest.mark.parametrize("m, u0", [(0.0, 1.0), (1.0, -1.0)])
+def test_scalar_newton_refuses_a_non_positive_argument(m, u0):
+    with pytest.raises(ValueError, match="requires m > 0 and u0 > 0"):
+        scalar_newton(m, u0, 3)
 
 
 def test_newton_sqrt_diagonal():
@@ -119,21 +126,25 @@ def test_newton_raises_at_kappa_1e8(n):
 
 
 def test_newton_refuses_a_matrix_whose_frobenius_norm_overflows():
-    # the tolerance is relative to ||M||_F; no numpy warning on the way
+    # the tolerance is relative to ||M||_F = 2.1e308; no numpy warning on the way
     with pytest.raises(linalg.LinalgError, match="_F = inf overflows"):
-        newton_sqrt(np.diag([1e308, 1e300]))
+        newton_sqrt(np.diag([1.5e308, 1.5e308]))
 
 
-def test_newton_refuses_a_matrix_whose_frobenius_norm_underflows():
-    # ||M||_F and ||M - M^2||_F both read 0, so a tolerance relative to
-    # ||M||_F would take M itself for its root
-    with pytest.raises(linalg.LinalgError, match="_F = 0.000000e[+]00 underflows"):
-        newton_sqrt(np.diag([1e-300, 2e-300]))
+@pytest.mark.parametrize(
+    "m, fro",
+    # the doubles nearest the exact norms
+    [([1e308, 1e300], 1e308), ([1e-300, 2e-300], 2.2360679774997897e-300)],
+    ids=["1e308", "1e-300"],
+)
+def test_frobenius_scale_is_the_norm_where_the_squares_leave_the_doubles(m, fro):
+    # np.linalg.norm reads inf and 0 here
+    assert frobenius_scale(np.diag(m)) == fro
 
 
 def test_newton_residual_may_overflow_on_the_way():
-    # the first residual's entries are about 1e200, and its squared norm is
-    # past the doubles; it reads inf, with no numpy warning, until Y shrinks
+    # the first residual's entries are about 1e200 and their squares pass
+    # the doubles, while its norm does not; it fails the test until Y shrinks
     M = 1e100 * np.diag([1.0, 0.1])
     X, iters = newton_sqrt(M, NewtonConfig(max_iters=200))
     assert iters > 100

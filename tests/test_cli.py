@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import io as std_io
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matsqrt import cli, experiments, gd, io, linalg
+from matsqrt import analysis, cli, experiments, gd, io, linalg
 from matsqrt.baselines import NewtonConvergenceError, evd_sqrt
 from matsqrt.experiments import LowerBoundError, SpdInstanceSpec, random_spd
 from matsqrt.gd import DivergenceError
@@ -145,6 +146,14 @@ def test_exit_usage_bad_env_seed(capsys, spd_file, monkeypatch):
 def test_exit_usage_bad_eta_argument(capsys, spd_file):
     code, _, _ = run_cli(capsys, "sqrt", spd_file, "--eta", "fast")
     assert code == 1
+
+
+def test_exit_usage_unknown_init(capsys, spd_file):
+    code, out, err = run_cli(capsys, "sqrt", spd_file, "--init", "bogus")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == (
+        "error: --init must be one of ('auto-lambda', 'sqrt-opnorm') or file:PATH, got 'bogus'\n"
+    )
 
 
 def test_exit_usage_start_of_the_wrong_order(capsys, spd_file, matrix_file):
@@ -333,9 +342,9 @@ def test_exit_diverged_on_a_corridor_bound_whose_cube_underflows(capsys, matrix_
 
 
 def test_newton_refuses_a_matrix_whose_frobenius_norm_overflows(capsys, matrix_file):
-    # the relative tolerance divides by ||M||_F, which overflows here; no
-    # numpy warning reaches stderr
-    path = matrix_file(np.diag([1e308, 1e300]))
+    # the relative tolerance divides by ||M||_F = 2.1e308, which overflows;
+    # no numpy warning reaches stderr
+    path = matrix_file(np.diag([1.5e308, 1.5e308]))
     code, out, err = run_cli(capsys, "sqrt", path, "--method", "newton")
     assert (code, out) == (cli.EXIT_DIVERGED, "")
     assert err == "error: ||M||_F = inf overflows; Newton's tol is relative to it\n"
@@ -348,16 +357,17 @@ def test_newton_takes_a_matrix_of_norm_below_tol(capsys, matrix_file):
     code, out, err = run_cli(capsys, "sqrt", matrix_file(M), "--method", "newton")
     assert (code, err) == (0, "")
     Y = parse_stdout_matrix(out)
-    assert np.linalg.norm(M - Y @ Y) <= 1e-8
+    assert linalg.frobenius_norm(M - Y @ Y) <= 1e-8
 
 
-def test_newton_refuses_a_matrix_whose_frobenius_norm_underflows(capsys, matrix_file):
-    # the squares of the entries underflow and ||M||_F reads 0; the absolute
-    # --tol is divided by it
-    path = matrix_file(np.diag([1e-300, 2e-300]))
-    code, out, err = run_cli(capsys, "sqrt", path, "--method", "newton")
-    assert (code, out) == (cli.EXIT_DIVERGED, "")
-    assert err == "error: ||M||_F = 0.000000e+00 underflows; Newton's tol is relative to it\n"
+def test_newton_takes_a_matrix_whose_frobenius_squares_underflow(capsys, matrix_file):
+    # the squares of the entries underflow, but ||M||_F is taken at scale and
+    # reads 2.236068e-300, not 0; the root meets the absolute tolerance
+    M = np.diag([1e-300, 2e-300])
+    code, out, err = run_cli(capsys, "sqrt", matrix_file(M), "--method", "newton")
+    assert (code, err) == (0, "")
+    Y = parse_stdout_matrix(out)
+    assert linalg.frobenius_norm(M - Y @ Y) <= 1e-8
 
 
 def test_newton_names_a_relative_tolerance_that_overflows(capsys, matrix_file):
@@ -446,6 +456,22 @@ def test_certify_refuses_fewer_than_one_sample(capsys, spd_file, samples, self_t
     code, out, err = run_cli(capsys, "certify", spd_file, "--samples", samples, *self_test)
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert err == f"error: --samples must be at least 1, got {samples}\n"
+
+
+def test_certify_reports_the_corridor_of_a_run_that_fails(capsys, spd_file, monkeypatch):
+    # the corridor check reads the trace that the run's GdError carries
+    checked = []
+
+    def failing_run(M, cfg):
+        _, trace = gd.run(M, dataclasses.replace(cfg, max_iters=5))
+        checked.append(analysis.corridor_check(trace, gd.rate_params(cfg.init, M)))
+        raise DivergenceError("boom", trace=trace)
+
+    monkeypatch.setattr(cli, "run", failing_run)
+    code, out, err = run_cli(capsys, "certify", spd_file, "--samples", "10")
+    assert (code, err) == (0, "")
+    assert checked[0].samples == 6
+    assert out.splitlines()[-1] == io.report_json_line(checked[0])
 
 
 def test_certify_eigendecomposes_m_once_and_sqrt_never(capsys, tmp_path, sym_eig_calls):
@@ -537,6 +563,12 @@ def test_lowerbound_horizon_past_window(capsys):
     )
     assert code == 4
     assert "error:" in err
+
+
+def test_lowerbound_exits_on_a_failed_exact_certification(capsys):
+    code, out, err = run_cli(capsys, "lowerbound", "--kappa", "2", "--eta", "0.5", "--case", "2")
+    assert (code, out) == (cli.EXIT_CERT_FAILED, "")
+    assert err == "error: exact certification of the residual bound failed\n"
 
 
 @pytest.mark.parametrize(
@@ -689,6 +721,37 @@ def test_bench_rejects_a_non_finite_instance_value(capsys, flag):
     assert err.startswith("error: ") and "must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, kind", [("--sizes", "4,x", "integer"), ("--kappas", "1,y", "float")]
+)
+def test_bench_refuses_a_list_entry_that_is_not_a_number(capsys, flag, value, kind):
+    code, out, err = run_cli(capsys, "bench", flag, value)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == f"error: argument {flag}: expected a comma-separated {kind} list, got '{value}'\n"
+
+
+def test_bench_records_a_newton_failure_in_its_row(capsys):
+    code, out, err = run_cli(
+        capsys, "bench", "--sizes", "16", "--kappas", "1e8", "--methods", "newton"
+    )
+    assert (code, err) == (0, "")
+    row = out.splitlines()[-1].split(",")
+    del row[experiments.BENCHMARK_HEADER.index("wall_time_s")]
+    assert row == ["16", "100000000", "newton", "", "", "", "error:NewtonConvergenceError"]
+
+
+def test_bench_takes_a_residual_whose_squares_overflow(capsys):
+    # at ||M||_2 = 1e200 the entries of the evd residual are about 1e184:
+    # their squares pass the largest double, and its norm does not
+    code, out, err = run_cli(capsys, "bench", "--sizes", "4", "--kappas", "10", "--opnorm", "1e200")
+    assert (code, err) == (0, "")
+    row = out.splitlines()[-1].split(",")
+    assert row[2] == "evd"
+    M = random_spd(SpdInstanceSpec(n=4, kappa=10.0, opnorm=1e200, seed=0)).values
+    X = evd_sqrt(M).values
+    assert float(row[6]) == linalg.frobenius_norm(M - X @ X) < math.inf
+
+
 def test_bench_deterministic_modulo_wall_time(capsys):
     argv = ["bench", "--sizes", "2", "--kappas", "4", "--seed", "0"]
     _, out1, _ = run_cli(capsys, *argv)
@@ -718,6 +781,16 @@ def test_landscape_refuses_a_non_finite_bound(capsys):
     code, out, err = run_cli(capsys, "landscape", "--grid-max", "inf")
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert err == "error: need 0 <= grid_min < grid_max, both finite\n"
+
+
+def test_landscape_refuses_a_grid_whose_corner_row_overflows(capsys):
+    # f at (1e77, 1e77) is about 2e308; at 9e76 the grid is finite
+    code, out, err = run_cli(capsys, "landscape", "--steps", "1", "--grid-max", "1e77")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: grid_max 1e+77 puts inf in the corner row (grid_max, grid_max)\n"
+    code, out, err = run_cli(capsys, "landscape", "--steps", "1", "--grid-max", "9e76")
+    assert (code, err) == (0, "")
+    assert "inf" not in out
 
 
 def test_readme_batch_runs(capsys, monkeypatch, tmp_path):

@@ -760,6 +760,17 @@ def test_objective_is_squared_residual():
     assert objective(U, M) == 9.0
 
 
+def test_objective_is_inf_where_a_finite_residual_squares_past_the_doubles():
+    # the squares of the entries overflow and ||M - U^2||_F = 5 2^665, about
+    # 6.5e200, does not
+    M = np.diag([math.ldexp(3.0, 665), math.ldexp(4.0, 665)])
+    U = np.zeros((2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert residual_fro(U, M) == math.ldexp(5.0, 665)
+        assert objective(U, M) == math.inf
+
+
 # ------------------------------------------- reference loop (list trace)
 #
 # The descent loop as it was before it moved to preallocated buffers and an

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -277,6 +278,11 @@ def test_solve_dimension_mismatch():
         solve(np.eye(2), np.ones(3))
 
 
+def test_solve_refuses_a_non_finite_right_hand_side():
+    with pytest.raises(linalg.LinalgError, match="right-hand side contains non-finite entries"):
+        solve(np.eye(2), np.array([1.0, np.nan]))
+
+
 # ---------------------------------------------------------------- types
 
 
@@ -440,9 +446,61 @@ def test_spd_rejects_singular():
         SpdMatrix(np.diag([1.0, 0.0]))
 
 
+@pytest.mark.parametrize(
+    "shape, message",
+    [((2, 3), r"must be square, got shape \(2, 3\)"), ((0, 0), "must have order >= 1")],
+    ids=["2x3", "0x0"],
+)
+def test_spd_refuses_an_array_that_is_not_a_square_matrix(shape, message):
+    with pytest.raises(DimensionMismatchError, match=message):
+        SpdMatrix(np.zeros(shape))
+
+
 def test_frobenius_matches_reference():
     A = random_symmetric(5, 9)
     assert frobenius_norm(A) == pytest.approx(np.linalg.norm(A), rel=1e-15)
+
+
+def _exact_sum_of_squares(A) -> Fraction:
+    # every double is an integer multiple of 2^-1074
+    total = 0
+    for x in A.ravel().tolist():
+        p, q = x.as_integer_ratio()
+        total += (p * (2**1074 // q)) ** 2
+    return Fraction(total, 4**1074)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 64])
+def test_frobenius_norm_against_an_exact_oracle_at_every_scale(n):
+    # A 2^e for every e at which its entries are finite and not all 0:
+    # np.linalg.norm's value wherever that is at least TINY_NORM and
+    # finite, else within 2 ulps of the exact norm, and inf only past the
+    # largest double
+    A = np.random.default_rng(n).standard_normal((n, n))
+    base = _exact_sum_of_squares(A)
+    largest = Fraction(np.finfo(float).max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in range(-1074, 1024):
+            with np.errstate(over="ignore"):
+                S = np.ldexp(A, e)
+                reference = float(np.linalg.norm(S))
+            if not np.isfinite(S).all() or not S.any():
+                continue
+            fro = frobenius_norm(S)
+            if linalg.TINY_NORM <= reference < math.inf:
+                assert fro == reference, e
+                continue
+            exact = (
+                base * Fraction(2) ** (2 * e)
+                if np.array_equal(np.ldexp(S, -e), A)  # the scaling was exact
+                else _exact_sum_of_squares(S)
+            )
+            if fro == math.inf:
+                assert exact > largest * largest, e
+                continue
+            ulps = 2 * Fraction(math.ulp(fro))
+            assert max(Fraction(fro) - ulps, 0) ** 2 <= exact <= (Fraction(fro) + ulps) ** 2, e
 
 
 # ------------------------------------------------------ opnorm bound

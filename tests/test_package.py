@@ -1,8 +1,10 @@
-"""What the package exports, and what a command of its CLI loads."""
+"""What the package exports, what a command of its CLI loads, and what its modules call."""
 
+import ast
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,3 +112,37 @@ def test_sqrt_loads_no_certificate_or_experiment_module(tmp_path, method):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     # the last line follows the command's own '#' echo lines
     assert (proc.stdout.splitlines()[-1], proc.stderr) == ("0 []", "")
+
+
+def _linalg_norm_calls(tree):
+    """(function, line) of each call of np.linalg.norm or numpy.linalg.norm in a module."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "norm"
+            and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == "linalg"
+            and isinstance(node.func.value.value, ast.Name)
+            and node.func.value.value.id in ("np", "numpy")
+        ):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_frobenius_norm_calls_numpys_norm():
+    # one Frobenius norm for the package: a second path would miss the
+    # rescaling that keeps its squares from leaving the doubles
+    calls = {}
+    for path in sorted(Path(matsqrt.__file__).parent.glob("*.py")):
+        for function, line in _linalg_norm_calls(ast.parse(path.read_text(), str(path))):
+            calls.setdefault((path.name, function), []).append(line)
+    assert list(calls) == [("linalg.py", "frobenius_norm")], calls
