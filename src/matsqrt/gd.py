@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 import warnings
 from array import array
 from dataclasses import dataclass, replace
@@ -54,9 +53,6 @@ BRACKET_RTOL = 1.0 / 16.0
 # A perturbed run draws its every-step errors in blocks of about this many
 # bytes: 32 matrices at n = 16, 2 at n = 64 and one from n = 65 up.
 ERROR_BLOCK_BYTES = 64 * 1024
-# ErrorModel.sample keeps the slice norms of the first steps of one error
-# stream per process, at most this many (1 MiB of float64).
-NORM_MEMO_SLICES = 1 << 17
 
 
 class GdError(Exception):
@@ -128,20 +124,17 @@ class GdConfig:
 
 @dataclass(frozen=True)
 class ErrorModel:
-    """Per-step additive perturbations of spectral norm just under ``delta``.
+    """Per-step additive perturbations of Frobenius norm just under ``delta``.
 
     Each scheduled step adds a symmetric Gaussian matrix from the generator
-    ``default_rng(seed)``, scaled by one ``eigvalsh`` and a certified margin
-    into delta (1 - 8 n eps) <= ||E_t||_2 <= delta (bar a subnormal delta's
-    rounding).  ``schedule`` is ``"every-step"`` or ``"first-step-only"``;
+    ``default_rng(seed)``, scaled by its Frobenius norm and a certified
+    margin into delta (1 - 2 (n^2 + 4) eps) <= ||E_t||_F <= delta (bar a
+    subnormal delta's rounding), so that ||E_t||_2 <= delta too.
+    ``schedule`` is ``"every-step"`` or ``"first-step-only"``;
     ``delta = 0`` injects nothing; ``seed`` is an integer.  The errors are
     drawn in blocks of consecutive steps, one stacked draw per block,
     bitwise those of one draw per step, so the slice of step t depends only
-    on the seed, n and t.  A process memoizes the slice norms of one stream
-    that :meth:`errors` draws, from step 1, keyed by (seed, n), at most
-    ``NORM_MEMO_SLICES`` of them: a run that redraws a stream, such as each
-    positive delta of a ladder under one seed, makes no eigensolve for the
-    steps it finds.
+    on the seed, n and t.
     """
 
     delta: float = 0.0
@@ -155,8 +148,9 @@ class ErrorModel:
             raise ValueError(
                 f"schedule must be one of {SCHEDULE_CHOICES}, got {self.schedule!r}"
             )
-        # default_rng returns a Generator seed as it is, whose state (seed, n)
-        # would not identify
+        # default_rng returns a Generator seed as it is, and a run would then
+        # draw from, and advance, the caller's generator: its errors would
+        # depend on what drew from it before, not on (seed, n, t) alone
         try:
             object.__setattr__(self, "seed", operator.index(self.seed))
         except TypeError:
@@ -170,31 +164,20 @@ class ErrorModel:
         """(E_t, ||E_t||_F) for the steps of :meth:`errors`.
 
         Each block is one :meth:`sample`, drawn when its first error is
-        taken, and its slices' Frobenius norms are one batched dot: numpy's
-        matmul of a 1 x n^2 by an n^2 x 1 core is the BLAS ddot of
-        ``ndarray.dot``, so each is bitwise ``np.linalg.norm`` of its slice,
-        and inf where its squares overflow.  Only this stream,
-        ``default_rng(seed)`` opened here, reads and extends the memo of
-        slice norms.
+        taken, and its slices' norms are one :func:`_fro_norms`.
         """
         rng = np.random.default_rng(self.seed)
         steps = cap if self.schedule == "every-step" else 1
         k = max(1, ERROR_BLOCK_BYTES // (8 * n * n))
         for at in range(1, steps + 1, k):
-            E = self.sample(rng, n, min(k, steps + 1 - at), _at=at)
-            f = E.reshape(len(E), 1, n * n)
-            with np.errstate(over="ignore"):
-                fro = np.sqrt(np.matmul(f, f.transpose(0, 2, 1)))
-            yield from zip(E, fro.reshape(-1).tolist())
+            E = self.sample(rng, n, min(k, steps + 1 - at))
+            yield from zip(E, _fro_norms(E).tolist())
 
-    def sample(self, rng, n: int, k: int, *, _at: int | None = None) -> np.ndarray:
+    def sample(self, rng, n: int, k: int) -> np.ndarray:
         """The errors of the next ``k`` scheduled steps, a (k, n, n) stack.
 
         A slice whose symmetric part is zero stays zero.  With ``delta = 0``
         every slice is zero, and the generator still advances by the draw.
-        A call neither reads nor fills the memo of slice norms.  Only
-        :meth:`errors` passes the private ``_at``, the step of the first
-        slice of its own stream, which makes the call use the memo.
         """
         if self.delta == 0.0:
             rng.standard_normal((k, n, n))
@@ -202,43 +185,26 @@ class ErrorModel:
         G = rng.standard_normal((k, n, n))
         E = G + G.transpose(0, 2, 1)
         E *= 0.5  # bitwise / 2.0, in the one buffer
-        key, s = (self.seed, n), None
-        norms = _NORM_MEMO.get(key, ())
-        if _at is not None and _at - 1 + k <= len(norms):
-            s = np.frombuffer(norms[_at - 1 : _at - 1 + k])
-        if s is None:
-            w = np.linalg.eigvalsh(E)
-            s = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
-            s[s == 0.0] = 1.0  # a zero slice stays zero
-            if _at is not None:
-                _remember_norms(key, _at, s)
-        # One scaling suffices: s is within n eps ||E||_2 of the norm, the
-        # scale rounds twice and each entry's product by sqrt(n) eps / 2 of
-        # it, and 4 n eps is at least twice their sum (n = 1: eigvalsh is
-        # exact), so ||E||_2 <= delta while no scaled entry underflows.
-        E *= (self.delta / (s * (1.0 + 4 * n * linalg.EPS)))[:, None, None]
+        s = _fro_norms(E)
+        s[s == 0.0] = 1.0  # a zero slice stays zero
+        # One scaling suffices: the ddot's error gamma_{n^2} puts s within
+        # (n^2 / 4 + 1 / 2) eps ||E||_F of the norm, the scale rounds twice
+        # and each entry's product once, by eps / 2 each, and (n^2 + 4) eps
+        # is at least twice their sum, so ||E||_F <= delta.
+        E *= (self.delta / (s * (1.0 + (n * n + 4) * linalg.EPS)))[:, None, None]
         return E
 
 
-# (seed, n) of the one error stream whose slice norms are kept -> an
-# array("d") of those norms from step 1.  Reads take no lock.
-_NORM_MEMO: dict = {}
-_NORM_MEMO_LOCK = threading.Lock()
+def _fro_norms(E: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each slice of a (k, n, n) stack, one batched dot.
 
-
-def _remember_norms(key, at: int, s) -> None:
-    """Extend the kept stream from its end by the slices at, at + 1, ...
-
-    The first block of another stream replaces it; the lock keeps racing
-    runs from appending a block twice.
+    numpy's matmul of a 1 x n^2 by an n^2 x 1 core is the BLAS ddot of
+    ``ndarray.dot``, so each is bitwise ``np.linalg.norm`` of its slice,
+    and inf where its squares overflow.
     """
-    with _NORM_MEMO_LOCK:
-        if key not in _NORM_MEMO and at == 1:
-            _NORM_MEMO.clear()
-            _NORM_MEMO[key] = array("d")
-        norms = _NORM_MEMO.get(key, ())
-        if at - 1 <= len(norms) < NORM_MEMO_SLICES:
-            norms.extend(s[len(norms) - (at - 1) : NORM_MEMO_SLICES - (at - 1)])
+    f = E.reshape(len(E), 1, -1)
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.matmul(f, f.transpose(0, 2, 1))).reshape(-1)
 
 
 class TraceRecord(NamedTuple):
@@ -420,7 +386,10 @@ def step_size_policy(U0, M, cfg: GdConfig) -> float:
 
 
 def stability_tolerance(eta: float, rate: RateParams) -> float:
-    """Largest per-step error spectral norm the stability bound tolerates."""
+    """Largest per-step error spectral norm the stability bound tolerates.
+
+    An :class:`ErrorModel`'s delta bounds ||E_t||_F, and so also ||E_t||_2.
+    """
     return eta * rate.m_smin * rate.beta / STABILITY_SLACK
 
 
@@ -538,13 +507,15 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     # ||U_{t+1} - U_t||_2 <= ||H||_F + ||E_t||_2 + ||R||_F a step, R the
     # rounding of U - H and of + E_t: at most ||H||_F + ||E_t||_F, since
     # rounding to nearest moves an entry by at most the operand added to
-    # it, and at most eps sqrt(n) (||U_t||_2 + ||H||_F + ||E_t||_2).
-    # ``grow`` and ``tiny`` cover the ddot's error gamma_{n^2} and the
-    # underflow of its squares; ``tiny`` also covers the rounding by which
-    # an error of subnormal delta exceeds delta.  Each constant is at least
-    # twice its bound, which covers the roundings of the sums.  ``slack``
-    # sums the steps since the refresh, rounded up, and a row records
-    # lo - slack and hi + slack, rounded outward.
+    # it, and at most eps sqrt(n) (||U_t||_2 + ||H||_F + ||E_t||_2).  An
+    # error's Frobenius norm is at most delta (see ErrorModel), so
+    # e = delta grow bounds both of its norms.  ``grow`` and ``tiny`` cover
+    # the ddot's error gamma_{n^2} and the underflow of its squares;
+    # ``tiny`` also covers the rounding by which an error of subnormal
+    # delta exceeds delta.  Each constant is at least twice its bound,
+    # which covers the roundings of the sums.  ``slack`` sums the steps
+    # since the refresh, rounded up, and a row records lo - slack and
+    # hi + slack, rounded outward.
     # The loop refreshes at t = 0, at every stop, and when the slack exceeds
     # BRACKET_RTOL lo or is not finite, so lo - slack >= (15/16) lo > 0
     # certifies definiteness in between and a loss is found at its own step.
@@ -577,8 +548,7 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     eps = linalg.EPS
     grow = 1.0 + (n * n + 4) * eps
     tiny = n * 2.0**-537
-    root_n = math.sqrt(n)
-    rounding = 2.0 * eps * root_n
+    rounding = 2.0 * eps * math.sqrt(n)
     down, up = 1.0 - eps, 1.0 + 2.0 * eps
     lo, hi, limit, slack = 0.0, 0.0, 0.0, math.inf
     add, multiply, subtract, sqrt = np.add, np.multiply, np.subtract, math.sqrt
@@ -642,7 +612,7 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                 drawn.append(fro)
                 e = delta * grow
             a = sqrt(hdot(h)) * grow + tiny
-            rnd = min(a + root_n * e, rounding * (hi + slack + a + e))
+            rnd = min(a + e, rounding * (hi + slack + a + e))
             slack = (slack + a + e + rnd) * up
     # The stop row's refresh took U's extreme eigenvalues, and lam > 0
     # there, so (lam, opn) are eigvalsh's first and last: U, exactly

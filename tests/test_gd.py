@@ -1,8 +1,6 @@
 import dataclasses
 import math
 import sys
-import threading
-import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -249,16 +247,15 @@ def test_run_on_a_raw_array_eigendecomposes_only_m_and_its_refreshes(
     assert len(eigvalsh_calls) == 1 + len(spectral_extremes_calls)
 
 
-def test_perturbed_run_on_a_warm_memo_eigendecomposes_only_m_and_its_refreshes(
+def test_perturbed_run_on_a_raw_array_eigendecomposes_only_m_and_its_refreshes(
     eigvalsh_calls, spectral_extremes_calls
 ):
+    # the errors are scaled by their Frobenius norms, one batched dot a
+    # block: a stream that no earlier run drew adds no eigensolve
     M = random_spd(SpdInstanceSpec(n=16, kappa=4.0, seed=3))
     cfg = GdConfig(c_step=1.0, tol=1e-300, max_iters=100)
-    err = ErrorModel(1e-7, "every-step", seed=4)
-    gd._NORM_MEMO.clear()
-    run_perturbed(M, cfg, err)
+    err = ErrorModel(1e-7, "every-step", seed=26)
     eigvalsh_calls.clear()
-    spectral_extremes_calls.clear()
     run_perturbed(np.array(M.values), cfg, err)
     assert len(spectral_extremes_calls) > 1
     assert len(eigvalsh_calls) == 1 + len(spectral_extremes_calls)
@@ -514,8 +511,9 @@ def test_error_model_validation():
 
 
 def test_error_model_takes_integer_seeds_only():
-    # default_rng returns a Generator seed unaltered, whose state the memo's
-    # key (seed, n) could not identify
+    # default_rng returns a Generator seed unaltered: a run would draw from
+    # the caller's generator, and its errors would depend on what drew from
+    # it before, not on the seed, n and t alone
     for seed in (np.random.default_rng(3), 1.5, None):
         with pytest.raises(ValueError, match="seed must be an integer"):
             ErrorModel(1e-6, seed=seed)
@@ -541,9 +539,8 @@ def test_error_sample_norm_and_symmetry():
     assert block.shape == (5, 6, 6)
     for E in block:
         assert np.array_equal(E, E.T)
-        s = np.max(np.abs(np.linalg.eigvalsh(E)))
-        assert s <= 1e-3
-        assert s >= 1e-3 * (1.0 - 1e-12)
+        assert 1e-3 * (1.0 - 1e-12) <= np.linalg.norm(E) <= 1e-3
+        assert np.max(np.abs(np.linalg.eigvalsh(E))) < 1e-3
 
 
 SAMPLED_SLICES = {1: 2000, 2: 2000, 4: 1000, 16: 200, 17: 200, 64: 20, 65: 20}
@@ -558,41 +555,79 @@ def _spectral_norms(E):
     return np.linalg.svd(E, compute_uv=False)[:, 0]
 
 
-@pytest.mark.parametrize("delta", [1e-300, 1e-7, 1.0, 1e5])
+def _two_square(x):
+    """(p, e) with p + e = x * x exactly: Dekker's product, for |x| <= 1 not tiny."""
+    t = (2.0**27 + 1.0) * x
+    hi = t - (t - x)
+    lo = x - hi
+    p = x * x
+    return p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
+
+
+def _fro_exceeds(E, delta) -> np.ndarray:
+    """Whether ||E||_F > delta, exactly, for each slice of a stack.
+
+    Scaled by a power of two to delta in [1/2, 1), each square is the exact
+    sum of two doubles, and ``math.fsum`` rounds the sum of all of them less
+    delta^2 correctly, so the sign of what it returns is exact.
+    """
+    k = math.frexp(delta)[1]
+    x = np.ldexp(E.reshape(len(E), -1), -k)
+    assert np.all((x == 0.0) | (np.abs(x) >= 2.0**-400))  # no product underflows
+    p, e = _two_square(x)
+    d = [-part for part in _two_square(math.ldexp(delta, -k))]
+    return np.array([math.fsum(ps + es + d) > 0.0 for ps, es in zip(p.tolist(), e.tolist())])
+
+
+@pytest.mark.parametrize("delta", [1e-300, 1e-7, 1e-6, 1.0, 1e5, 1e300])
 def test_error_sample_norm_is_certified_under_delta(delta):
-    # One eigvalsh and the margin 4 n eps keep every slice at or under
-    # delta, checked on 5,440 slices against an independent SVD and
-    # against a second eigvalsh widened by its own error bound.
+    # One batched dot and the margin (n^2 + 4) eps keep every slice's
+    # Frobenius norm at or under delta, checked exactly on 5,440 slices, and
+    # its spectral norm under it by an independent SVD.  The norm falls
+    # short of delta by at most its own and np.linalg.norm's errors.
     for n, E in _sampled_blocks(delta):
         assert np.array_equal(E, E.transpose(0, 2, 1))
-        norms = _spectral_norms(E)
-        assert np.all(norms <= delta) and np.all(norms >= delta * (1.0 - 1e-12))
-        w = np.linalg.eigvalsh(E)
-        s = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
-        assert np.all(s + linalg.eigvalsh_pad(n, s) <= delta)
+        assert not np.any(_fro_exceeds(E, delta))
+        k = math.frexp(delta)[1]  # the norms of the scaled stack do not overflow
+        fro = np.ldexp(np.linalg.norm(np.ldexp(E, -k), axis=(1, 2)), k)
+        assert np.all(fro >= delta * (1.0 - 2 * (n * n + 4) * linalg.EPS))
+        assert np.all(_spectral_norms(np.ldexp(E, -k)) <= math.ldexp(delta, -k))
 
 
 def test_error_sample_at_a_subnormal_delta_exceeds_it_by_its_rounding():
     # At delta = 1e-320 the scale and the scaled entries are subnormal and
     # round by up to half a unit 2^-1074 absolutely, not relatively: a
-    # slice exceeds delta by at most (s + n) / 2 units, s the norm of the
-    # symmetric draw before scaling (measured: 2 units at n = 1, 6 at
-    # n = 65).  The loop's ``tiny`` term, n 2^-537 a step, absorbs it.
+    # slice's Frobenius norm exceeds delta by at most (s + n) / 2 units, s
+    # the norm of the symmetric draw before scaling, as the n^2 entries'
+    # roundings have a norm of at most n / 2 units.  The loop's ``tiny``
+    # term, n 2^-537 a step, absorbs it.
     delta = 1e-320
     unit = 2.0**-1074
     for n, E in _sampled_blocks(delta):
         G = np.random.default_rng((n, len(E))).standard_normal(E.shape)
-        s = _spectral_norms((G + G.transpose(0, 2, 1)) / 2.0)
-        # in units of 2^-1074, scaled exactly by two powers of two
-        norms = _spectral_norms(E * 2.0**537 * 2.0**537)
+        s = np.linalg.norm((G + G.transpose(0, 2, 1)) / 2.0, axis=(1, 2))
+        # in units of 2^-1074, scaled exactly by two powers of two: integers
+        # whose squares sum exactly
+        norms = np.linalg.norm(E * 2.0**537 * 2.0**537, axis=(1, 2))
         assert np.all(norms <= delta / unit + (s + n) / 2.0)
         assert np.any(norms > delta / unit)
 
 
-def test_error_sample_makes_one_eigensolve(eigvalsh_calls):
-    # one stacked eigvalsh for a whole block
+def test_error_sample_makes_no_eigensolve(eigvalsh_calls):
+    # a whole block is scaled by one batched dot
     ErrorModel(1e-3).sample(np.random.default_rng(0), 16, 32)
-    assert len(eigvalsh_calls) == 1
+    assert eigvalsh_calls == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 16, 17, 33, 64, 91, 100])
+def test_batched_fro_norms_give_each_slice_its_own_bits(n):
+    # A block scales its slices by one batched dot, the reference one slice
+    # at a time: a slice's norm must not depend on the stack it is taken in.
+    G = np.random.default_rng(n).standard_normal((6, n, n))
+    E = (G + G.transpose(0, 2, 1)) / 2.0
+    single = np.array([np.linalg.norm(S) for S in E])
+    assert _same_bits(gd._fro_norms(E), single)
+    assert _same_bits(gd._fro_norms(E[2:5]), single[2:5])
 
 
 def test_error_sample_zero_delta():
@@ -612,7 +647,7 @@ def test_run_perturbed_zero_delta_matches_run():
 
 
 def test_run_perturbed_zero_delta_draws_no_error(monkeypatch):
-    def draw(self, rng, n, k, _at=None):
+    def draw(self, rng, n, k):
         raise AssertionError("an error was drawn with delta = 0")
 
     monkeypatch.setattr(ErrorModel, "sample", draw)
@@ -628,8 +663,8 @@ def _record_samples(monkeypatch) -> list:
     calls = []
     sample = ErrorModel.sample
 
-    def recorded(self, rng, n, k, _at=None):
-        calls.append((rng, sample(self, rng, n, k, _at=_at)))
+    def recorded(self, rng, n, k):
+        calls.append((rng, sample(self, rng, n, k)))
         return calls[-1][1]
 
     monkeypatch.setattr(ErrorModel, "sample", recorded)
@@ -655,6 +690,7 @@ def test_run_perturbed_records_error_norms():
     assert tr.err_norm[0] == 0.0
     assert np.all(tr.err_norm[1:] == delta)
     assert np.all(tr.err_fro[1:] >= tr.err_norm[1:] * (1.0 - 1e-12))
+    assert np.all(tr.err_fro[1:] <= tr.err_norm[1:])
     _, tr1 = run_perturbed(M, cfg, ErrorModel(delta=delta, schedule="first-step-only"))
     assert tr1.err_norm[1] == delta
     assert np.all(tr1.err_norm[2:] == 0.0)
@@ -711,30 +747,31 @@ def test_run_perturbed_deterministic_in_seed():
     assert np.array_equal(a.residual_fro, b.residual_fro)
 
 
-# All eight columns of two perturbed runs, recorded before the trace derived
-# its t, eta, objective, err_norm and err_fro columns instead of storing them.
-# err_fro, the one column that moved, was re-recorded when the sampler's
-# certified margin replaced its corrective rescale.
+# All eight columns of two perturbed runs whose errors have Frobenius norm
+# just under delta, taken from the reference loop below.  At rows 1, 3 and
+# 5, where the loop records its bracket and not an eigensolve, sigma_min and
+# opnorm were derived from the reference iterates by the bracket recurrence
+# of the loop's comment, written out in Python floats.
 PINNED_PERTURBED_TRACES = {
     "every-step": {
         "t": [0, 1, 2, 3, 4, 5, 6],
-        "residual_fro": [2.7613402542968153, 2.3272250001716626, 1.9854401746949302, 1.7101870528023573, 1.484710778327541, 1.2975221903992082, 1.1403817995086272],
-        "objective": [7.625000000000001, 5.4159762014239945, 3.9419726872926346, 2.924739755572813, 2.204366095281973, 1.6835638345783592, 1.3004706486505346],
-        "sigma_min": [2.0, 1.8895363898281223, 1.8468230221639153, 1.7724157311063407, 1.7429381713639427, 1.6899383222091682, 1.668005896924279],
-        "opnorm": [2.0, 2.110463610171878, 2.054160408955513, 2.128567700013088, 2.0928223419032497, 2.1458221910580244, 2.1197557982943294],
+        "residual_fro": [2.7613402542968153, 2.3272282040047414, 1.9854434018637497, 1.7101919920277673, 1.484715093272533, 1.2975245272259817, 1.1403794105171896],
+        "objective": [7.625000000000001, 5.415991113515134, 3.941985502004299, 2.9247566495959028, 2.2043789081912664, 1.6835698987530072, 1.3004651999315329],
+        "sigma_min": [2.0, 1.8895363898281223, 1.8468241636507707, 1.772416726883025, 1.742940511459231, 1.6899405073486078, 1.6680062805432396],
+        "opnorm": [2.0, 2.110463610171878, 2.054161433923292, 2.1285688706910384, 2.0928255107671747, 2.145825514877798, 2.119758548655289],
         "eta": [0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01],
         "err_norm": [0.0, 1e-05, 1e-05, 1e-05, 1e-05, 1e-05, 1e-05],
-        "err_fro": [0.0, 1.2385767850567369e-05, 1.0373823877902967e-05, 1.1749074829929215e-05, 1.173994485553373e-05, 1.0767844131477792e-05, 1.3109304448337332e-05],
+        "err_fro": [0.0, 9.999999999999972e-06, 9.99999999999997e-06, 9.999999999999974e-06, 9.999999999999972e-06, 9.999999999999974e-06, 9.999999999999972e-06],
     },
     "first-step-only": {
         "t": [0, 1, 2, 3, 4, 5, 6],
-        "residual_fro": [2.7613402542968153, 2.3272250001716626, 1.9854608066958361, 1.7102194348613675, 1.48473900680224, 1.2975264920869727, 1.1403671745146073],
-        "objective": [7.625000000000001, 5.4159762014239945, 3.94205461492528, 2.9248505153775355, 2.2044499183201016, 1.6835749976675247, 1.3004372927104288],
-        "sigma_min": [2.0, 1.8895363898281223, 1.8468268935938332, 1.7724286838769714, 1.7429512377125427, 1.6899603554172045, 1.6680042759001903],
-        "opnorm": [2.0, 2.110463610171878, 2.054162783824154, 2.128560993541016, 2.0928404965788654, 2.145831378874204, 2.119770367386508],
+        "residual_fro": [2.7613402542968153, 2.3272282040047414, 1.9854632903840768, 1.7102214442564958, 1.4847406895580104, 1.2975279389039458, 1.1403684423247225],
+        "objective": [7.625000000000001, 5.415991113515134, 3.9420644774627647, 2.9248573883947744, 2.204454915229196, 1.6835787522363217, 1.3004401842501139],
+        "sigma_min": [2.0, 1.8895363898281223, 1.8468278957430966, 1.7724295734206412, 1.7429519433089231, 1.6899609968314575, 1.668004797160993],
+        "opnorm": [2.0, 2.110463610171878, 2.0541637232208014, 2.1285620455432572, 2.092841157609045, 2.1458321040865105, 2.1197708227462706],
         "eta": [0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01],
         "err_norm": [0.0, 1e-05, 0.0, 0.0, 0.0, 0.0, 0.0],
-        "err_fro": [0.0, 1.2385767850567369e-05, 0.0, 0.0, 0.0, 0.0, 0.0],
+        "err_fro": [0.0, 9.999999999999972e-06, 0.0, 0.0, 0.0, 0.0, 0.0],
     },
 }
 
@@ -851,11 +888,10 @@ def _ref_sample(err, rng, n):
     E = (G + G.T) / 2.0
     if err.delta == 0.0:
         return np.zeros((n, n))
-    w = np.linalg.eigvalsh(E)
-    s = max(abs(float(w[0])), abs(float(w[-1])))
+    s = float(np.linalg.norm(E))
     if s == 0.0:
         return np.zeros((n, n))
-    return E * (err.delta / (s * (1.0 + 4 * n * linalg.EPS)))
+    return E * (err.delta / (s * (1.0 + (n * n + 4) * linalg.EPS)))
 
 
 def _ref_run_loop(M, cfg, err):
@@ -1107,13 +1143,10 @@ def test_trace_memory_per_step_bounded():
 
 def test_perturbed_trace_memory_per_step_bounded():
     # every step also keeps its error's Frobenius norm, 8 bytes, and the
-    # error blocks of 64 KiB and their eigvalsh work arrays add a constant.
-    # A cold norm memo adds each slice's norm to one array.array, 8 bytes
-    # and its over-allocation: measured 33.7 -> 42.2 bytes a step kept and
-    # 45.5 -> 54.7 at the peak, warm -> cold.
-    gd._NORM_MEMO.clear()
+    # error blocks of 64 KiB add a constant: measured 33.9 bytes a step kept
+    # and 45.7 at the peak
     err = ErrorModel(1e-9, "every-step", seed=1)
-    assert _peak_bytes_per_step(lambda M, cfg: run_perturbed(M, cfg, err), 20_000) <= 64.0
+    assert _peak_bytes_per_step(lambda M, cfg: run_perturbed(M, cfg, err), 20_000) <= 52.0
 
 
 # ------------------------------------------------------ spectral brackets
@@ -1342,275 +1375,6 @@ def test_drawn_norms_are_the_norms_of_the_reference_stream(n, delta):
     assert _same_bits(trace.drawn_fro, np.array(ref))
     assert len(ref) == (1 if delta == 1e300 else 40)
     assert np.all(np.isinf(ref)) if delta == 1e300 else np.all(np.isfinite(ref))
-
-
-# ------------------------------------------------------------ norm memo
-#
-# ErrorModel.sample memoizes the slice norms of one error stream, keyed by
-# (seed, n) and indexed by step; a run that reads them must be bitwise a
-# cold run and the reference loop, whatever its block split or cap.
-
-
-def _memo_norms(err, n) -> list:
-    return list(gd._NORM_MEMO.get((err.seed, n), ()))
-
-
-def _assert_memo_within_cap():
-    assert len(gd._NORM_MEMO) <= 1
-    assert all(len(norms) <= gd.NORM_MEMO_SLICES for norms in gd._NORM_MEMO.values())
-
-
-def _memo_run(M, max_iters, err, eigvalsh_calls, cold=False):
-    """(trace, eigvalsh calls) of a perturbed run, after emptying the memo if cold."""
-    if cold:
-        gd._NORM_MEMO.clear()
-    before = len(eigvalsh_calls)
-    cfg = GdConfig(eta=0.01, tol=1e-300, max_iters=max_iters)
-    trace = run_perturbed(M, cfg, err)[1]
-    return trace, len(eigvalsh_calls) - before
-
-
-def _assert_same_trace(got, ref):
-    for name in TraceRecord._fields:
-        assert _same_bits(getattr(got, name), getattr(ref, name)), name
-
-
-@pytest.mark.parametrize("n", [1, 2, 4, 5, 16, 17, 33, 64, 91, 100])
-def test_stacked_eigvalsh_gives_each_slice_its_own_bits(n):
-    # The memo reuses a slice's norm from whatever block computed it, so a
-    # slice's eigenvalues must not depend on the stack it is solved in.
-    G = np.random.default_rng(n).standard_normal((6, n, n))
-    E = (G + G.transpose(0, 2, 1)) / 2.0
-    single = np.stack([np.linalg.eigvalsh(S) for S in E])
-    assert _same_bits(np.linalg.eigvalsh(E), single)
-    assert _same_bits(np.linalg.eigvalsh(E[2:5]), single[2:5])
-
-
-def test_error_sample_warm_equals_cold_at_every_delta():
-    # the norms do not depend on delta: a ladder's second rung reads them
-    # from its first rung's draw
-    def draw(delta):
-        return ErrorModel(delta, seed=8).sample(np.random.default_rng(8), 16, 32, _at=1)
-
-    for delta in (1e-6, 1e-9, 1e-300):
-        gd._NORM_MEMO.clear()
-        cold = draw(delta)
-        warm = draw(delta)
-        other = draw(delta * 3.0)
-        gd._NORM_MEMO.clear()
-        fresh = draw(delta * 3.0)
-        assert _same_bits(warm, cold) and _same_bits(other, fresh)
-
-
-def test_error_sample_without_a_step_leaves_the_memo_alone(eigvalsh_calls):
-    # a call that does not name its step neither reads nor fills the memo
-    err = ErrorModel(1e-6, seed=0)
-    gd._NORM_MEMO.clear()
-    blocks = [err.sample(np.random.default_rng(0), 16, 32) for _ in range(2)]
-    assert len(eigvalsh_calls) == 2 and gd._NORM_MEMO == {}
-    blocks.append(err.sample(np.random.default_rng(0), 16, 32, _at=1))
-    blocks.append(err.sample(np.random.default_rng(0), 16, 32))
-    assert len(eigvalsh_calls) == 4 and len(_memo_norms(err, 16)) == 32
-    assert all(_same_bits(block, blocks[0]) for block in blocks)
-
-
-def test_only_the_stream_of_errors_fills_the_norm_memo():
-    # sample(rng, n, k, at=1) with a generator other than default_rng(seed)
-    # used to put its block's norms at step 1 of the seed's stream, and every
-    # later seed-0, n = 16 stream then drew errors of up to 1.334 delta
-    err = ErrorModel(1e-6, seed=0)
-    gd._NORM_MEMO.clear()
-    with pytest.raises(TypeError):
-        err.sample(np.random.default_rng(99), 16, 32, at=1)
-    err.sample(np.random.default_rng(99), 16, 32)
-    norms = [np.abs(np.linalg.eigvalsh(E)).max() for E in err.errors(16, 32)]
-    assert len(norms) == 32 and len(_memo_norms(err, 16)) == 32
-    assert 1e-6 * (1.0 - 1e-12) <= min(norms) and max(norms) <= 1e-6 * (1.0 + 1e-12)
-
-
-def test_error_sample_memo_misses_another_draw(eigvalsh_calls):
-    # After steps 1..32 of seed 0 at n = 16, a block of another seed or
-    # order, or one that runs past the kept steps, misses; only the last
-    # extends the stream.  Every block is bitwise its draw without the memo.
-    def draw(seed, n, k, at):
-        rng = np.random.default_rng(seed)
-        rng.standard_normal((at - 1, n, n))
-        return ErrorModel(1e-6, seed=seed).sample(rng, n, k, _at=at)
-
-    gd._NORM_MEMO.clear()
-    draw(0, 16, 32, 1)
-    for seed, n, k, at, solves, kept in [
-        (0, 16, 8, 5, 0, 32),
-        (1, 16, 8, 5, 1, 32),
-        (0, 15, 8, 5, 1, 32),
-        (0, 16, 8, 30, 1, 37),
-        (0, 16, 37, 1, 0, 37),
-    ]:
-        eigvalsh_calls.clear()
-        block = draw(seed, n, k, at)
-        assert len(eigvalsh_calls) == solves and len(gd._NORM_MEMO[0, 16]) == kept
-        rng = np.random.default_rng(seed)
-        rng.standard_normal((at - 1, n, n))
-        assert _same_bits(block, ErrorModel(1e-6, seed=seed).sample(rng, n, k))
-
-
-def test_norm_memo_interleaved_seeds_match_the_reference_loop():
-    # each stream's first block replaces the other stream, of another seed
-    # or another order
-    Ms = {n: random_spd(SpdInstanceSpec(n=n, kappa=10.0, seed=8)) for n in (5, 16)}
-    cfg = GdConfig(c_step=1.0, tol=1e-8, max_iters=100)
-    gd._NORM_MEMO.clear()
-    for seed, n in [(4, 16), (5, 16), (4, 16), (4, 5), (4, 16)]:
-        err = ErrorModel(1e-7, "every-step", seed=seed)
-        _assert_matches_reference(Ms[n], cfg, err)
-        assert list(gd._NORM_MEMO) == [(seed, n)] and len(_memo_norms(err, n)) == 100
-
-
-def test_norm_memo_longer_cap_after_shorter_matches_cold_runs(eigvalsh_calls):
-    # A cap of 45 draws blocks of 32 and 13 slices, one of 100 draws 32,
-    # 32, 32 and 4: the truncated block meets a full one at step 33.  The
-    # longer run finds the first block, misses the second and extends the
-    # stream by its last 19 slices, then by each later block.
-    M = random_spd(SpdInstanceSpec(n=16, kappa=4.0, seed=16))
-    err = ErrorModel(1e-7, "every-step", seed=5)
-    cold = {cap: _memo_run(M, cap, err, eigvalsh_calls, cold=True) for cap in (45, 100)}
-    gd._NORM_MEMO.clear()
-    for cap, hits, kept in [(45, 0, 45), (100, 1, 100), (100, 4, 100), (45, 2, 100)]:
-        trace, solves = _memo_run(M, cap, err, eigvalsh_calls)
-        _assert_same_trace(trace, cold[cap][0])
-        assert solves == cold[cap][1] - hits and len(_memo_norms(err, 16)) == kept
-    _assert_matches_reference(M, GdConfig(eta=0.01, tol=1e-300, max_iters=100), err)
-
-
-def test_norm_memo_serves_first_step_only_after_every_step(eigvalsh_calls):
-    # a first-step-only run draws the stream's first slice, which an
-    # every-step run of the same seed left in the memo
-    M = random_spd(SpdInstanceSpec(n=16, kappa=4.0, seed=16))
-    every = ErrorModel(1e-7, "every-step", seed=6)
-    first = ErrorModel(1e-7, "first-step-only", seed=6)
-    cold, cold_solves = _memo_run(M, 50, first, eigvalsh_calls, cold=True)
-    _memo_run(M, 50, every, eigvalsh_calls, cold=True)
-    trace, solves = _memo_run(M, 50, first, eigvalsh_calls)
-    _assert_same_trace(trace, cold)
-    assert solves == cold_solves - 1
-    _assert_matches_reference(M, GdConfig(eta=0.01, tol=1e-300, max_iters=50), first)
-
-
-def test_norm_memo_keeps_a_longer_run_within_its_cap(monkeypatch, eigvalsh_calls):
-    # with a cap of 40 slices the stream keeps steps 1..40: a warm run
-    # finds its first block of 32 and solves the rest afresh
-    monkeypatch.setattr(gd, "NORM_MEMO_SLICES", 40)
-    M = random_spd(SpdInstanceSpec(n=16, kappa=4.0, seed=16))
-    err = ErrorModel(1e-7, "every-step", seed=7)
-    cold, cold_solves = _memo_run(M, 100, err, eigvalsh_calls, cold=True)
-    for _ in range(2):
-        trace, solves = _memo_run(M, 100, err, eigvalsh_calls)
-        _assert_same_trace(trace, cold)
-        assert solves == cold_solves - 1 and len(_memo_norms(err, 16)) == 40
-    _assert_memo_within_cap()
-    _assert_matches_reference(M, GdConfig(eta=0.01, tol=1e-300, max_iters=100), err)
-
-
-def test_perturbed_traces_equal_cold_and_warm(eigvalsh_calls):
-    M = random_spd(SpdInstanceSpec(n=16, kappa=10.0, seed=12))
-    cfg = GdConfig(c_step=1.0, tol=1e-300, max_iters=200)
-    err = ErrorModel(1e-7, "every-step", seed=13)
-    traces, solves = [], []
-    for cold in (True, True, False, False):
-        if cold:
-            gd._NORM_MEMO.clear()
-        eigvalsh_calls.clear()
-        traces.append(run_perturbed(M, cfg, err)[1])
-        solves.append(len(eigvalsh_calls))
-    # 200 steps are 7 blocks of 32 or fewer: the warm runs skip 7 eigvalsh
-    assert solves[0] == solves[1] == solves[2] + 7 == solves[3] + 7
-    for trace in traces[1:]:
-        for name in TraceRecord._fields:
-            assert _same_bits(getattr(trace, name), getattr(traces[0], name)), name
-
-
-def test_norm_memo_under_racing_threads():
-    # more threads than cores, switching every microsecond, running three
-    # seeds at caps of 37 and 100 steps, so that streams replace each other
-    # and truncated blocks meet full ones: every trace stays bitwise its
-    # cold run, nothing raises, and the memo stays within its cap
-    M = random_spd(SpdInstanceSpec(n=16, kappa=4.0, seed=16))
-    runs = [(ErrorModel(1e-7, "every-step", seed=s), cap) for s in (1, 2, 3) for cap in (37, 100)]
-    cfgs = {cap: GdConfig(eta=0.01, tol=1e-300, max_iters=cap) for cap in (37, 100)}
-    refs = []
-    for err, cap in runs:
-        gd._NORM_MEMO.clear()
-        refs.append(run_perturbed(M, cfgs[cap], err)[1])
-    gd._NORM_MEMO.clear()
-    failures = []
-
-    def work(offset):
-        try:
-            for j in np.random.default_rng(offset).integers(len(runs), size=3 * len(runs)):
-                err, cap = runs[j]
-                trace = run_perturbed(M, cfgs[cap], err)[1]
-                if not all(
-                    _same_bits(getattr(trace, name), getattr(refs[j], name))
-                    for name in TraceRecord._fields
-                ):
-                    failures.append(j)
-        except Exception as exc:  # reported by the main thread
-            failures.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert failures == []
-    _assert_memo_within_cap()
-
-
-def test_norm_memo_lock_keeps_racing_fills_of_one_stream_apart(monkeypatch):
-    # Each extend of a kept stream sleeps before it appends: two threads
-    # that fill one cold stream both find it shorter than it is unless the
-    # lock orders the length check and the extend.  A doubled block would
-    # give later steps the wrong norms.
-    M = random_spd(SpdInstanceSpec(n=16, kappa=4.0, seed=16))
-    cfg = GdConfig(eta=0.01, tol=1e-300, max_iters=100)
-    err = ErrorModel(1e-7, "every-step", seed=9)
-    gd._NORM_MEMO.clear()
-    ref = run_perturbed(M, cfg, err)[1]
-    ref_norms = _memo_norms(err, 16)
-    gd._NORM_MEMO.clear()
-
-    class SlowExtend(gd.array):
-        def extend(self, values):
-            time.sleep(0.05)
-            super().extend(values)
-
-    monkeypatch.setattr(gd, "array", SlowExtend)
-    traces, failures = [None, None], []
-    start = threading.Barrier(2, timeout=60)
-
-    def work(i):
-        try:
-            start.wait()
-            traces[i] = run_perturbed(M, cfg, err)[1]
-        except Exception as exc:  # reported by the main thread
-            failures.append(exc)
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-    assert not any(thread.is_alive() for thread in threads)
-    assert failures == []
-    assert _memo_norms(err, 16) == ref_norms
-    for trace in traces:
-        _assert_same_trace(trace, ref)
 
 
 # ------------------------------------------------------- input hygiene
