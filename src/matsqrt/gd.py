@@ -199,12 +199,16 @@ def _fro_norms(E: np.ndarray) -> np.ndarray:
     """The Frobenius norm of each slice of a (k, n, n) stack, one batched dot.
 
     numpy's matmul of a 1 x n^2 by an n^2 x 1 core is the BLAS ddot of
-    ``ndarray.dot``, so each is bitwise ``np.linalg.norm`` of its slice,
-    and inf where its squares overflow.
+    ``ndarray.dot``, so each is bitwise ``np.linalg.norm`` of its slice.
+    A norm outside [``linalg.TINY_NORM``, inf), whose squares may have
+    under- or overflowed, is taken again by :func:`linalg.frobenius_norm`.
     """
     f = E.reshape(len(E), 1, -1)
     with np.errstate(over="ignore"):
-        return np.sqrt(np.matmul(f, f.transpose(0, 2, 1))).reshape(-1)
+        s = np.sqrt(np.matmul(f, f.transpose(0, 2, 1))).reshape(-1)
+    for j in np.flatnonzero((s < linalg.TINY_NORM) | (s == math.inf)):
+        s[j] = linalg.frobenius_norm(E[j])
+    return s
 
 
 class TraceRecord(NamedTuple):
@@ -508,14 +512,38 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     # rounding of U - H and of + E_t: at most ||H||_F + ||E_t||_F, since
     # rounding to nearest moves an entry by at most the operand added to
     # it, and at most eps sqrt(n) (||U_t||_2 + ||H||_F + ||E_t||_2).  An
-    # error's Frobenius norm is at most delta (see ErrorModel), so
-    # e = delta grow bounds both of its norms.  ``grow`` and ``tiny`` cover
-    # the ddot's error gamma_{n^2} and the underflow of its squares;
-    # ``tiny`` also covers the rounding by which an error of subnormal
-    # delta exceeds delta.  Each constant is at least twice its bound,
-    # which covers the roundings of the sums.  ``slack`` sums the steps
-    # since the refresh, rounded up, and a row records lo - slack and
-    # hi + slack, rounded outward.
+    # error's Frobenius norm is at most delta (see ErrorModel), so e = delta
+    # bounds both of its norms.  ``slack`` sums the steps since the refresh,
+    # rounded up, and a row records lo - slack and hi + slack, rounded
+    # outward.  Every eigenvalue of U lies in [lo - slack, top], top =
+    # hi + slack, and lo + hi > 0, so ||U||_2 <= top.
+    #
+    # ||H||_F is bounded, not taken: as in the paper,
+    # ||eta (D U + U D)||_F <= 2 eta ||D||_F ||U||_2, and the loop already
+    # has r for ||D||_F and top for ||U||_2, so a = c r top + tiny.  With
+    # u = eps / 2 and nu = n 2^-537, in the order of the computation:
+    # - ||D||_F <= (r / (1 - u) + nu) / sqrt(1 - gamma_{n^2}): the ddot errs
+    #   by gamma_{n^2} ||D||_F^2 and by at most n^2 2^-1074 = nu^2 where its
+    #   squares underflow, and the sqrt rounds once (a residual that the
+    #   rare branch takes again by ``linalg.frobenius_norm`` has no ddot
+    #   error and is within an ulp of ||D||_F);
+    # - ||G||_F <= (1 + sqrt(n) gamma_n) ||D||_F ||U||_2 + nu^2: each entry
+    #   of G = D U errs by gamma_n (|D| |U|) and by n 2^-1075 of underflow,
+    #   and || |D| |U| ||_F <= ||D||_F ||U||_F <= sqrt(n) ||D||_F ||U||_2;
+    # - ||H||_F <= 2 eta (1 + u)^2 ||G||_F + n 2^-1075: G + G^T and the
+    #   product by eta round once each, and the product may underflow;
+    # - ||U||_2 <= top / (1 - u), and c r top + tiny rounds three times.
+    # To first order the factor on 2 eta r top is 1 + (n^2 / 2 + n sqrt(n)
+    # + 7) u, and 2 u more for the roundings of c; ``c`` takes twice their
+    # sum, which also covers the higher orders while n^2 eps is small.  The
+    # absolute terms are 2 eta nu ||U||_2 and 2 eta nu^2, each times
+    # 1 + O(n^2 eps), and n 2^-1075; a step is taken only where slack <=
+    # max(limit, 0) <= hi / 16, so ||U||_2 <= (17 / 16) hi (1 + u) until
+    # the next refresh, which sets ``tiny`` = 4 c nu (hi + nu) + 2 nu.  Its
+    # 2 nu also covers the roundings and underflows of a and of tiny
+    # itself, and the rounding by which an error of subnormal delta exceeds
+    # delta.  The factor of 2 in ``rounding``, ``c`` and ``tiny`` also
+    # covers the roundings of the sums that make ``rnd`` and ``slack``.
     # The loop refreshes at t = 0, at every stop, and when the slack exceeds
     # BRACKET_RTOL lo or is not finite, so lo - slack >= (15/16) lo > 0
     # certifies definiteness in between and a loss is found at its own step.
@@ -543,17 +571,15 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     G = np.empty_like(U)
     GT = G.T
     H = np.empty_like(U)
-    h = H.reshape(-1)
     eta_h = np.array(eta)
     eps = linalg.EPS
-    grow = 1.0 + (n * n + 4) * eps
-    tiny = n * 2.0**-537
+    nu = n * 2.0**-537
+    c = 2.0 * eta * (1.0 + (n * n / 2 + n * math.sqrt(n) + 9) * eps)
     rounding = 2.0 * eps * math.sqrt(n)
     down, up = 1.0 - eps, 1.0 + 2.0 * eps
     lo, hi, limit, slack = 0.0, 0.0, 0.0, math.inf
     add, multiply, subtract, sqrt = np.add, np.multiply, np.subtract, math.sqrt
-    u_times, d_times = U.dot, D.dot
-    hdot, ddot = h.dot, d.dot
+    u_times, d_times, ddot = U.dot, D.dot, d.dot
     add_r, add_smin, add_opn = residuals.append, smins.append, opnorms.append
 
     r_div = math.inf
@@ -563,9 +589,10 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
             subtract(D, M_arr, D)
             r = sqrt(ddot(d))
             if tol < r <= r_div and t != cap and slack <= limit:
+                top = hi + slack
                 add_r(r)
                 add_smin((lo - slack) * down)
-                add_opn((hi + slack) * up)
+                add_opn(top * up)
             else:
                 if r < linalg.TINY_NORM:
                     r = linalg.frobenius_norm(D)
@@ -590,7 +617,8 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                     )
                 pad = linalg.eigvalsh_pad(n, opn)
                 lo, hi, slack = lam - pad, opn + pad, 0.0
-                limit = BRACKET_RTOL * lo
+                top, limit = hi, BRACKET_RTOL * lo
+                tiny = 4.0 * c * nu * (hi + nu) + 2.0 * nu
                 if r <= tol:
                     break
                 if r > r_div:
@@ -610,9 +638,9 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                 E, fro = drawn_error
                 add(U, E, U)
                 drawn.append(fro)
-                e = delta * grow
-            a = sqrt(hdot(h)) * grow + tiny
-            rnd = min(a + e, rounding * (hi + slack + a + e))
+                e = delta
+            a = c * r * top + tiny
+            rnd = min(a + e, rounding * (top + a + e))
             slack = (slack + a + e + rnd) * up
     # The stop row's refresh took U's extreme eigenvalues, and lam > 0
     # there, so (lam, opn) are eigvalsh's first and last: U, exactly

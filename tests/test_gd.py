@@ -757,8 +757,8 @@ PINNED_PERTURBED_TRACES = {
         "t": [0, 1, 2, 3, 4, 5, 6],
         "residual_fro": [2.7613402542968153, 2.3272282040047414, 1.9854434018637497, 1.7101919920277673, 1.484715093272533, 1.2975245272259817, 1.1403794105171896],
         "objective": [7.625000000000001, 5.415991113515134, 3.941985502004299, 2.9247566495959028, 2.2043789081912664, 1.6835698987530072, 1.3004651999315329],
-        "sigma_min": [2.0, 1.8895363898281223, 1.8468241636507707, 1.772416726883025, 1.742940511459231, 1.6899405073486078, 1.6680062805432396],
-        "opnorm": [2.0, 2.110463610171878, 2.054161433923292, 2.1285688706910384, 2.0928255107671747, 2.145825514877798, 2.119758548655289],
+        "sigma_min": [2.0, 1.8895363898281219, 1.8468241636507707, 1.765245738343846, 1.742940511459231, 1.6807855189907892, 1.6680062805432396],
+        "opnorm": [2.0, 2.1104636101718786, 2.054161433923292, 2.1357398592302173, 2.0928255107671747, 2.154980503235617, 2.119758548655289],
         "eta": [0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01],
         "err_norm": [0.0, 1e-05, 1e-05, 1e-05, 1e-05, 1e-05, 1e-05],
         "err_fro": [0.0, 9.999999999999972e-06, 9.99999999999997e-06, 9.999999999999974e-06, 9.999999999999972e-06, 9.999999999999974e-06, 9.999999999999972e-06],
@@ -767,8 +767,8 @@ PINNED_PERTURBED_TRACES = {
         "t": [0, 1, 2, 3, 4, 5, 6],
         "residual_fro": [2.7613402542968153, 2.3272282040047414, 1.9854632903840768, 1.7102214442564958, 1.4847406895580104, 1.2975279389039458, 1.1403684423247225],
         "objective": [7.625000000000001, 5.415991113515134, 3.9420644774627647, 2.9248573883947744, 2.204454915229196, 1.6835787522363217, 1.3004401842501139],
-        "sigma_min": [2.0, 1.8895363898281223, 1.8468278957430966, 1.7724295734206412, 1.7429519433089231, 1.6899609968314575, 1.668004797160993],
-        "opnorm": [2.0, 2.110463610171878, 2.0541637232208014, 2.1285620455432572, 2.092841157609045, 2.1458321040865105, 2.1197708227462706],
+        "sigma_min": [2.0, 1.8895363898281219, 1.8468278957430966, 1.7652585624452197, 1.7429519433089231, 1.680805414839241, 1.668004797160993],
+        "opnorm": [2.0, 2.1104636101718786, 2.0541637232208014, 2.1357330565186787, 2.092841157609045, 2.1549876860787274, 2.1197708227462706],
         "eta": [0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01],
         "err_norm": [0.0, 1e-05, 0.0, 0.0, 0.0, 0.0, 0.0],
         "err_fro": [0.0, 9.999999999999972e-06, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -1157,14 +1157,18 @@ def test_perturbed_trace_memory_per_step_bounded():
 
 
 def test_refresh_count_is_bounded(monkeypatch):
-    # the early, large steps refresh every few steps, the later ones rarely
-    steps = 2000
-    M = random_spd(SpdInstanceSpec(n=64, kappa=2.0, seed=64))
-    refreshed = _refresh_steps(monkeypatch)
-    _, trace = run(M, GdConfig(tol=1e-300, max_iters=steps))
-    assert trace.steps == steps
-    assert refreshed[0] == 0 and refreshed[-1] == steps
-    assert len(refreshed) <= steps // 20 + 1
+    # the early, large steps refresh every few steps, the later ones rarely:
+    # measured 51 refreshes at n = 64, kappa = 2 over 2,000 steps, and 294
+    # at n = 16, kappa = 100 over 200,000 steps, where the residual lies
+    # mostly on U's small eigenvalues and c r (hi + slack) is loosest
+    for n, kappa, steps, bound in ((64, 2.0, 2000, 2000 // 20 + 1), (16, 100.0, 200_000, 400)):
+        M = random_spd(SpdInstanceSpec(n=n, kappa=kappa, seed=n))
+        with pytest.MonkeyPatch.context() as mp:
+            refreshed = _refresh_steps(mp)
+            _, trace = run(M, GdConfig(tol=1e-300, max_iters=steps))
+        assert trace.steps == steps
+        assert refreshed[0] == 0 and refreshed[-1] == steps
+        assert len(refreshed) <= bound
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -1182,6 +1186,23 @@ def test_brackets_hold_at_the_rounding_floor(monkeypatch, seed):
     monkeypatch.setattr(gd, "BRACKET_RTOL", 1e-14)
     trace = _assert_matches_reference(M, cfg)
     assert trace.steps == 3000 and trace.residual_fro.max() < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 16])
+def test_brackets_hold_where_the_step_bound_is_attained(n):
+    # M = diag(1, ..., 1, 4) from U0 = diag(1, ..., 1, 1.5): every iterate
+    # is diagonal, and U^2 - M is zero but for its last entry, on U's
+    # largest eigenvalue, so ||(U^2 - M) U||_F = ||U^2 - M||_F ||U||_2
+    # holds exactly on every step.  The eigenvalue that moves is the
+    # bracket's top, moving outward, and the loop's bound c r (hi + slack)
+    # exceeds each step only by c's rounding factor and the widening of hi.
+    m = np.ones(n)
+    m[-1] = 4.0
+    u0 = np.ones(n)
+    u0[-1] = 1.5
+    cfg = GdConfig(eta=1e-3, tol=1e-300, max_iters=3000, init=np.diag(u0))
+    trace = _assert_matches_reference(np.diag(m), cfg)
+    assert trace.steps == 3000 and trace.residual_fro[-1] < 1e-13
 
 
 def test_brackets_count_the_rounding_of_each_update():
@@ -1357,8 +1378,10 @@ def test_error_sample_keeps_a_zero_slice_zero():
 @pytest.mark.parametrize("delta", [1e-300, 1e-6, 1e300])
 def test_drawn_norms_are_the_norms_of_the_reference_stream(n, delta):
     # each block's slice norms are one batched dot, bitwise np.linalg.norm
-    # of each slice; at 1e300 the squares overflow, the norm is inf, and no
-    # RuntimeWarning is raised.  That run diverges at step 1 on its error.
+    # of each slice where that lies in [TINY_NORM, inf); at 1e-300 the
+    # squares underflow and at 1e300 they overflow, no RuntimeWarning is
+    # raised, and the norm is math.hypot of the entries.  The 1e300 run
+    # diverges at step 1 on its error.
     M = random_spd(SpdInstanceSpec(n=n, kappa=1.0 if n == 1 else 4.0, seed=n))
     err = ErrorModel(delta, "every-step", seed=3)
     cfg = GdConfig(tol=1e-300, max_iters=40)
@@ -1370,11 +1393,42 @@ def test_drawn_norms_are_the_norms_of_the_reference_stream(n, delta):
         assert delta == 1e300
         trace = exc.trace
     rng = np.random.default_rng(err.seed)
-    with np.errstate(over="ignore"):
-        ref = [np.linalg.norm(_ref_sample(err, rng, n)) for _ in trace.drawn_fro]
+    ref = []
+    for _ in trace.drawn_fro:
+        E = _ref_sample(err, rng, n)
+        with np.errstate(over="ignore"):
+            fro = float(np.linalg.norm(E))
+        ref.append(fro if 2.0**-480 <= fro < math.inf else math.hypot(*E.ravel().tolist()))
     assert _same_bits(trace.drawn_fro, np.array(ref))
     assert len(ref) == (1 if delta == 1e300 else 40)
-    assert np.all(np.isinf(ref)) if delta == 1e300 else np.all(np.isfinite(ref))
+    # ErrorModel's certified margin
+    assert all(delta * (1.0 - 2 * (n * n + 4) * linalg.EPS) <= fro <= delta for fro in ref)
+
+
+@pytest.mark.parametrize("delta", [1e-160, 1e-200, 1e-300, 1e300])
+def test_err_fro_is_the_norm_of_each_error_where_its_squares_under_or_overflow(delta):
+    # At n = 16 the batched dot of the errors' entries read 9.97e-161 for
+    # 1e-160, 0.0 for 1e-200 and 1e-300, and inf for 1e300; each err_fro
+    # must be the norm of its error within two ulps of the exact value, and
+    # at most delta.  The 1e300 run diverges at step 1 on its error.
+    n = 16
+    M = random_spd(SpdInstanceSpec(n=n, kappa=4.0, seed=n))
+    err = ErrorModel(delta, "every-step", seed=3)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # delta over the stability tolerance
+            trace = run_perturbed(M, GdConfig(tol=1e-300, max_iters=5), err)[1]
+    except DivergenceError as exc:
+        assert delta == 1e300
+        trace = exc.trace
+    rng = np.random.default_rng(err.seed)
+    fros = trace.err_fro[1:].tolist()
+    assert len(fros) == (1 if delta == 1e300 else 5)
+    two_ulps = Fraction(2) ** -51
+    for fro in fros:
+        exact_sq = sum(Fraction(x) ** 2 for x in _ref_sample(err, rng, n).ravel().tolist())
+        assert (Fraction(fro) * (1 - two_ulps)) ** 2 <= exact_sq <= (Fraction(fro) * (1 + two_ulps)) ** 2
+        assert fro <= delta
 
 
 # ------------------------------------------------------- input hygiene
