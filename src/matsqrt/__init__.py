@@ -18,8 +18,6 @@ _EXPORTS = {
         "SpdMatrix",
         "estimate_opnorm_bound",
         "frobenius_norm",
-        "lambda_min",
-        "sigma_min",
         "solve",
         "spectral_norm",
         "sym_eig",

@@ -188,10 +188,8 @@ def margin_scale(M) -> float:
 
 def _sample_symmetric_ball(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
     """Symmetric matrix with operator norm uniformly scaled into [0, radius]."""
-    G = rng.standard_normal((n, n))
-    E = (G + G.T) / 2.0
-    w = np.linalg.eigvalsh(E)
-    s = max(abs(float(w[0])), abs(float(w[-1])))
+    E = linalg.symmetrize(rng.standard_normal((n, n)))
+    s = linalg.spectral_extremes(E)[2]
     if s == 0.0:
         return E
     return E * (radius * rng.uniform() / s)
@@ -294,7 +292,7 @@ def saddle_location_check(M, num_samples: int, seed: int) -> CertificateReport:
     """
     M_arr = np.asarray(M, dtype=float)
     n = M_arr.shape[0]
-    dec = linalg.as_spd(M).eig
+    dec = linalg.sym_eig(linalg.as_spd(M))
     V, root_w = dec.eigenvectors, np.sqrt(dec.eigenvalues)
     hi = max(math.sqrt(3.0 * float(dec.eigenvalues[0])), 2.0 * SADDLE_SIGMA_FLOOR)
     allowance = -MARGIN_RTOL * margin_scale(M_arr)

@@ -7,6 +7,7 @@ produce SPD results or raise.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,10 @@ class NewtonConfig:
     tol: float = 1e-11  # relative to ||M||_F, and may exceed 1
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "max_iters", operator.index(self.max_iters))
+        except TypeError:
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}") from None
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if not 0.0 < self.tol < np.inf:
@@ -63,17 +68,19 @@ def newton_sqrt(M, cfg: NewtonConfig = NewtonConfig()):
     m_fro = frobenius_scale(A)
     I = np.eye(A.shape[0])
     Y, P = A, A
-    for k in range(cfg.max_iters + 1):
-        # an early Y^2 may overflow; its residual then reads inf and fails the test
-        with np.errstate(over="ignore"):
+    # An early Y^2 may overflow, and so may an inverse, putting inf or NaN
+    # in Y and P: the residual then fails the test, and the next solve
+    # refuses a P that is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(cfg.max_iters + 1):
             residual = linalg.frobenius_norm(A - Y @ Y)
-        if residual <= cfg.tol * m_fro:
-            return linalg.SpdMatrix(Y), k
-        if k == cfg.max_iters:
-            break
-        P_inv = linalg.solve(P, I)
-        Y = Y @ (I + P_inv) / 2.0
-        P = (I + (P + P_inv) / 2.0) / 2.0
+            if residual <= cfg.tol * m_fro:
+                return linalg.SpdMatrix(Y), k
+            if k == cfg.max_iters:
+                break
+            P_inv = linalg.solve(P, I)
+            Y = Y @ (I + P_inv) / 2.0
+            P = (I + (P + P_inv) / 2.0) / 2.0
     raise NewtonConvergenceError(
         f"no convergence to {cfg.tol:g} * ||M||_F within {cfg.max_iters} iterations"
     )
@@ -81,5 +88,5 @@ def newton_sqrt(M, cfg: NewtonConfig = NewtonConfig()):
 
 def evd_sqrt(M) -> linalg.SpdMatrix:
     """Square root through the eigendecomposition of M."""
-    dec = linalg.as_spd(M).eig
+    dec = linalg.sym_eig(linalg.as_spd(M))
     return linalg.SpdMatrix(linalg.from_eig(dec.eigenvectors, np.sqrt(dec.eigenvalues)))

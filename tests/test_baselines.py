@@ -77,8 +77,9 @@ def test_newton_iteration_cap():
 
 
 def test_newton_config_validation():
-    with pytest.raises(ValueError):
-        NewtonConfig(max_iters=0)
+    for max_iters in (0, 2.5):  # 2.5 passed, and then failed in newton_sqrt's range()
+        with pytest.raises(ValueError):
+            NewtonConfig(max_iters=max_iters)
     for tol in (0.0, -1e-8, math.nan, math.inf):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             NewtonConfig(tol=tol)

@@ -752,6 +752,34 @@ def test_bench_takes_a_residual_whose_squares_overflow(capsys):
     assert float(row[6]) == linalg.frobenius_norm(M - X @ X) < math.inf
 
 
+def _bench_in_a_child(*argv):
+    # in a child process numpy's floating-point warnings would reach stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "matsqrt.cli", "bench", *argv], capture_output=True, text=True
+    )
+    rows = [line.split(",") for line in proc.stdout.splitlines() if not line.startswith("#")]
+    return proc.returncode, proc.stderr, {row[2]: row[-1] for row in rows[1:]}
+
+
+def test_bench_at_the_largest_norm_records_each_row_and_no_warning():
+    # the instance's V diag(w) V^T was symmetrized by its own sum, which
+    # overflowed at ||M||_2 = 1e308: a warning, then exit 2 on a valid instance
+    code, err, status = _bench_in_a_child("--sizes", "2", "--kappas", "1", "--opnorm", "1e308")
+    assert (code, err) == (0, "")
+    assert status == {
+        "gd": "error:GdError",
+        "newton": "error:NewtonConvergenceError",
+        "evd": "converged",
+    }
+
+
+def test_bench_at_a_subnormal_norm_shows_no_numpy_warning():
+    # Newton's update overflowed there and printed numpy's warning
+    code, err, status = _bench_in_a_child("--sizes", "4", "--kappas", "10", "--opnorm", "1e-310")
+    assert code == 0 and "warning:" not in err
+    assert list(status) == ["gd", "newton", "evd"]
+
+
 def test_bench_deterministic_modulo_wall_time(capsys):
     argv = ["bench", "--sizes", "2", "--kappas", "4", "--seed", "0"]
     _, out1, _ = run_cli(capsys, *argv)

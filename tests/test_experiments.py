@@ -188,6 +188,8 @@ def test_run_lower_bound_validation():
         run_lower_bound(1.5, 0.3)
     with pytest.raises(ValueError):
         run_lower_bound(10.0, 0.3, steps=0)
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        run_lower_bound(10.0, 0.01, steps=2.9)  # used to run 2 steps
 
 
 def test_lower_bound_report_rows_match_header():

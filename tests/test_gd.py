@@ -65,6 +65,7 @@ def test_config_defaults_pinned():
         dict(eta=math.inf),
         dict(c_step=math.inf),
         dict(tol=math.inf),
+        dict(max_iters=10.0),  # passed, and then failed in run's range()
     ],
 )
 def test_config_rejects_invalid(kwargs):

@@ -16,8 +16,6 @@ from matsqrt.linalg import (
     estimate_opnorm_bound,
     frobenius_norm,
     from_eig,
-    lambda_min,
-    sigma_min,
     solve,
     spectral_norm,
     sym_eig,
@@ -119,14 +117,12 @@ def test_spectra_against_a_50_digit_oracle(n, kind, scale):
     exact = exact_eigenvalues(A)
     lam_min, lam_max = exact[0], exact[-1]
     pad = 4 * n * linalg.EPS * float(lam_max)
-    for M in (A, SpdMatrix(A)):
-        lo, smin, op = linalg.spectral_bounds(M)
-        assert lo == smin == sigma_min(M) == lambda_min(M)
-        assert op == spectral_norm(M)
-        # outward, and by no more than twice the widening
-        assert lam_min - pad <= smin <= lam_min
-        assert lam_max <= op <= lam_max + pad
-    dec = SpdMatrix(A).eig
+    smin, op = SpdMatrix(A).bounds
+    assert op == spectral_norm(A)
+    # outward, and by no more than twice the widening
+    assert lam_min - pad <= smin <= lam_min
+    assert lam_max <= op <= lam_max + pad
+    dec = sym_eig(A)
     w = dec.eigenvalues
     assert np.all(np.diff(w) <= 0)
     err = max(abs(mpmath.mpf(float(x)) - e) for x, e in zip(w[::-1], exact))
@@ -149,8 +145,10 @@ def test_spd_requires_a_positive_certified_lower_bound(monkeypatch):
 def test_norms_are_python_floats():
     A = random_pd(4, 2)
     for M in (A, SpdMatrix(A)):
-        for value in (spectral_norm(M), sigma_min(M), lambda_min(M), *linalg.spectral_bounds(M)):
+        for value in (spectral_norm(M), *linalg.as_spd(M).bounds):
             assert type(value) is float
+    for value in linalg.widened(1.0, 2.0, 4):
+        assert type(value) is float
     for value in linalg.spectral_extremes(random_symmetric(4, 2)):
         assert type(value) is float
 
@@ -163,10 +161,6 @@ def assert_matches_oracles(A):
     assert np.max(np.abs(dec.eigenvalues - ref)) <= bound
     exact = exact_eigenvalues(A)[::-1]
     assert max(abs(mpmath.mpf(float(x)) - e) for x, e in zip(dec.eigenvalues, exact)) <= bound
-    lo, smin, op = linalg.spectral_bounds(A)
-    assert lo <= exact[-1]
-    assert smin <= min(abs(e) for e in exact)
-    assert op >= max(abs(exact[0]), abs(exact[-1]))
     V = dec.eigenvectors
     assert frobenius_norm(V.T @ V - np.eye(n)) <= 1e-12 * n
     assert np.all(np.diff(dec.eigenvalues) <= 0)
@@ -216,24 +210,22 @@ def test_eigh_returns_a_diagonal_input_exactly(n):
     assert np.array_equal(dec.eigenvectors, np.eye(n)[:, order])
 
 
-def test_spectral_extremes_widened_by_the_pad_are_the_norms():
-    # the refresh's raw values, widened by the pad, are the certified norms
-    for seed in range(20):
-        A = random_symmetric(6, seed)
-        lam_min, smin, opnorm = linalg.spectral_extremes(A)
-        pad = linalg.eigvalsh_pad(6, opnorm)
-        assert (lambda_min(A), sigma_min(A), spectral_norm(A)) == (
-            lam_min - pad,
-            max(smin - pad, 0.0),
-            opnorm + pad,
-        )
+def test_the_refresh_widens_its_extremes_to_the_gates_bounds():
+    # the descent loop's refresh widens spectral_extremes' lambda_min and
+    # norm; on an SPD matrix that is SpdMatrix's bounds, bit for bit (all
+    # positive and finite, so == compares bits)
+    for n in (1, 2, 6, 17):
+        for seed in range(20):
+            A = random_pd(n, seed)
+            assert linalg.widened(*linalg.spectral_extremes(A)[::2], n) == SpdMatrix(A).bounds
 
 
 def test_norms_on_diagonal():
-    A = np.diag([3.0, -4.0, 0.5])
+    A = np.diag([3.0, 4.0, 0.5])
     assert 4.0 < spectral_norm(A) == pytest.approx(4.0, rel=1e-14)
-    assert 0.5 > sigma_min(A) == pytest.approx(0.5, rel=1e-14)
-    assert -4.0 > lambda_min(A) == pytest.approx(-4.0, rel=1e-14)
+    smin, op = SpdMatrix(A).bounds
+    assert 0.5 > smin == pytest.approx(0.5, rel=1e-14)
+    assert op == spectral_norm(A)
 
 
 # ---------------------------------------------------------------- solve
@@ -311,8 +303,8 @@ def test_spd_of_entries_above_half_the_largest_double():
     # diag(1e308, 1) was accepted holding inf with NaN bounds
     S = SpdMatrix(np.diag([1e308, 1e300]))
     assert np.array_equal(S.values, np.diag([1e308, 1e300]))
-    lo, smin, op = S.bounds
-    assert 0.0 < lo == smin <= 1e300 and 1e308 <= op < math.inf
+    smin, op = S.bounds
+    assert 0.0 < smin <= 1e300 and 1e308 <= op < math.inf
     assert SpdMatrix([[1.7e308]]).values[0, 0] == 1.7e308
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -390,26 +382,22 @@ def test_spd_rejects_indefinite():
         SpdMatrix(np.diag([1.0, -1.0]))
 
 
-def test_spd_caches_one_read_only_decomposition(sym_eig_calls):
+def test_spd_bounds_need_no_decomposition_and_nothing_is_writable(sym_eig_calls):
     A = random_pd(5, 4)
     M = SpdMatrix(A)
     # the norms come from the constructor's eigvalsh, not a decomposition
-    assert (lambda_min(M), sigma_min(M), spectral_norm(M)) == M.bounds
-    assert M.bounds == linalg.spectral_bounds(A)
+    assert spectral_norm(M) == M.bounds[1] == spectral_norm(A)
     assert sym_eig_calls == []
-    dec = M.eig
-    assert M.eig is dec and len(sym_eig_calls) == 1
-    assert sigma_min(M) < float(dec.eigenvalues[-1])
+    dec = linalg.sym_eig(M)
+    assert M.bounds[0] < float(dec.eigenvalues[-1])
     assert spectral_norm(M) > float(dec.eigenvalues[0])
-    assert len(sym_eig_calls) == 1
     assert np.array_equal(dec.eigenvalues, linalg.sym_eig(A).eigenvalues)
     for arr in (dec.eigenvalues, dec.eigenvectors, M.values):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    for name in ("values", "bounds", "_eig", "eig", "other"):
+    for name in ("values", "bounds", "eig", "other"):
         with pytest.raises(AttributeError):
             setattr(M, name, None)
-    assert M.eig is dec
 
 
 @pytest.mark.parametrize("cls", [SpdMatrix])

@@ -22,8 +22,6 @@ EXPORTS = {
         "SpdMatrix",
         "estimate_opnorm_bound",
         "frobenius_norm",
-        "lambda_min",
-        "sigma_min",
         "solve",
         "spectral_norm",
         "sym_eig",
@@ -114,8 +112,8 @@ def test_sqrt_loads_no_certificate_or_experiment_module(tmp_path, method):
     assert (proc.stdout.splitlines()[-1], proc.stderr) == ("0 []", "")
 
 
-def _linalg_norm_calls(tree):
-    """(function, line) of each call of np.linalg.norm or numpy.linalg.norm in a module."""
+def _numpy_linalg_calls(tree):
+    """(name, function, line) of each call of np.linalg.name or numpy.linalg.name in a module."""
     found = []
 
     def visit(node, function):
@@ -124,13 +122,12 @@ def _linalg_norm_calls(tree):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "norm"
             and isinstance(node.func.value, ast.Attribute)
             and node.func.value.attr == "linalg"
             and isinstance(node.func.value.value, ast.Name)
             and node.func.value.value.id in ("np", "numpy")
         ):
-            found.append((function, node.lineno))
+            found.append((node.func.attr, function, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -140,9 +137,14 @@ def _linalg_norm_calls(tree):
 
 def test_only_frobenius_norm_calls_numpys_norm():
     # one Frobenius norm for the package: a second path would miss the
-    # rescaling that keeps its squares from leaving the doubles
-    calls = {}
+    # rescaling that keeps its squares from leaving the doubles; and one
+    # module that computes spectra, widens and symmetrizes them
+    norm_calls, outside = {}, []
     for path in sorted(Path(matsqrt.__file__).parent.glob("*.py")):
-        for function, line in _linalg_norm_calls(ast.parse(path.read_text(), str(path))):
-            calls.setdefault((path.name, function), []).append(line)
-    assert list(calls) == [("linalg.py", "frobenius_norm")], calls
+        for name, function, line in _numpy_linalg_calls(ast.parse(path.read_text(), str(path))):
+            if path.name != "linalg.py":
+                outside.append(f"{path.name}:{line} np.linalg.{name}")
+            if name == "norm":
+                norm_calls.setdefault((path.name, function), []).append(line)
+    assert list(norm_calls) == [("linalg.py", "frobenius_norm")], norm_calls
+    assert outside == []
