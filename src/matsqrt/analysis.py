@@ -150,15 +150,16 @@ def _rng_for(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed, index))
 
 
-def _report(name: str, samples: int, floor: float, results) -> CertificateReport:
+def _report(name: str, samples: int, seed: int, floor: float, results) -> CertificateReport:
     """One certificate's report from its (margin, witness or None) per sample.
 
     The worst margin is the smallest one; a NaN margin never becomes it.
     The certificate passes when that margin reaches ``floor``, its
-    round-off allowance, and no sample gave a witness.
+    round-off allowance, and no sample gave a witness.  ``samples`` and
+    ``seed`` are checked before ``results``, a generator, draws a sample.
     """
-    if samples < 1:
-        raise ValueError(f"{name} needs at least 1 sample, got {samples}")
+    samples = linalg.as_int("num_samples", samples, 1)
+    linalg.as_int("seed", seed, 0)
     worst = math.inf
     witnesses = []
     for margin, witness in results:
@@ -246,7 +247,7 @@ def smoothness_certificate(
                 )
             yield margin, witness
 
-    return _report("smoothness", num_samples, allowance, results())
+    return _report("smoothness", num_samples, seed, allowance, results())
 
 
 def gradient_dominance_certificate(
@@ -277,7 +278,7 @@ def gradient_dominance_certificate(
             )
             yield margin, f"sample {i}: margin {margin:.6e}" if not margin >= allowance else None
 
-    return _report("gradient-dominance", num_samples, allowance, results())
+    return _report("gradient-dominance", num_samples, seed, allowance, results())
 
 
 def saddle_location_check(M, num_samples: int, seed: int) -> CertificateReport:
@@ -317,7 +318,7 @@ def saddle_location_check(M, num_samples: int, seed: int) -> CertificateReport:
                 witness = f"sample {i}: margin {margin:.6e}, grad {g:.6e}, objective {f:.6e}"
             yield margin, witness
 
-    return _report("saddle-location", num_samples, allowance, results())
+    return _report("saddle-location", num_samples, seed, allowance, results())
 
 
 def corridor_check(trace: IterationTrace, rate: RateParams) -> CertificateReport:

@@ -7,7 +7,6 @@ produce SPD results or raise.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +23,8 @@ class NewtonConfig:
     tol: float = 1e-11  # relative to ||M||_F, and may exceed 1
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "max_iters", operator.index(self.max_iters))
-        except TypeError:
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}") from None
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if not 0.0 < self.tol < np.inf:
-            raise ValueError("tol must be positive and finite")
+        object.__setattr__(self, "max_iters", linalg.as_int("max_iters", self.max_iters, 1))
+        object.__setattr__(self, "tol", linalg.as_positive("tol", self.tol))
 
 
 def scalar_newton(m: float, u0: float, iters: int) -> list:

@@ -12,6 +12,7 @@ over the environment.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -85,14 +86,11 @@ def _output(path):
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("MATSQRT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliUsageError(f"MATSQRT_SEED must be an integer, got {env!r}")
-    return 0
+        return linalg.as_int("--seed", args.seed, 0)
+    seed = os.environ.get("MATSQRT_SEED", 0)
+    with contextlib.suppress(ValueError):
+        seed = int(seed)  # a string that is no integer is refused by as_int
+    return linalg.as_int("MATSQRT_SEED", seed, 0)
 
 
 def _echo(pairs) -> None:
@@ -185,11 +183,9 @@ def cmd_sqrt(args) -> int:
 def cmd_certify(args) -> int:
     from . import analysis
 
-    if args.samples < 1:
-        raise CliUsageError(f"--samples must be at least 1, got {args.samples}")
+    samples = linalg.as_int("--samples", args.samples, 1)
     M_spd = _read_spd(args.matrix)
     seed = _resolve_seed(args)
-    samples = args.samples
     constant = 1.0 if args.self_test else analysis.SMOOTHNESS_CONSTANT
     # refuse a matrix too large to certify before anything is echoed
     analysis.margin_scale(M_spd)

@@ -14,7 +14,6 @@ Everything is deterministic given the seeds in the inputs.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -66,16 +65,15 @@ class SpdInstanceSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        object.__setattr__(self, "n", linalg.as_int("n", self.n, 1))
         if not 1.0 <= self.kappa < math.inf:
             raise ValueError(f"kappa must be finite and at least 1, got {self.kappa}")
         if self.kappa > 1.0 and self.n < 2:
             raise ValueError("kappa > 1 needs n >= 2")
-        if not 0.0 < self.opnorm < math.inf:
-            raise ValueError(f"opnorm must be finite and positive, got {self.opnorm}")
+        object.__setattr__(self, "opnorm", linalg.as_positive("opnorm", self.opnorm))
         if self.spectrum not in SPECTRUM_CHOICES:
             raise ValueError(f"spectrum must be one of {SPECTRUM_CHOICES}")
+        object.__setattr__(self, "seed", linalg.as_int("seed", self.seed, 0))
 
 
 def random_spd(spec: SpdInstanceSpec) -> linalg.SpdMatrix:
@@ -132,8 +130,7 @@ def lower_bound_instance(kappa: float, eta: float, case: int | None = None) -> L
     """
     if not 1.0 <= kappa < math.inf:
         raise ValueError(f"kappa must be finite and at least 1, got {kappa}")
-    if not 0.0 < eta < math.inf:
-        raise ValueError(f"eta must be finite and positive, got {eta}")
+    eta = linalg.as_positive("eta", eta)
     if case is None:
         case = 1 if eta >= 0.25 else 2
     elif case not in (1, 2):
@@ -265,12 +262,7 @@ def run_lower_bound(
     if kappa < 2.0:
         raise ValueError("kappa must be at least 2")
     inst = lower_bound_instance(kappa, eta, case)
-    try:
-        T = math.ceil(kappa) if steps is None else operator.index(steps)
-    except TypeError:
-        raise ValueError(f"steps must be an integer, got {steps!r}") from None
-    if T < 1:
-        raise ValueError("steps must be positive")
+    T = math.ceil(kappa) if steps is None else linalg.as_int("steps", steps, 1)
     if T > LOWER_BOUND_MAX_STEPS:
         raise ValueError(
             f"kappa must be at most {LOWER_BOUND_MAX_STEPS:g} for the default horizon "
@@ -373,21 +365,16 @@ def robustness_sweep(M, deltas, cfg: GdConfig, seed: int = 0) -> list:
     For each delta, runs the perturbed iteration to the configured horizon,
     locates the residual plateau, and verifies every recorded residual
     against the certified perturbed bound.  Returns RobustnessRow entries
-    in input order.  A non-finite, negative or increasing delta is rejected
-    before the first run.
+    in input order.  A non-finite, negative or increasing delta, or a bad
+    seed, is rejected before the first run.
     """
-    deltas = [float(d) for d in deltas]
-    if not all(math.isfinite(d) for d in deltas):
-        raise ValueError("deltas must be finite")
-    if any(b > a for a, b in zip(deltas, deltas[1:])):
+    errs = [ErrorModel(delta=float(d), schedule="every-step", seed=seed) for d in deltas]
+    if any(b.delta > a.delta for a, b in zip(errs, errs[1:])):
         raise ValueError("deltas must be nonincreasing")
-    if any(d < 0.0 for d in deltas):
-        raise ValueError("deltas must be nonnegative")
     M_spd, cfg = resolve(M, cfg)
     rate = analysis.rate_params(cfg.init, M_spd)
     rows = []
-    for delta in deltas:
-        err = ErrorModel(delta=delta, schedule="every-step", seed=seed)
+    for err in errs:
         _, trace = run_perturbed(M_spd, cfg, err)
         floor, plateau = residual_floor(trace, cfg.tol)
         bounds = analysis.stability_bound_series(
@@ -401,7 +388,7 @@ def robustness_sweep(M, deltas, cfg: GdConfig, seed: int = 0) -> list:
         ratio = float(np.max(trace.residual_fro / bounds))
         rows.append(
             RobustnessRow(
-                delta=delta,
+                delta=err.delta,
                 plateau_step=plateau,
                 floor_residual=floor,
                 max_bound_ratio=ratio,
@@ -443,8 +430,12 @@ def convergence_benchmark(specs, methods=METHODS, cfg: GdConfig = None) -> list:
     GD rows carry the alpha log(r0/tol) iteration prediction.  Per-row
     solver failures are recorded in the status column rather than raised,
     so one hard cell cannot sink a whole table.  Row order follows input
-    order.
+    order.  An unknown method is refused before the first run.
     """
+    methods = tuple(methods)
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
     if cfg is None:
         cfg = GdConfig()
     rows = []
@@ -459,11 +450,9 @@ def convergence_benchmark(specs, methods=METHODS, cfg: GdConfig = None) -> list:
                 elif method == "newton":
                     X, iters = baselines.newton_sqrt(M)
                     resid, status = residual_fro(X, M), "converged"
-                elif method == "evd":
+                else:
                     X = baselines.evd_sqrt(M)
                     iters, resid, status = 0, residual_fro(X, M), "converged"
-                else:
-                    raise ValueError(f"unknown method {method!r}")
             except ValueError:
                 raise
             except Exception as exc:  # noqa: BLE001 - recorded per row
@@ -500,8 +489,7 @@ def landscape_grid(grid_min: float = 0.0, grid_max: float = 3.0, steps: int = 10
     """
     if not 0.0 <= grid_min < grid_max < math.inf:
         raise ValueError("need 0 <= grid_min < grid_max, both finite")
-    if steps < 1:
-        raise ValueError("steps must be positive")
+    steps = linalg.as_int("steps", steps, 1)
     # past x = y = 2, f and |gradient| grow with x and y: the corner is the largest row
     if not all(map(math.isfinite, _landscape_row(grid_max, grid_max))):
         raise ValueError(f"grid_max {grid_max:g} puts inf in the corner row (grid_max, grid_max)")

@@ -21,7 +21,6 @@ spectrum and at the stop.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from array import array
 from dataclasses import dataclass, replace
@@ -108,23 +107,13 @@ class GdConfig:
                 raise ValueError(f"eta must be positive or 'auto', got {self.eta!r}")
         else:
             # an int or numpy scalar step size must not fall through to "auto"
-            object.__setattr__(self, "eta", float(self.eta))
-            if not 0.0 < self.eta < math.inf:
-                raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        # a float count would pass the test below and fail in range()
-        try:
-            object.__setattr__(self, "max_iters", operator.index(self.max_iters))
-        except TypeError:
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}") from None
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError("tol must be positive and finite")
+            object.__setattr__(self, "eta", linalg.as_positive("eta", self.eta))
+        object.__setattr__(self, "max_iters", linalg.as_int("max_iters", self.max_iters, 1))
+        object.__setattr__(self, "tol", linalg.as_positive("tol", self.tol))
         # a start matrix cannot be compared with ``in``
         if self.init is None or (isinstance(self.init, str) and self.init not in INIT_CHOICES):
             raise ValueError(f"init must be one of {INIT_CHOICES} or a matrix, got {self.init!r}")
-        if not 0.0 < self.c_step < math.inf:
-            raise ValueError("c_step must be positive and finite")
+        object.__setattr__(self, "c_step", linalg.as_positive("c_step", self.c_step))
 
 
 @dataclass(frozen=True)
@@ -136,10 +125,10 @@ class ErrorModel:
     margin into delta (1 - 2 (n^2 + 4) eps) <= ||E_t||_F <= delta (bar a
     subnormal delta's rounding), so that ||E_t||_2 <= delta too.
     ``schedule`` is ``"every-step"`` or ``"first-step-only"``;
-    ``delta = 0`` injects nothing; ``seed`` is an integer.  The errors are
-    drawn in blocks of consecutive steps, one stacked draw per block,
-    bitwise those of one draw per step, so the slice of step t depends only
-    on the seed, n and t.
+    ``delta = 0`` injects nothing; ``seed`` is a non-negative integer.  The
+    errors are drawn in blocks of consecutive steps, one stacked draw per
+    block, bitwise those of one draw per step, so the slice of step t
+    depends only on the seed, n and t.
     """
 
     delta: float = 0.0
@@ -156,10 +145,7 @@ class ErrorModel:
         # default_rng returns a Generator seed as it is, and a run would then
         # draw from, and advance, the caller's generator: its errors would
         # depend on what drew from it before, not on (seed, n, t) alone
-        try:
-            object.__setattr__(self, "seed", operator.index(self.seed))
-        except TypeError:
-            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
+        object.__setattr__(self, "seed", linalg.as_int("seed", self.seed, 0))
 
     def errors(self, n: int, cap: int) -> Iterator[np.ndarray]:
         """E_1, E_2, ... of a run of order ``n``: ``cap`` errors every step, or E_1 alone."""

@@ -5,7 +5,9 @@ thin validated types.  Spectra come from LAPACK: ``eigvalsh`` for the
 extreme eigenvalues, ``eigh`` where eigenvectors are needed.  The norms
 and lower bounds derived from them are widened outward by twice
 ``eigvalsh``'s error bound, so they bracket the exact values.  Linear
-systems go to LAPACK's LU solver.
+systems go to LAPACK's LU solver.  The module also holds the scalar
+input rules that every other module applies to its arguments: a count or
+seed passes :func:`as_int`, a positive real :func:`as_positive`.
 
 All functions are pure: inputs are never mutated, wrapped arrays are frozen
 at construction, and every random choice takes an explicit generator.
@@ -14,6 +16,7 @@ at construction, and every random choice takes an explicit generator.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +166,28 @@ class SpdMatrix:
 def as_spd(A) -> SpdMatrix:
     """A itself if it is an :class:`SpdMatrix`, else A validated into one."""
     return A if isinstance(A, SpdMatrix) else SpdMatrix(A)
+
+
+def as_int(name: str, value, least: int) -> int:
+    """``operator.index(value)`` if at least ``least``; a float, even 3.0, is a ``ValueError``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def as_positive(name: str, value) -> float:
+    """``float(value)``, refused with ``ValueError`` unless in (0, inf): NaN fails too."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return x
 
 
 def scaled_identity(c: float, n: int) -> SpdMatrix:

@@ -155,13 +155,13 @@ def test_certificate_report_truncates_witnesses():
 def test_report_keeps_the_certificate_rule():
     # a NaN margin never becomes the worst, any witness fails the report,
     # and only the first five witnesses are kept
-    rep = analysis._report("x", 3, -1.0, [(0.5, None), (0.25, None), (math.nan, None)])
+    rep = analysis._report("x", 3, 0, -1.0, [(0.5, None), (0.25, None), (math.nan, None)])
     assert (rep.worst_margin, rep.passed, rep.witnesses) == (0.25, True, ())
-    rep = analysis._report("x", 2, -1.0, [(0.5, None), (0.75, "w")])
+    rep = analysis._report("x", 2, 0, -1.0, [(0.5, None), (0.75, "w")])
     assert (rep.worst_margin, rep.passed, rep.witnesses) == (0.5, False, ("w",))
-    rep = analysis._report("x", 8, 0.0, [(-1.0, f"w{i}") for i in range(8)])
+    rep = analysis._report("x", 8, 0, 0.0, [(-1.0, f"w{i}") for i in range(8)])
     assert (rep.passed, rep.witnesses) == (False, tuple(f"w{i}" for i in range(5)))
-    rep = analysis._report("x", 1, 0.0, [(-0.5, None)])
+    rep = analysis._report("x", 1, 0, 0.0, [(-0.5, None)])
     assert (rep.worst_margin, rep.passed) == (-0.5, False)
 
 
@@ -180,15 +180,23 @@ def test_sampled_certificates_fail_on_a_nan_margin(monkeypatch):
 
 @pytest.mark.parametrize("samples", [0, -3])
 def test_sampled_certificates_refuse_fewer_than_one_sample(samples):
-    # with no sample the worst margin would stay inf and the check pass
+    # with no sample the worst margin would stay inf and the check pass; a
+    # seed is refused also where sample 0, which draws nothing, is the only one
     M = np.diag([4.0, 2.0])
-    for check in (
-        lambda: smoothness_certificate(M, 16.0, samples, seed=0),
-        lambda: gradient_dominance_certificate(M, 1.0, samples, seed=0),
-        lambda: saddle_location_check(M, samples, seed=0),
+    for num_samples, seed, message in (
+        (samples, 0, f"num_samples must be at least 1, got {samples}"),
+        (2.5, 0, "num_samples must be an integer, got 2.5"),
+        (3.0, 0, "num_samples must be an integer, got 3.0"),
+        (1, -1, "seed must be at least 0, got -1"),
+        (3, 1.5, "seed must be an integer, got 1.5"),
     ):
-        with pytest.raises(ValueError, match=f"needs at least 1 sample, got {samples}$"):
-            check()
+        for check in (
+            lambda: smoothness_certificate(M, 16.0, num_samples, seed=seed),
+            lambda: gradient_dominance_certificate(M, 1.0, num_samples, seed=seed),
+            lambda: saddle_location_check(M, num_samples, seed=seed),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                check()
 
 
 @pytest.mark.parametrize(

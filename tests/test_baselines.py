@@ -77,11 +77,15 @@ def test_newton_iteration_cap():
 
 
 def test_newton_config_validation():
-    for max_iters in (0, 2.5):  # 2.5 passed, and then failed in newton_sqrt's range()
-        with pytest.raises(ValueError):
+    for max_iters, message in (
+        (0, "at least 1, got 0"),
+        (2.5, "an integer, got 2.5"),  # passed, and then failed in newton_sqrt's range()
+        (3.0, "an integer, got 3.0"),
+    ):
+        with pytest.raises(ValueError, match=f"^max_iters must be {message}$"):
             NewtonConfig(max_iters=max_iters)
     for tol in (0.0, -1e-8, math.nan, math.inf):
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
+        with pytest.raises(ValueError, match=f"^tol must be positive and finite, got {tol}$"):
             NewtonConfig(tol=tol)
     # relative to ||M||_F, so an absolute tolerance above ||M||_F exceeds 1
     assert NewtonConfig(tol=50.0).tol == 50.0

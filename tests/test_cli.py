@@ -143,6 +143,25 @@ def test_exit_usage_bad_env_seed(capsys, spd_file, monkeypatch):
     assert "MATSQRT_SEED" in err
 
 
+@pytest.mark.parametrize(
+    "argv, env, name",
+    [
+        (("certify", "MAT", "--seed", "-1"), None, "--seed"),
+        (("bench", "--sizes", "2", "--kappas", "1", "--seed", "-1"), None, "--seed"),
+        (("robustness", "MAT", "--deltas", "1e-6", "--seed", "-1"), None, "--seed"),
+        # a zero delta draws nothing, and this ran to exit code 0
+        (("robustness", "MAT", "--deltas", "0", "--seed", "-1"), None, "--seed"),
+        (("certify", "MAT", "--samples", "5"), "-1", "MATSQRT_SEED"),
+    ],
+)
+def test_exit_usage_negative_seed_before_any_echo(capsys, spd_file, monkeypatch, argv, env, name):
+    if env is not None:
+        monkeypatch.setenv("MATSQRT_SEED", env)
+    argv = [spd_file if a == "MAT" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: {name} must be at least 0, got -1\n")
+
+
 def test_exit_usage_bad_eta_argument(capsys, spd_file):
     code, _, _ = run_cli(capsys, "sqrt", spd_file, "--eta", "fast")
     assert code == 1
@@ -382,7 +401,9 @@ def test_newton_names_a_relative_tolerance_that_overflows(capsys, matrix_file):
 def test_newton_refuses_a_tolerance_that_is_not_positive_and_finite(capsys, spd_file, tol):
     code, out, err = run_cli(capsys, "sqrt", spd_file, "--method", "newton", f"--tol={tol}")
     assert (code, out) == (cli.EXIT_USAGE, "")
-    assert err == "error: tol must be positive and finite\n"
+    # the relative tolerance, --tol / ||M||_F, is the one NewtonConfig reads
+    rel = float(tol) / math.hypot(4.0, 2.0)
+    assert err == f"error: tol must be positive and finite, got {rel}\n"
 
 
 def test_exit_diverged_on_a_corridor_bound_that_overflows(capsys, matrix_file):
@@ -538,7 +559,9 @@ def test_sqrt_refuses_an_infinite_step_size(capsys, spd_file):
 def test_sqrt_refuses_an_infinite_tolerance(capsys, spd_file):
     # row 0 would meet it and return the start as a root
     code, out, err = run_cli(capsys, "sqrt", spd_file, "--tol", "inf")
-    assert (code, out, err) == (cli.EXIT_USAGE, "", "error: tol must be positive and finite\n")
+    assert (code, out, err) == (
+        cli.EXIT_USAGE, "", "error: tol must be positive and finite, got inf\n"
+    )
 
 
 # ------------------------------------------------------------ lowerbound
@@ -595,8 +618,8 @@ def test_lowerbound_bad_kappa(capsys):
 @pytest.mark.parametrize(
     "kappa, eta, message",
     [
-        ("10", "inf", "eta must be finite and positive, got inf"),
-        ("10", "nan", "eta must be finite and positive, got nan"),
+        ("10", "inf", "eta must be positive and finite, got inf"),
+        ("10", "nan", "eta must be positive and finite, got nan"),
         ("inf", "0.3", "kappa must be finite and at least 1, got inf"),
         ("nan", "0.3", "kappa must be finite and at least 1, got nan"),
     ],
@@ -718,7 +741,11 @@ def test_bench_unknown_method(capsys):
 def test_bench_rejects_a_non_finite_instance_value(capsys, flag):
     code, out, err = run_cli(capsys, "bench", "--sizes", "4", flag, "nan")
     assert (code, out) == (cli.EXIT_USAGE, "")
-    assert err.startswith("error: ") and "must be finite" in err
+    message = {
+        "--kappas": "kappa must be finite and at least 1, got nan",
+        "--opnorm": "opnorm must be positive and finite, got nan",
+    }[flag]
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -45,6 +45,18 @@ def test_instance_spec_validation():
             SpdInstanceSpec(n=4, kappa=bad)
         with pytest.raises(ValueError, match="finite"):
             SpdInstanceSpec(n=4, kappa=10.0, opnorm=bad)
+    # 4.0 passed, and then failed in random_spd; a negative seed too
+    for kwargs, message in (
+        (dict(n=2.5), "n must be an integer, got 2.5"),
+        (dict(n=3.0), "n must be an integer, got 3.0"),
+        (dict(seed=-1), "seed must be at least 0, got -1"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(opnorm=0.0), "opnorm must be positive and finite, got 0.0"),
+        (dict(opnorm=math.nan), "opnorm must be positive and finite, got nan"),
+        (dict(opnorm=math.inf), "opnorm must be positive and finite, got inf"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SpdInstanceSpec(**{"n": 4, "kappa": 2.0, **kwargs})
 
 
 def test_random_spd_kappa_one_is_scaled_identity():
@@ -190,6 +202,12 @@ def test_run_lower_bound_validation():
         run_lower_bound(10.0, 0.3, steps=0)
     with pytest.raises(ValueError, match="steps must be an integer"):
         run_lower_bound(10.0, 0.01, steps=2.9)  # used to run 2 steps
+    for steps in (2.5, 3.0):
+        with pytest.raises(ValueError, match=f"^steps must be an integer, got {steps}$"):
+            run_lower_bound(10.0, 0.01, steps=steps)
+    for eta in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^eta must be positive and finite, got {eta}$"):
+            run_lower_bound(10.0, eta)
 
 
 def test_lower_bound_report_rows_match_header():
@@ -304,6 +322,15 @@ def test_convergence_benchmark_grid():
     assert len(astuple(rows[0])) == len(BENCHMARK_HEADER)
 
 
+def test_convergence_benchmark_refuses_an_unknown_method_before_any_run(monkeypatch):
+    runs = []
+    monkeypatch.setattr(experiments, "_bench_gd", lambda *args: runs.append(args))
+    specs = [SpdInstanceSpec(n=2, kappa=1.0)]
+    with pytest.raises(ValueError, match="^unknown method 'bogus'$"):
+        convergence_benchmark(specs, ["gd", "bogus"])
+    assert runs == []
+
+
 def test_convergence_benchmark_newton_row_converges_at_kappa_1e4():
     # the row read error:NewtonConvergenceError before the stable iteration
     rows = convergence_benchmark([SpdInstanceSpec(n=16, kappa=1e4, seed=1)], methods=("newton",))
@@ -401,5 +428,8 @@ def test_landscape_grid_validation():
         landscape_grid(-1.0, 3.0)
     with pytest.raises(ValueError):
         landscape_grid(3.0, 3.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^steps must be at least 1, got 0$"):
         landscape_grid(0.0, 3.0, steps=0)
+    for steps in (2.5, 3.0):  # used to fail in np.linspace with a TypeError
+        with pytest.raises(ValueError, match=f"^steps must be an integer, got {steps}$"):
+            landscape_grid(0.0, 3.0, steps=steps)

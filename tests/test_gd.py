@@ -66,10 +66,15 @@ def test_config_defaults_pinned():
         dict(c_step=math.inf),
         dict(tol=math.inf),
         dict(max_iters=10.0),  # passed, and then failed in run's range()
+        dict(max_iters=2.5),
+        dict(max_iters=3.0),
+        dict(eta=math.nan),
+        dict(c_step=math.nan),
     ],
 )
 def test_config_rejects_invalid(kwargs):
-    with pytest.raises(ValueError):
+    [name] = kwargs
+    with pytest.raises(ValueError, match=f"^{name} must be "):
         GdConfig(**kwargs)
 
 
@@ -505,10 +510,15 @@ def test_trace_records_iterates_all_columns():
 
 
 def test_error_model_validation():
-    with pytest.raises(ValueError):
-        ErrorModel(delta=-1.0)
-    with pytest.raises(ValueError):
+    for delta in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^delta must be finite and non-negative, got"):
+            ErrorModel(delta=delta)
+    with pytest.raises(ValueError, match="^schedule must be one of"):
         ErrorModel(schedule="sometimes")
+    with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
+        ErrorModel(1e-6, seed=-1)
+    with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$"):
+        ErrorModel(1e-6, seed=1.5)
 
 
 def test_error_model_takes_integer_seeds_only():

@@ -112,22 +112,25 @@ def test_sqrt_loads_no_certificate_or_experiment_module(tmp_path, method):
     assert (proc.stdout.splitlines()[-1], proc.stderr) == ("0 []", "")
 
 
-def _numpy_linalg_calls(tree):
-    """(name, function, line) of each call of np.linalg.name or numpy.linalg.name in a module."""
+def _dotted_calls(tree):
+    """(dotted name, function, line) of each call of a module attribute, such as np.linalg.norm."""
     found = []
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Attribute):
+            head = dotted(node.value)
+            return head and f"{head}.{node.attr}"
+        return None
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Attribute)
-            and node.func.value.attr == "linalg"
-            and isinstance(node.func.value.value, ast.Name)
-            and node.func.value.value.id in ("np", "numpy")
-        ):
-            found.append((node.func.attr, function, node.lineno))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = dotted(node.func)
+            if name:
+                found.append((name, function, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -137,14 +140,16 @@ def _numpy_linalg_calls(tree):
 
 def test_only_frobenius_norm_calls_numpys_norm():
     # one Frobenius norm for the package: a second path would miss the
-    # rescaling that keeps its squares from leaving the doubles; and one
-    # module that computes spectra, widens and symmetrizes them
+    # rescaling that keeps its squares from leaving the doubles; one module
+    # that computes spectra, widens and symmetrizes them; and one home for
+    # the integer rule, linalg.as_int
     norm_calls, outside = {}, []
     for path in sorted(Path(matsqrt.__file__).parent.glob("*.py")):
-        for name, function, line in _numpy_linalg_calls(ast.parse(path.read_text(), str(path))):
-            if path.name != "linalg.py":
-                outside.append(f"{path.name}:{line} np.linalg.{name}")
-            if name == "norm":
+        for name, function, line in _dotted_calls(ast.parse(path.read_text(), str(path))):
+            numpy_linalg = name.startswith(("np.linalg.", "numpy.linalg."))
+            if path.name != "linalg.py" and (numpy_linalg or name == "operator.index"):
+                outside.append(f"{path.name}:{line} {name}")
+            if numpy_linalg and name.endswith(".norm"):
                 norm_calls.setdefault((path.name, function), []).append(line)
     assert list(norm_calls) == [("linalg.py", "frobenius_norm")], norm_calls
     assert outside == []
